@@ -99,6 +99,30 @@ class NeighborInfo:
 
 
 @dataclass(frozen=True)
+class RegionData:
+    """Everything stored *in* a region, as one shippable value.
+
+    A region's data follows its partition (Section 2.1-2.3): published
+    geo-items, location-store records and continuous-query registrations
+    all travel together on every split, secondary seed, merge-back,
+    departure, ownership yield and primary switch.  Items are an
+    append-only log; records merge last-writer-wins on arrival (see
+    :meth:`repro.protocol.node.OwnedRegion.absorb`).
+    """
+
+    #: Published geo-items, in publication order.
+    items: Tuple[Tuple[Point, Any], ...] = ()
+    #: Location-store records.
+    objects: Tuple[ObjectRecord, ...] = ()
+    #: Continuous-query registrations.
+    subscriptions: Tuple[SubRecord, ...] = ()
+
+    def is_empty(self) -> bool:
+        """Whether there is nothing to ship."""
+        return not (self.items or self.objects or self.subscriptions)
+
+
+@dataclass(frozen=True)
 class JoinRequestBody:
     """A join request being routed toward the joiner's coordinate."""
 
@@ -132,17 +156,11 @@ class JoinGrantBody:
     peer: Optional[NodeAddress]
     #: The granter's neighbor table, pre-filtered for the granted rect.
     neighbors: Tuple[NeighborInfo, ...]
-    #: Replicated geo-items (secondary grants ship the store).
-    items: Tuple[Tuple[Point, Any], ...] = ()
     #: Echo of the join request's nonce.
     nonce: int = 0
-    #: Location-store records riding the grant: a split hands the new
-    #: half's objects, a secondary grant seeds the replica.
-    objects: Tuple[ObjectRecord, ...] = ()
-    #: Continuous-query registrations riding the grant the same way: a
-    #: split hands every subscription touching the new half, a secondary
-    #: grant seeds the replica.
-    subscriptions: Tuple[SubRecord, ...] = ()
+    #: Region data riding the grant: a split hands the new half's data,
+    #: a secondary grant seeds the replica.
+    data: RegionData = RegionData()
 
 
 @dataclass(frozen=True)
@@ -180,11 +198,8 @@ class GrantDeclineBody:
 
     role: str
     rect: Rect
-    items: Tuple[Tuple[Point, Any], ...] = ()
-    #: Location-store records returned with the declined region.
-    objects: Tuple[ObjectRecord, ...] = ()
-    #: Continuous-query registrations returned with the declined region.
-    subscriptions: Tuple[SubRecord, ...] = ()
+    #: The region data returned with the declined region.
+    data: RegionData = RegionData()
 
 
 @dataclass(frozen=True)
@@ -485,12 +500,9 @@ class RegionStateBody:
     rect: Rect
     #: The region's secondary owner, if any (stays with the region).
     peer: Optional[NodeAddress]
-    items: Tuple[Tuple[Point, Any], ...]
     neighbors: Tuple[NeighborInfo, ...]
-    #: Location-store records moving with the region.
-    objects: Tuple[ObjectRecord, ...] = ()
-    #: Continuous-query registrations moving with the region.
-    subscriptions: Tuple[SubRecord, ...] = ()
+    #: The region data moving with the region.
+    data: RegionData = RegionData()
 
 
 @dataclass(frozen=True)
@@ -531,15 +543,15 @@ class SecondaryReleasedBody:
 
 @dataclass(frozen=True)
 class DepartBody:
-    """Graceful departure announcement with region handoff."""
+    """The sender leaves ``rect`` and hands over the data it held there.
+
+    Sent by a departing owner to its peer (which takes over the region)
+    and by the loser of an ownership conflict to the winner (which
+    adopts the data and rehomes whatever its ground does not cover).
+    """
 
     rect: Rect
-    #: Items handed to the surviving peer or adopter.
-    items: Tuple[Tuple[Point, Any], ...]
-    #: Location-store records handed with the region.
-    objects: Tuple[ObjectRecord, ...] = ()
-    #: Continuous-query registrations handed with the region.
-    subscriptions: Tuple[SubRecord, ...] = ()
+    data: RegionData = RegionData()
 
 
 # ---------------------------------------------------------------------
@@ -686,17 +698,14 @@ class StorePullBody:
 
 @dataclass(frozen=True)
 class StoreRepairBody:
-    """Authoritative bucket contents answering a pull (or a handoff).
+    """Authoritative bucket contents answering a pull.
 
-    When ``authoritative`` is set the receiver replaces each named
-    bucket's content wholesale; otherwise the records are merged
-    last-writer-wins (used when a yielding owner ships its store to the
-    winner of an ownership conflict).
+    The receiving replica replaces each named bucket's content
+    wholesale (still last-writer-wins per record).
     """
 
     rect: Rect
     buckets: Tuple[Tuple[BucketKey, Tuple[ObjectRecord, ...]], ...]
-    authoritative: bool = True
 
 
 # ---------------------------------------------------------------------
@@ -768,11 +777,10 @@ class SubSyncBody:
     """Registrations touching the receiver's region, sent on the sync timer.
 
     The subscription plane's anti-entropy: each primary periodically
-    ships its neighbors (and, after an ownership handover, the new
-    owner) every live registration touching their rect.  Receivers merge
-    last-writer-wins, which heals registrations lost to a dropped
-    fan-out, a merge-back, or a caretaker transition within one sync
-    interval.
+    ships its neighbors every live registration touching their rect.
+    Receivers merge last-writer-wins, which heals registrations lost to
+    a dropped fan-out, a merge-back, or a caretaker transition within
+    one sync interval.
     """
 
     rect: Rect

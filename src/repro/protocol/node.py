@@ -28,7 +28,7 @@ from repro.obs.registry import Histogram
 from repro.obs.telemetry import EVENT_SAMPLE, VitalsFrame
 from repro.sim.scheduler import EventScheduler
 from repro.sim.transport import Message, SimNetwork
-from repro.store.spatial import GridIndex, ObjectRecord
+from repro.store.spatial import GridIndex, ObjectRecord, touches
 from repro.sub import SubIndex, SubRecord
 from repro.protocol import messages as m
 from repro.protocol import overload
@@ -247,6 +247,90 @@ class OwnedRegion:
     #: on the primary, replica on the secondary (promoted on failover).
     subs: SubIndex = field(default_factory=SubIndex)
 
+    def snapshot(self) -> m.RegionData:
+        """Everything this region holds, as one shippable value."""
+        return m.RegionData(
+            items=tuple(self.items),
+            objects=tuple(self.store.records()),
+            subscriptions=tuple(self.subs.records()),
+        )
+
+    def hand_off(self, kept: Rect, handed: Rect) -> m.RegionData:
+        """Split off and return the data ``handed`` needs.
+
+        Items and store records outside ``kept`` leave (a point on the
+        split line stays here); subscriptions touching ``handed`` travel
+        as copies and stay here too if they still touch ``kept``.
+        """
+        items = [entry for entry in self.items if touches(entry[0], kept)]
+        handed_items = tuple(
+            entry for entry in self.items if not touches(entry[0], kept)
+        )
+        self.items = items
+        return m.RegionData(
+            items=handed_items,
+            objects=tuple(self.store.hand_off(kept, handed)),
+            subscriptions=tuple(self.subs.hand_off(kept, handed)),
+        )
+
+    def absorb(self, data: m.RegionData) -> m.RegionData:
+        """Fold shipped data in; returns what changed here.
+
+        Items append; records merge last-writer-wins, so absorbing the
+        same data twice, or data older than what is held, is a no-op.
+        """
+        self.items.extend(data.items)
+        return m.RegionData(
+            items=data.items,
+            objects=tuple(r for r in data.objects if self.store.upsert(r)),
+            subscriptions=tuple(
+                r for r in data.subscriptions if self.subs.upsert(r)
+            ),
+        )
+
+
+def _note_handover(
+    event: str, source: Any, target: Any, data: m.RegionData
+) -> None:
+    """Account one region-data handover (counters and causal annotation)."""
+    if not (data.objects or data.subscriptions):
+        return
+    if data.objects:
+        obs.inc("store.node.migrated", len(data.objects))
+    if data.subscriptions:
+        obs.inc("sub.node.migrated", len(data.subscriptions))
+    causal.annotate(
+        "store_handover",
+        event=event,
+        source=str(source),
+        target=str(target),
+        objects=len(data.objects),
+        subscriptions=len(data.subscriptions),
+    )
+
+
+def _written_since(
+    current: m.RegionData, captured: m.RegionData
+) -> m.RegionData:
+    """What ``current`` holds beyond the earlier snapshot ``captured``.
+
+    Items are append-only, so the new ones are the tail; records count
+    when their key is new or their version is higher.
+    """
+
+    def newer(now: Tuple[Any, ...], then: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        versions = {record.key: record.version for record in then}
+        return tuple(
+            record for record in now
+            if record.version > versions.get(record.key, -1)
+        )
+
+    return m.RegionData(
+        items=current.items[len(captured.items):],
+        objects=newer(current.objects, captured.objects),
+        subscriptions=newer(current.subscriptions, captured.subscriptions),
+    )
+
 
 class ProtocolNode:
     """A GeoGrid middleware instance on one simulated host."""
@@ -282,6 +366,10 @@ class ProtocolNode:
         self.neighbor_table: Dict[Rect, m.NeighborInfo] = {}
         #: Learned long-range routing entries for non-neighbor regions.
         self.shortcuts = ShortcutCache(self.config.shortcut_cache_size)
+        #: Routed requests whose first hop -- ours, or one our secondary
+        #: relayed to us -- took a shortcut and whose delivery ack has not
+        #: reached us: request id -> (rect, sent at).
+        self._shortcut_unacked: Dict[int, Tuple[Rect, float]] = {}
         #: The entry node the in-flight join attempt went through; struck
         #: in the host cache when the attempt times out.
         self._join_entry: Optional[NodeAddress] = None
@@ -329,9 +417,10 @@ class ProtocolNode:
         self._served_queries: Set[int] = set()
         #: Acknowledged store updates issued from this node.
         self.store_acks: Dict[int, m.StoreAckBody] = {}
-        #: Misplaced records re-routed home, awaiting the executor's ack
-        #: before the local copy may be dropped (request_id -> id, version).
-        self._rehome_pending: Dict[int, Tuple[Any, int]] = {}
+        #: Misplaced store records and subscriptions re-routed home,
+        #: awaiting the executor's ack before the local copy may be
+        #: dropped (request_id -> (routed kind, key, version)).
+        self._rehome_pending: Dict[int, Tuple[str, Any, int]] = {}
         #: Store lookup answers, one entry per answering region.
         self.store_results: Dict[int, List[m.StoreResultBody]] = {}
         self._served_store_lookups: Set[int] = set()
@@ -347,10 +436,6 @@ class ProtocolNode:
         self._notify_seen: Set[Tuple[str, Tuple[Any, ...]]] = set()
         #: Sequence counter behind locally issued subscription ids.
         self._sub_seq = itertools.count(1)
-        #: Stranded registrations re-routed toward their rect, awaiting
-        #: the covering executor's ack before the local copy is dropped
-        #: (request id -> (sub id, version); mirrors ``_rehome_pending``).
-        self._sub_rehome_pending: Dict[int, Tuple[str, int]] = {}
         #: Live subscriptions this node originated, by sub id -- the
         #: subscriber-side source of truth behind periodic lease
         #: re-assertion (see :meth:`_sub_renewals`).
@@ -382,6 +467,9 @@ class ProtocolNode:
         #: a (possibly retried) accept that arrives after ownership moved
         #: on must not install the stale counterpart state.
         self._switch_proposed_rect: Optional[Rect] = None
+        #: The region data shipped with the pending switch request; what
+        #: is written after it is replayed once the switch completes.
+        self._switch_capture: Optional[m.RegionData] = None
         #: Completed primary switches this node took part in.
         self.switches_completed = 0
         #: After a primary switch installs, the counterpart may still emit
@@ -659,23 +747,11 @@ class ProtocolNode:
             raise MembershipError(f"node {self.node.node_id} is not running")
         handoff: Optional[Tuple[NodeAddress, m.DepartBody]] = None
         if self.owned is not None and self.owned.peer is not None:
-            if len(self.owned.store):
-                causal.annotate(
-                    "store_handover",
-                    event="depart",
-                    source=str(self.address),
-                    target=str(self.owned.peer),
-                    objects=len(self.owned.store),
-                )
-                obs.inc("store.node.migrated", len(self.owned.store))
+            data = self.owned.snapshot()
+            _note_handover("depart", self.address, self.owned.peer, data)
             handoff = (
                 self.owned.peer,
-                m.DepartBody(
-                    rect=self.owned.rect,
-                    items=tuple(self.owned.items),
-                    objects=tuple(self.owned.store.records()),
-                    subscriptions=tuple(self.owned.subs.records()),
-                ),
+                m.DepartBody(rect=self.owned.rect, data=data),
             )
         if handoff is None or not self.config.reliable_enabled:
             if handoff is not None:
@@ -1318,8 +1394,9 @@ class ProtocolNode:
         threshold = self.config.overload_deflect_threshold
         for info in self.neighbor_table.values():
             endpoint = self._live_endpoint(info)
-            if endpoint is None or endpoint == self.address:
-                # A stale entry naming ourselves is never a hop.
+            if endpoint is None or endpoint in (self.address, self.owned.peer):
+                # A stale entry naming ourselves is never a hop, nor one
+                # naming our secondary, which relays everything to us.
                 continue
             distance = info.rect.distance_to_point(target)
             if distance < best_distance - 1e-12:
@@ -1336,7 +1413,9 @@ class ProtocolNode:
             shortcut = self.shortcuts.best(target, better_than=best_distance)
             if shortcut is not None:
                 endpoint = self._live_endpoint(shortcut)
-                if endpoint is not None and endpoint != self.address:
+                if endpoint is not None and endpoint not in (
+                    self.address, self.owned.peer
+                ):
                     self.shortcuts.touch(shortcut.rect)
                     self.shortcuts.hits += 1
                     if self._telemetry:
@@ -1363,6 +1442,15 @@ class ProtocolNode:
                     self._send_hop(
                         endpoint, m.SHORTCUT_HOP, envelope, inner_kind=kind
                     )
+                    if kind == m.ROUTE and body.hops == 0:
+                        # A departed or crashed endpoint drops the hop
+                        # without a NACK, and no neighbor of ours reports
+                        # a far node gone: only a missing delivery ack can
+                        # tell us.  (The ack for a request our secondary
+                        # relayed goes to it, so that entry is relearned.)
+                        self._shortcut_unacked[body.request_id] = (
+                            shortcut.rect, self.scheduler.now
+                        )
                     return True
         if best_address is None:
             return False
@@ -1576,10 +1664,8 @@ class ProtocolNode:
             rect=self.owned.rect,
             peer=self.address,
             neighbors=tuple(self.neighbor_table.values()),
-            items=tuple(self.owned.items),
             nonce=body.nonce,
-            objects=tuple(self.owned.store.records()),
-            subscriptions=tuple(self.owned.subs.records()),
+            data=self.owned.snapshot(),
         )
         # A lost replica grant costs no data (we keep the records), but
         # the region would sit half-full until the peer timeout; the
@@ -1613,32 +1699,8 @@ class ProtocolNode:
             rect=str(handed),
         )
         self.owned.rect = kept
-        kept_items = [
-            (point, item) for point, item in self.owned.items
-            if self._covers(kept, point)
-        ]
-        handed_items = tuple(
-            (point, item) for point, item in self.owned.items
-            if not self._covers(kept, point)
-        )
-        self.owned.items = kept_items
-        handed_objects = tuple(self.owned.store.split_off(kept))
-        if handed_objects:
-            obs.inc("store.node.migrated", len(handed_objects))
-            causal.annotate(
-                "store_handover",
-                event="split",
-                source=str(self.address),
-                target=str(body.joiner),
-                objects=len(handed_objects),
-            )
-        # Subscriptions touching the handed half ride the grant (a copy:
-        # registrations spanning the split line stay registered here
-        # too); anything no longer touching the kept half is dropped.
-        handed_subs = tuple(self.owned.subs.touching(handed))
-        self.owned.subs.retain_touching(kept)
-        if handed_subs:
-            obs.inc("sub.node.migrated", len(handed_subs))
+        handed_data = self.owned.hand_off(kept, handed)
+        _note_handover("split", self.address, body.joiner, handed_data)
 
         joiner_neighbors = [
             info for info in self.neighbor_table.values()
@@ -1650,10 +1712,8 @@ class ProtocolNode:
             rect=handed,
             peer=None,
             neighbors=tuple(joiner_neighbors),
-            items=handed_items,
             nonce=body.nonce,
-            objects=handed_objects,
-            subscriptions=handed_subs,
+            data=handed_data,
         )
         # The grant carries the handed half's records and the network is
         # lossy: the reliable channel retransmits until the joiner
@@ -1728,7 +1788,7 @@ class ProtocolNode:
             neighbors.append(self._my_info())
         grant = m.JoinGrantBody(
             role="primary", rect=hole, peer=None,
-            neighbors=tuple(neighbors), items=(), nonce=body.nonce,
+            neighbors=tuple(neighbors), nonce=body.nonce,
         )
         self.network.send(self.address, body.joiner, m.JOIN_GRANT, grant)
         self.caretaker_rects.discard(hole)
@@ -1765,8 +1825,7 @@ class ProtocolNode:
             # regardless of attempt -- avoids declining a perfectly good
             # region that merely lost a race with the retry timer.
             decline = m.GrantDeclineBody(
-                role=body.role, rect=body.rect, items=body.items,
-                objects=body.objects, subscriptions=body.subscriptions,
+                role=body.role, rect=body.rect, data=body.data
             )
             causal.annotate(
                 "grant_declined",
@@ -1786,13 +1845,9 @@ class ProtocolNode:
             rect=str(body.rect),
         )
         self.owned = OwnedRegion(
-            rect=body.rect,
-            role=body.role,
-            peer=body.peer,
-            items=list(body.items),
-            store=GridIndex(records=body.objects),
-            subs=SubIndex(records=body.subscriptions),
+            rect=body.rect, role=body.role, peer=body.peer
         )
+        self.owned.absorb(body.data)
         self.neighbor_table = {
             info.rect: info
             for info in body.neighbors
@@ -1925,41 +1980,15 @@ class ProtocolNode:
             rect=str(self.owned.rect),
             claimed=str(info.rect),
         )
-        if len(self.owned.store):
-            # Ship our store to the winner before abandoning: a non-
-            # authoritative repair merges LWW on its side, so whichever
-            # copies are fresher survive the conflict.
-            records = tuple(self.owned.store.records())
-            causal.annotate(
-                "store_handover",
-                event="ownership_yield",
-                source=str(self.address),
-                target=str(info.primary),
-                objects=len(records),
-            )
-            obs.inc("store.node.migrated", len(records))
-            buckets = tuple(
-                (key, tuple(self.owned.store.bucket_records(key)))
-                for key in sorted(self.owned.store.digest())
-            )
+        data = self.owned.snapshot()
+        if not data.is_empty():
+            # Ship our data to the winner before abandoning: it absorbs
+            # last-writer-wins, so whichever copies are fresher survive
+            # the conflict, and rehomes what its ground does not cover.
+            _note_handover("ownership_yield", self.address, info.primary, data)
             self.network.send(
-                self.address, info.primary, m.STORE_REPAIR,
-                m.StoreRepairBody(
-                    rect=self.owned.rect,
-                    buckets=buckets,
-                    authoritative=False,
-                ),
-            )
-        if len(self.owned.subs):
-            # Likewise ship our registrations: the winner merges them LWW
-            # through the anti-entropy receive path, so live leases
-            # survive the conflict on the surviving owner.
-            self.network.send(
-                self.address, info.primary, m.SUB_SYNC,
-                m.SubSyncBody(
-                    rect=self.owned.rect,
-                    records=tuple(self.owned.subs.records()),
-                ),
+                self.address, info.primary, m.DEPART,
+                m.DepartBody(rect=self.owned.rect, data=data),
             )
         for neighbor in self.neighbor_table.values():
             if neighbor.primary == info.primary:
@@ -2113,10 +2142,18 @@ class ProtocolNode:
                 sheds=self.sheds,
             )
         neighbors = tuple(self.neighbor_table.values())
+        gossip = neighbors
+        if self.suspected:
+            # Relay only claims we believe live: a far node cannot tell a
+            # suspected primary from a live one, and would cache it.
+            gossip = tuple(
+                info for info in neighbors
+                if info.primary not in self.suspected
+            )
         caretaken = tuple(self.caretaker_rects)
         beat = m.HeartbeatBody(
             rect=self.owned.rect, role="primary", secondary=self.owned.peer,
-            neighbors=neighbors,
+            neighbors=gossip,
             index=self.workload_index, capacity=self.node.capacity,
             caretaken=caretaken,
             vitals=vitals,
@@ -2508,7 +2545,7 @@ class ProtocolNode:
         if not self.alive:
             return
         if self.owned is not None:
-            self._rehome_misplaced()
+            self._rehome_sweep()
         # Runs even without an owned region: a pure subscriber still
         # re-asserts its own leases on this timer.
         self._sub_maintenance()
@@ -2567,6 +2604,16 @@ class ProtocolNode:
                 self.shortcuts.invalidate_address(self.owned.peer)
                 self.owned.peer = None
                 self._announce_self()
+        # 0b. Drop the shortcuts whose delivery ack did not come back
+        #     within the failure timeout (see _route_forward).
+        if self._shortcut_unacked:
+            timeout = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
+            for request_id, (rect, sent) in list(
+                self._shortcut_unacked.items()
+            ):
+                if now - sent > timeout:
+                    del self._shortcut_unacked[request_id]
+                    self.shortcuts.invalidate_rect(rect)
         # 1. Dual-peer failover: the secondary watches its primary at the
         #    fast heartbeat frequency.
         if self.owned.role == "secondary" and self.owned.peer is not None:
@@ -2582,19 +2629,23 @@ class ProtocolNode:
             return
         timeout = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
         for rect, info in list(self.neighbor_table.items()):
-            seen = self.last_seen.get(info.primary)
-            if seen is None:
-                # Never heard from this peer: start its clock now so a
-                # neighbor that never speaks still times out eventually.
-                self.last_seen[info.primary] = now
-                continue
-            if now - seen <= timeout:
-                continue
-            self.suspected.add(info.primary)
-            self.shortcuts.invalidate_address(info.primary)
-            if info.secondary is not None:
+            # Our secondary serves our region only, so a claim naming it
+            # as another region's primary is stale whatever its clock says.
+            if info.primary != self.owned.peer:
+                seen = self.last_seen.get(info.primary)
+                if seen is None:
+                    # Never heard from this peer: start its clock now so a
+                    # neighbor that never speaks still times out eventually.
+                    self.last_seen[info.primary] = now
+                    continue
+                if now - seen <= timeout:
+                    continue
+                self.suspected.add(info.primary)
+                self.shortcuts.invalidate_address(info.primary)
+            if info.secondary not in (None, self.address, self.owned.peer):
                 # The secondary will promote itself and announce; route via
-                # the secondary in the meantime.
+                # the secondary in the meantime.  (Neither we nor our own
+                # secondary can be promoted into another region.)
                 continue
             # Last owner of the region is gone: become a caretaker until a
             # join fills the hole.
@@ -2637,15 +2688,7 @@ class ProtocolNode:
             rect=str(self.owned.rect),
             store_objects=len(self.owned.store),
         )
-        if len(self.owned.store):
-            obs.inc("store.node.migrated", len(self.owned.store))
-            causal.annotate(
-                "store_handover",
-                event="failover",
-                source=str(failed),
-                target=str(self.address),
-                objects=len(self.owned.store),
-            )
+        _note_handover("failover", failed, self.address, self.owned.snapshot())
         self.owned.role = "primary"
         self.owned.peer = None
         # Entries were learned in the secondary role; the rebuilt neighbor
@@ -2664,20 +2707,29 @@ class ProtocolNode:
         self._announce_self()
 
     def _on_depart(self, message: Message) -> None:
-        """The graceful counterpart of failover: instant promotion."""
+        """An owner left ``body.rect`` and shipped us its data.
+
+        Our departing primary: the graceful counterpart of failover,
+        instant promotion.  An ownership-conflict loser (or a departing
+        owner whose peer pointer went stale): adopt its data, and route
+        whatever our ground does not cover to its home.
+        """
         body: m.DepartBody = message.body
-        if (
-            self.owned is not None
-            and self.owned.role == "secondary"
-            and self.owned.rect == body.rect
-        ):
-            self.owned.items = list(body.items)
-            # The departing primary's store is authoritative; merging LWW
-            # also keeps anything fresher the replica saw in a race.
-            self.owned.store.merge(body.objects)
-            self.owned.subs.merge(body.subscriptions)
-            self._replicated_neighbors = self._replicated_neighbors or ()
+        if self.owned is None:
+            return
+        if self.owned.role == "secondary":
+            if self.owned.rect != body.rect:
+                return
+            # The departing primary's items supersede the replica's; its
+            # records merge LWW, keeping anything fresher seen in a race.
+            self.owned.items = []
+            self.owned.absorb(body.data)
             self._take_over_primary()
+            return
+        if message.source == self.owned.peer:
+            return  # our secondary left; its slot times out as usual
+        self._absorb(body.data)
+        self._rehome_sweep()
 
     def _on_secondary_released(self, message: Message) -> None:
         """Our primary disowned us: drop the stale role and rejoin."""
@@ -2698,6 +2750,102 @@ class ProtocolNode:
         self.start_join()
 
     # ------------------------------------------------------------------
+    # Region data following the partition
+    # ------------------------------------------------------------------
+    def _absorb(self, data: m.RegionData) -> None:
+        """Adopt shipped region data; a primary replicates what won."""
+        assert self.owned is not None
+        won = self.owned.absorb(data)
+        if self.owned.role != "primary" or self.owned.peer is None:
+            return
+        for record in won.objects:
+            self._send_critical(
+                self.owned.peer, m.STORE_REPLICATE,
+                m.StoreReplicateBody(record=record),
+            )
+        for record in won.subscriptions:
+            self._send_critical(
+                self.owned.peer, m.SUB_REPLICATE,
+                m.SubReplicateBody(record=record),
+            )
+
+    def _rehome_sweep(self) -> None:
+        """Route records our ground does not cover back to their home.
+
+        Misplaced records enter through best-effort dead-end accepts,
+        data shipped from a region that differs from ours (an ownership
+        yield, a switch's late writes), and restructuring that moves our
+        territory out from under a subscription.  Each is re-sent as a
+        normal routed request -- a store update or a registration -- and
+        the local copy is dropped only once the covering executor acks
+        it (see :meth:`_drop_rehomed`), so a lossy network can never lose
+        the only copy mid-rehome.  Store records are swept on primaries
+        only (replicas converge through the digest exchange),
+        registrations in both roles.  Runs on the sync timer.
+        """
+        assert self.owned is not None
+        self._rehome_pending.clear()
+        ground = [self.owned.rect, *self.caretaker_rects]
+        sweeps: List[Tuple[str, GridIndex]] = []
+        if self.owned.role == "primary":
+            sweeps.append((m.STORE_UPDATE, self.owned.store))
+        if self._sub:
+            sweeps.append((m.SUBSCRIBE, self.owned.subs))
+        now = self.scheduler.now
+        for kind, index in sweeps:
+            for record in index.records():
+                if any(touches(record.shape, rect) for rect in ground):
+                    continue
+                if kind == m.SUBSCRIBE and not record.is_live_at(now):
+                    continue  # the lease sweep drops it
+                request_id = next(_request_ids)
+                self._rehome_pending[request_id] = (
+                    kind, record.key, record.version,
+                )
+                if kind == m.STORE_UPDATE:
+                    self._handle_store_update(m.StoreUpdateBody(
+                        origin=self.address, record=record,
+                        request_id=request_id,
+                    ))
+                else:
+                    self._handle_subscribe(m.SubscribeBody(
+                        origin=self.address, record=record,
+                        request_id=request_id,
+                    ))
+
+    def _drop_rehomed(self, request_id: int, executor: NodeAddress) -> None:
+        """An ack arrived: drop the local copy it proves rehomed."""
+        pending = self._rehome_pending.pop(request_id, None)
+        if pending is None or executor == self.address or self.owned is None:
+            # Not a rehome ack, or the routed request dead-ended right
+            # back here: keep the copy, the next sweep tries again.
+            return
+        kind, key, version = pending
+        if kind == m.STORE_UPDATE:
+            if self.owned.store.remove(key, version=version) is None:
+                return
+            obs.inc("store.node.rehomed")
+            if self.owned.peer is not None:
+                self._send_critical(
+                    self.owned.peer, m.STORE_REPLICATE,
+                    m.StoreReplicateBody(
+                        removed_id=key, removed_version=version
+                    ),
+                )
+        else:
+            if self.owned.subs.remove(key, version=version) is None:
+                return
+            obs.inc("sub.node.rehomed")
+        causal.annotate(
+            "rehome",
+            kind=kind,
+            owner=str(self.address),
+            executor=str(executor),
+            key=str(key),
+            version=version,
+        )
+
+    # ------------------------------------------------------------------
     # Distributed load adaptation: switch primary owners (mechanism b)
     # ------------------------------------------------------------------
     def _capture_state(self) -> m.RegionStateBody:
@@ -2705,10 +2853,8 @@ class ProtocolNode:
         return m.RegionStateBody(
             rect=self.owned.rect,
             peer=self.owned.peer,
-            items=tuple(self.owned.items),
             neighbors=tuple(self.neighbor_table.values()),
-            objects=tuple(self.owned.store.records()),
-            subscriptions=tuple(self.owned.subs.records()),
+            data=self.owned.snapshot(),
         )
 
     def _install_state(
@@ -2717,31 +2863,25 @@ class ProtocolNode:
         counterpart: NodeAddress,
         given_away: Optional[Rect] = None,
         given_away_peer: Optional[NodeAddress] = None,
+        unshipped: m.RegionData = m.RegionData(),
     ) -> None:
         """Take over a region shipped by a completed primary switch.
 
         ``given_away`` is the rect this node just handed to
         ``counterpart``; when the two swapped regions are adjacent, the
         transferred table still carries a stale self-entry for it, which
-        must be rebound to the counterpart.
+        must be rebound to the counterpart.  ``unshipped`` holds records
+        written to the given-away region after its state was captured:
+        they are adopted here, and the rehome sweep of the sync below
+        routes them to the region's new owner, dropping each local copy
+        only once that owner acks it.
         """
         self.owned = OwnedRegion(
-            rect=state.rect,
-            role="primary",
-            peer=state.peer,
-            items=list(state.items),
-            store=GridIndex(records=state.objects),
-            subs=SubIndex(records=state.subscriptions),
+            rect=state.rect, role="primary", peer=state.peer
         )
-        if state.objects:
-            obs.inc("store.node.migrated", len(state.objects))
-            causal.annotate(
-                "store_handover",
-                event="switch",
-                source=str(counterpart),
-                target=str(self.address),
-                objects=len(state.objects),
-            )
+        self.owned.absorb(state.data)
+        _note_handover("switch", counterpart, self.address, state.data)
+        self.owned.absorb(unshipped)
         self.neighbor_table = {
             info.rect: info
             for info in state.neighbors
@@ -2823,13 +2963,7 @@ class ProtocolNode:
         )
         self._switch_pending = True
         self._switch_proposed_rect = self.owned.rect
-        self._switch_shipped_count = len(self.owned.items)
-        #: Versions captured with the request; store records written after
-        #: this snapshot must be replayed if the switch completes.
-        self._switch_shipped_versions = {
-            record.object_id: record.version
-            for record in self.owned.store.records()
-        }
+        self._switch_capture = request.state.data
         causal.annotate(
             "switch_proposed",
             initiator=str(self.address),
@@ -2892,18 +3026,15 @@ class ProtocolNode:
             # a region we no longer own; installing its state now would
             # clobber ownership we acquired since.
             return
-        # Items stored since the request's state capture were not shipped
-        # with it; replay them through normal publication so they reach
-        # the old region's new owner.
-        shipped = getattr(self, "_switch_shipped_count", len(self.owned.items))
-        leftovers = list(self.owned.items[shipped:])
-        shipped_versions = getattr(self, "_switch_shipped_versions", None)
-        store_leftovers = [
-            record
-            for record in self.owned.store.records()
-            if shipped_versions is not None
-            and record.version > shipped_versions.get(record.object_id, -1)
-        ]
+        # Data written since the request's state capture was not shipped
+        # with it.  Records are adopted into the region we install and
+        # routed home by the ack-guarded rehome sweep; items have no ack
+        # and are simply republished.
+        captured, self._switch_capture = self._switch_capture, None
+        written = (
+            m.RegionData() if captured is None
+            else _written_since(self.owned.snapshot(), captured)
+        )
         old_rect = self.owned.rect
         old_peer = self.owned.peer
         self._install_state(
@@ -2911,24 +3042,12 @@ class ProtocolNode:
             counterpart=message.source,
             given_away=old_rect,
             given_away_peer=old_peer,
+            unshipped=replace(written, items=()),
         )
-        for point, item in leftovers:
-            if not self._covers(self.owned.rect, point):
-                self._handle_publish(
-                    m.PublishBody(origin=self.address, point=point, item=item)
-                )
-        # Store records written after the state capture were not shipped
-        # with it; replay them through normal update routing so they reach
-        # the old region's new owner.
-        for record in store_leftovers:
-            if not self._covers(self.owned.rect, record.point):
-                self._handle_store_update(
-                    m.StoreUpdateBody(
-                        origin=self.address,
-                        record=record,
-                        request_id=next(_request_ids),
-                    )
-                )
+        for point, item in written.items:
+            self._handle_publish(
+                m.PublishBody(origin=self.address, point=point, item=item)
+            )
 
     def _on_switch_reject(self, message: Message) -> None:
         self._switch_pending = False
@@ -2968,19 +3087,10 @@ class ProtocolNode:
             # Our territory grew: cached claims overlapping (or now
             # adjacent to) the merged rect are stale or misplaced.
             self.shortcuts.invalidate_overlapping(self.owned.rect)
-            self.owned.items.extend(body.items)
-            if body.objects:
-                merged_back = self.owned.store.merge(body.objects)
-                obs.inc("store.node.migrated", merged_back)
-                causal.annotate(
-                    "store_handover",
-                    event="decline_merge",
-                    source=str(message.source),
-                    target=str(self.address),
-                    objects=merged_back,
-                )
-            if body.subscriptions:
-                self.owned.subs.merge(body.subscriptions)
+            self._absorb(body.data)
+            _note_handover(
+                "decline_merge", message.source, self.address, body.data
+            )
             self.neighbor_table.pop(body.rect, None)
             self.neighbor_table = {
                 rect: info
@@ -3017,10 +3127,10 @@ class ProtocolNode:
             owner=str(self.address),
             rect=str(body.rect),
         )
-        if body.objects:
-            self.owned.store.merge(body.objects)
-        if body.subscriptions:
-            self.owned.subs.merge(body.subscriptions)
+        self._absorb(body.data)
+        _note_handover(
+            "decline_caretake", message.source, self.address, body.data
+        )
         audience.discard(self.address)
         for recipient in sorted(audience, key=_address_order):
             self._send_critical(
@@ -3071,6 +3181,7 @@ class ProtocolNode:
     def _on_route_delivered(self, message: Message) -> None:
         body: m.RouteDeliveredBody = message.body
         self._slo_finish(body.request_id)
+        self._shortcut_unacked.pop(body.request_id, None)
         if body.region is not None:
             self._learn_shortcut(
                 m.NeighborInfo(rect=body.region, primary=body.executor)
@@ -3208,11 +3319,14 @@ class ProtocolNode:
 
     def _serve_subscribe(self, body: m.SubscribeBody) -> None:
         """Executor side of a registration: index, ack, fan out."""
+        if self.owned is None:
+            # Between regions (a released secondary rejoining): nothing
+            # to register into; the subscriber's renewal retries.
+            return
         if body.request_id in self._served_subs:
             return
         self._served_subs.add(body.request_id)
         self._window_served += 1
-        assert self.owned is not None
         self._sub_register(body.record)
         ack = m.SubAckBody(
             request_id=body.request_id,
@@ -3278,24 +3392,7 @@ class ProtocolNode:
                 m.NeighborInfo(rect=body.region, primary=body.executor)
             )
         self.sub_acks[body.request_id] = body
-        pending = self._sub_rehome_pending.pop(body.request_id, None)
-        if pending is None or body.executor == self.address:
-            # Not a rehome ack, or the routed registration dead-ended
-            # right back here: keep the copy, the next sweep tries again.
-            return
-        sub_id, version = pending
-        if self.owned is None:
-            return
-        removed = self.owned.subs.remove(sub_id, version=version)
-        if removed is not None:
-            obs.inc("sub.node.rehomed")
-            causal.annotate(
-                "sub_rehome",
-                owner=str(self.address),
-                executor=str(body.executor),
-                sub_id=sub_id,
-                version=version,
-            )
+        self._drop_rehomed(body.request_id, body.executor)
 
     def _sub_match_store(self, record: ObjectRecord) -> None:
         """Push a freshly accepted store update to covering subscriptions."""
@@ -3475,40 +3572,9 @@ class ProtocolNode:
         if not len(subs):
             return
         now = self.scheduler.now
-        expired = [
-            record
-            for record in subs.records()
-            if now >= record.expires_at() + self._sub_lease_grace(record)
-        ]
-        for record in expired:
-            subs.remove(record.sub_id)
+        expired = subs.sweep(now, grace=self._sub_lease_grace)
         if expired:
             obs.inc("sub.node.expired", len(expired))
-        # Re-home registrations stranded by restructuring: a takeover,
-        # merge, or state install can change our territory out from
-        # under a record until its rect no longer touches any ground we
-        # serve.  Each is re-routed as a fresh SUBSCRIBE toward its
-        # rect; the local copy is dropped only once a covering executor
-        # acks it (see :meth:`_on_sub_ack`), mirroring the store's
-        # rehome path, so a lossy network can never strand the lease.
-        self._sub_rehome_pending.clear()
-        ground = [self.owned.rect, *self.caretaker_rects]
-        for record in subs.records():
-            if not record.is_live_at(now):
-                continue
-            if any(rect.touches(record.rect) for rect in ground):
-                continue
-            request_id = next(_request_ids)
-            self._sub_rehome_pending[request_id] = (
-                record.sub_id, record.version,
-            )
-            self._handle_subscribe(
-                m.SubscribeBody(
-                    origin=self.address,
-                    record=record,
-                    request_id=request_id,
-                )
-            )
         if self.owned.role != "primary" or not len(subs):
             return
         for info in self.neighbor_table.values():
@@ -3629,65 +3695,7 @@ class ProtocolNode:
                 m.NeighborInfo(rect=body.region, primary=body.executor)
             )
         self.store_acks[body.request_id] = body
-        pending = self._rehome_pending.pop(body.request_id, None)
-        if pending is None or body.executor == self.address:
-            # Not a rehome ack, or the routed update dead-ended right
-            # back here: keep the copy, the next sweep tries again.
-            return
-        object_id, version = pending
-        if self.owned is None:
-            return
-        removed = self.owned.store.remove(object_id, version=version)
-        if removed is not None:
-            obs.inc("store.node.rehomed")
-            causal.annotate(
-                "store_rehome",
-                owner=str(self.address),
-                executor=str(body.executor),
-                object_id=str(object_id),
-                version=version,
-            )
-            if self.owned.peer is not None:
-                self._send_critical(
-                    self.owned.peer, m.STORE_REPLICATE,
-                    m.StoreReplicateBody(
-                        removed_id=object_id, removed_version=version
-                    ),
-                )
-
-    def _rehome_misplaced(self) -> None:
-        """Route records our territory does not cover back to their home.
-
-        Misplaced records enter through best-effort dead-end accepts and
-        through stores shipped by yielding owners whose region differed
-        from ours (a stale ownership claim arriving right after a
-        switch).  Each is re-sent as a normal routed update; the local
-        copy is dropped only once the covering executor acks it (see
-        :meth:`_on_store_ack`), so a lossy network can never lose the
-        only copy mid-rehome.  Runs on the sync timer.
-        """
-        if self.owned is None or self.owned.role != "primary":
-            return
-        self._rehome_pending.clear()
-        for record in self.owned.store.records():
-            if self._covers(self.owned.rect, record.point):
-                continue
-            if any(
-                self._covers(hole, record.point)
-                for hole in self.caretaker_rects
-            ):
-                continue  # legitimately served here until the hole fills
-            request_id = next(_request_ids)
-            self._rehome_pending[request_id] = (
-                record.object_id, record.version,
-            )
-            self._handle_store_update(
-                m.StoreUpdateBody(
-                    origin=self.address,
-                    record=record,
-                    request_id=request_id,
-                )
-            )
+        self._drop_rehomed(body.request_id, body.executor)
 
     # ------------------------------------------------------------------
     # Location store: range lookups with fan-out
@@ -3729,11 +3737,14 @@ class ProtocolNode:
     def _serve_store_lookup(
         self, body: m.StoreLookupBody, from_replica: bool = False
     ) -> None:
+        if self.owned is None:
+            # Between regions (a released secondary rejoining): no store
+            # to answer from; the lookup times out at its origin.
+            return
         if body.request_id in self._served_store_lookups:
             return
         self._served_store_lookups.add(body.request_id)
         self._window_served += 1
-        assert self.owned is not None
         matches = tuple(self.owned.store.query(body.rect))
         result = m.StoreResultBody(
             request_id=body.request_id,
@@ -3860,41 +3871,20 @@ class ProtocolNode:
 
     def _on_store_repair(self, message: Message) -> None:
         body: m.StoreRepairBody = message.body
-        if self.owned is None:
+        # Our primary answering a pull: its bucket content replaces ours
+        # wholesale (still LWW per record, so a racing fresher
+        # replication is not clobbered).
+        if (
+            self.owned is None
+            or self.owned.role != "secondary"
+            or message.source != self.owned.peer
+        ):
             return
-        if body.authoritative:
-            # Our primary answering a pull: its bucket content replaces
-            # ours wholesale (still LWW per record, so a racing fresher
-            # replication is not clobbered).
-            if (
-                self.owned.role != "secondary"
-                or message.source != self.owned.peer
-            ):
-                return
-            changed = 0
-            for key, records in body.buckets:
-                changed += self.owned.store.replace_bucket(key, records)
-            if changed:
-                obs.inc("store.node.repaired_records", changed)
-        else:
-            # A yielding owner shipping its store to us: merge LWW.
-            merged = self.owned.store.merge(
-                record for _, records in body.buckets for record in records
-            )
-            if merged:
-                obs.inc("store.node.repaired_records", merged)
-                if self.owned.role == "primary" and self.owned.peer is not None:
-                    for _, records in body.buckets:
-                        for record in records:
-                            self._send_critical(
-                                self.owned.peer, m.STORE_REPLICATE,
-                                m.StoreReplicateBody(record=record),
-                            )
-                # The yielder's region may differ from ours (it lost a
-                # stale-claim fight for territory we no longer serve):
-                # adopt the records for safety, then route the strays to
-                # whoever actually covers them.
-                self._rehome_misplaced()
+        changed = 0
+        for key, records in body.buckets:
+            changed += self.owned.store.replace_bucket(key, records)
+        if changed:
+            obs.inc("store.node.repaired_records", changed)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         role = self.owned.role if self.owned is not None else "none"

@@ -1,19 +1,24 @@
-"""The grid-bucketed spatial object index behind ``repro.store``.
+"""The grid-bucketed LWW index behind ``repro.store`` and ``repro.sub``.
 
-A location store holds *moving objects*: keyed records ``(object_id,
-position, payload, version)`` where the version is a per-object update
-sequence number assigned by the object's reporter.  Every mutation is
-last-writer-wins by version, so replicas converge no matter in which
-order (or how often) replication and anti-entropy deliver the same
-record.
+A region holds keyed, versioned records: moving objects
+(:class:`ObjectRecord`, a point) and standing subscriptions
+(:class:`~repro.sub.records.SubRecord`, a rectangle).  Every record
+exposes its identity as ``key`` and its geometry as ``shape``; the
+version is a per-record update sequence number assigned by its
+reporter.  Every mutation is last-writer-wins by version, so replicas
+converge no matter in which order (or how often) replication,
+anti-entropy and handovers deliver the same record.
 
 The index buckets records on a fixed global grid (cell side
 :data:`DEFAULT_CELL`), *not* on a per-region grid: bucket keys are
 ``(floor(x / cell), floor(y / cell))`` regardless of which region the
-index serves.  That makes every structural handover cheap -- splitting a
-region never re-buckets the kept records, and merging two indexes is a
-bucket-wise union -- and it gives primary and secondary replicas an
-identical bucket layout, which the digest-based anti-entropy exchange
+index serves.  A point record occupies the single cell under its point;
+a rect record occupies every cell its closed rectangle touches, so the
+candidates for any point are exactly the records of that point's cell.
+That makes every structural handover cheap -- splitting a region never
+re-buckets the kept records, and merging two indexes is a bucket-wise
+union -- and it gives primary and secondary replicas an identical
+bucket layout, which the digest-based anti-entropy exchange
 (:meth:`GridIndex.digest` / :meth:`GridIndex.diff_keys`) relies on.
 """
 
@@ -22,11 +27,11 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.geometry import Point, Rect
 
-__all__ = ["DEFAULT_CELL", "ObjectRecord", "GridIndex", "BucketKey"]
+__all__ = ["DEFAULT_CELL", "ObjectRecord", "GridIndex", "BucketKey", "touches"]
 
 #: Default side length of one bucket cell, in coordinate units.  The
 #: paper's service area is 64 x 64 miles; 4-mile cells bound the index at
@@ -35,6 +40,21 @@ DEFAULT_CELL = 4.0
 
 #: A bucket coordinate on the fixed global grid.
 BucketKey = Tuple[int, int]
+
+#: The geometry of one record: a position or a watched rectangle.
+Shape = Union[Point, Rect]
+
+
+def touches(shape: Shape, rect: Rect) -> bool:
+    """Whether a record's shape meets ``rect`` (closed edges).
+
+    A point meets it when it lies inside, a rectangle when the two are
+    in contact -- the protocol layer's closed routing predicate either
+    way.
+    """
+    if isinstance(shape, Rect):
+        return shape.touches(rect)
+    return rect.covers(shape, closed_low_x=True, closed_low_y=True)
 
 
 @dataclass(frozen=True)
@@ -47,6 +67,16 @@ class ObjectRecord:
     #: Per-object update sequence number; higher wins everywhere.
     version: int = 0
 
+    @property
+    def key(self) -> Hashable:
+        """The identity the index keys this record on."""
+        return self.object_id
+
+    @property
+    def shape(self) -> Point:
+        """The geometry the index buckets this record by."""
+        return self.point
+
     def supersedes(self, other: Optional["ObjectRecord"]) -> bool:
         """Last-writer-wins: whether this record replaces ``other``."""
         return other is None or self.version > other.version
@@ -58,7 +88,7 @@ class ObjectRecord:
 
 
 class GridIndex:
-    """A grid-bucketed index of :class:`ObjectRecord` by position.
+    """A grid-bucketed index of keyed, versioned records by shape.
 
     All mutating operations are last-writer-wins by ``version``; stale
     writes are rejected (returned as no-ops), so applying a stream of
@@ -68,13 +98,13 @@ class GridIndex:
     def __init__(
         self,
         cell: float = DEFAULT_CELL,
-        records: Iterable[ObjectRecord] = (),
+        records: Iterable[Any] = (),
     ) -> None:
         if cell <= 0:
             raise ValueError(f"cell must be positive, got {cell}")
         self.cell = cell
-        self._buckets: Dict[BucketKey, Dict[Hashable, ObjectRecord]] = {}
-        self._by_id: Dict[Hashable, ObjectRecord] = {}
+        self._buckets: Dict[BucketKey, Dict[Hashable, Any]] = {}
+        self._by_id: Dict[Hashable, Any] = {}
         for record in records:
             self.upsert(record)
 
@@ -98,70 +128,99 @@ class GridIndex:
             for by in range(y_lo, y_hi + 1):
                 yield (bx, by)
 
+    def _cells(self, shape: Shape) -> Iterable[BucketKey]:
+        """The cells a record of this shape occupies."""
+        if isinstance(shape, Rect):
+            return self._keys_intersecting(shape)
+        # key_for inlined: point upserts are the store's hot path.
+        cell = self.cell
+        return ((math.floor(shape.x / cell), math.floor(shape.y / cell)),)
+
+    def _unbucket(self, key: Hashable, record: Any) -> None:
+        for cell in self._cells(record.shape):
+            bucket = self._buckets.get(cell)
+            if bucket is not None:
+                bucket.pop(key, None)
+                if not bucket:
+                    del self._buckets[cell]
+
     # ------------------------------------------------------------------
     # Mutation (last-writer-wins)
     # ------------------------------------------------------------------
-    def upsert(self, record: ObjectRecord) -> bool:
+    def upsert(self, record: Any) -> bool:
         """Insert or replace a record; returns False on a stale write."""
-        existing = self._by_id.get(record.object_id)
-        if existing is not None and not record.supersedes(existing):
-            return False
+        key = record.key
+        existing = self._by_id.get(key)
         if existing is not None:
-            old_key = self.key_for(existing.point)
-            bucket = self._buckets.get(old_key)
-            if bucket is not None:
-                bucket.pop(record.object_id, None)
-                if not bucket:
-                    del self._buckets[old_key]
-        self._by_id[record.object_id] = record
-        self._buckets.setdefault(self.key_for(record.point), {})[
-            record.object_id
-        ] = record
+            if not record.supersedes(existing):
+                return False
+            self._unbucket(key, existing)
+        self._by_id[key] = record
+        buckets = self._buckets
+        for cell in self._cells(record.shape):
+            bucket = buckets.get(cell)
+            if bucket is None:
+                buckets[cell] = {key: record}
+            else:
+                bucket[key] = record
         return True
 
     def remove(
-        self, object_id: Hashable, version: Optional[int] = None
-    ) -> Optional[ObjectRecord]:
-        """Remove ``object_id`` (only copies at or below ``version``).
+        self, key: Hashable, version: Optional[int] = None
+    ) -> Optional[Any]:
+        """Remove ``key`` (only copies at or below ``version``).
 
-        A versioned remove is the eviction half of a cross-region move:
-        it must not delete a record *newer* than the update that caused
-        it (the object may have moved back).  Returns the removed record
-        or ``None``.
+        A versioned remove is the eviction half of a cross-region move
+        or a rehome: it must not delete a record *newer* than the update
+        that caused it (the object may have moved back).  Returns the
+        removed record or ``None``.
         """
-        existing = self._by_id.get(object_id)
+        existing = self._by_id.get(key)
         if existing is None:
             return None
         if version is not None and existing.version > version:
             return None
-        del self._by_id[object_id]
-        key = self.key_for(existing.point)
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.pop(object_id, None)
-            if not bucket:
-                del self._buckets[key]
+        del self._by_id[key]
+        self._unbucket(key, existing)
         return existing
 
-    def merge(self, records: Iterable[ObjectRecord]) -> int:
+    def merge(self, records: Iterable[Any]) -> int:
         """Bulk last-writer-wins upsert; returns how many records won."""
         return sum(1 for record in records if self.upsert(record))
 
-    def split_off(self, kept: Rect) -> List[ObjectRecord]:
-        """Remove and return every record *not* covered by ``kept``.
+    def split_off(self, kept: Rect) -> List[Any]:
+        """Remove and return every record whose shape misses ``kept``.
 
-        The handover half of a region split: the caller keeps this index
-        (now pruned to ``kept``) and ships the returned records to the
-        new owner.  Coverage is closed on all edges, matching the
-        protocol layer's routing predicate.
+        Coverage is closed on all edges, matching the protocol layer's
+        routing predicate: a point on ``kept``'s border stays, and so
+        does a rectangle merely touching it.
         """
         moved = [
             record
             for record in self._by_id.values()
-            if not kept.covers(record.point, closed_low_x=True, closed_low_y=True)
+            if not touches(record.shape, kept)
         ]
         for record in moved:
-            self.remove(record.object_id)
+            self.remove(record.key)
+        return moved
+
+    def hand_off(self, kept: Rect, handed: Rect) -> List[Any]:
+        """The records a region split ships to ``handed``.
+
+        Everything missing ``kept`` leaves this index (:meth:`split_off`);
+        rect records touching ``handed`` as well travel as copies.  A
+        point therefore ends up on exactly one side -- the kept side
+        when it lies on the split line, so no stale duplicate can
+        outlive a later update -- while a subscription spanning the line
+        is registered on both, since either owner can execute an event
+        on it.
+        """
+        moved = self.split_off(kept)
+        moved.extend(
+            record
+            for record in self._scan(handed).values()
+            if isinstance(record.shape, Rect)
+        )
         return moved
 
     def clear(self) -> None:
@@ -172,33 +231,35 @@ class GridIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, object_id: Hashable) -> Optional[ObjectRecord]:
-        """The current record for ``object_id``, if present."""
-        return self._by_id.get(object_id)
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The current record for ``key``, if present."""
+        return self._by_id.get(key)
 
-    def query(self, rect: Rect) -> List[ObjectRecord]:
-        """All records whose position lies in ``rect`` (closed edges)."""
-        matches: List[ObjectRecord] = []
-        for key in self._keys_intersecting(rect):
-            bucket = self._buckets.get(key)
+    def _scan(self, rect: Rect) -> Dict[Hashable, Any]:
+        """Records whose shape meets ``rect``, by key (bucket order)."""
+        found: Dict[Hashable, Any] = {}
+        for cell in self._keys_intersecting(rect):
+            bucket = self._buckets.get(cell)
             if not bucket:
                 continue
-            for record in bucket.values():
-                if rect.covers(
-                    record.point, closed_low_x=True, closed_low_y=True
-                ):
-                    matches.append(record)
-        return matches
+            for key, record in bucket.items():
+                if key not in found and touches(record.shape, rect):
+                    found[key] = record
+        return found
 
-    def records(self) -> List[ObjectRecord]:
+    def query(self, rect: Rect) -> List[Any]:
+        """All records whose shape meets ``rect`` (closed edges)."""
+        return list(self._scan(rect).values())
+
+    def records(self) -> List[Any]:
         """Every stored record (snapshot list, stable under mutation)."""
         return list(self._by_id.values())
 
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __contains__(self, object_id: Hashable) -> bool:
-        return object_id in self._by_id
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._by_id
 
     # ------------------------------------------------------------------
     # Anti-entropy digests
@@ -206,21 +267,19 @@ class GridIndex:
     def digest(self) -> Dict[BucketKey, int]:
         """A per-bucket content digest for replica reconciliation.
 
-        Each bucket digests to a CRC over its sorted ``(id, version)``
+        Each bucket digests to a CRC over its sorted ``(key, version)``
         pairs -- cheap, deterministic, and identical across replicas that
         hold the same records (the fixed global grid guarantees identical
-        bucketing).  Position/payload ride along with the version because
+        bucketing).  Shape/payload ride along with the version because
         a record is immutable per version.
         """
         out: Dict[BucketKey, int] = {}
-        for key, bucket in self._buckets.items():
+        for cell, bucket in self._buckets.items():
             acc = 0
-            for object_id in sorted(bucket, key=repr):
-                record = bucket[object_id]
-                acc = zlib.crc32(
-                    f"{object_id!r}:{record.version}".encode(), acc
-                )
-            out[key] = acc
+            for key in sorted(bucket, key=repr):
+                record = bucket[key]
+                acc = zlib.crc32(f"{key!r}:{record.version}".encode(), acc)
+            out[cell] = acc
         return out
 
     def diff_keys(self, remote: Dict[BucketKey, int]) -> List[BucketKey]:
@@ -235,28 +294,26 @@ class GridIndex:
             key for key in keys if local.get(key) != remote.get(key)
         )
 
-    def bucket_records(self, key: BucketKey) -> List[ObjectRecord]:
-        """The records currently in bucket ``key`` (may be empty)."""
-        bucket = self._buckets.get(key)
+    def bucket_records(self, cell: BucketKey) -> List[Any]:
+        """The records currently in bucket ``cell`` (may be empty)."""
+        bucket = self._buckets.get(cell)
         return list(bucket.values()) if bucket else []
 
-    def replace_bucket(
-        self, key: BucketKey, records: Iterable[ObjectRecord]
-    ) -> int:
+    def replace_bucket(self, cell: BucketKey, records: Iterable[Any]) -> int:
         """Install the authoritative content of one bucket.
 
         Used by the replica side of anti-entropy: every local record
-        bucketed at ``key`` that the authoritative set does not name is
+        bucketed at ``cell`` that the authoritative set does not name is
         dropped, and the authoritative records are upserted (still
         last-writer-wins, so a racing fresher replication is not
         clobbered).  Returns the number of records changed.
         """
         records = list(records)
-        keep = {record.object_id for record in records}
+        keep = {record.key for record in records}
         changed = 0
-        for record in self.bucket_records(key):
-            if record.object_id not in keep:
-                self.remove(record.object_id)
+        for record in self.bucket_records(cell):
+            if record.key not in keep:
+                self.remove(record.key)
                 changed += 1
         for record in records:
             if self.upsert(record):
@@ -265,6 +322,6 @@ class GridIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"GridIndex(objects={len(self._by_id)}, "
+            f"{type(self).__name__}(records={len(self._by_id)}, "
             f"buckets={len(self._buckets)}, cell={self.cell:g})"
         )

@@ -1,160 +1,37 @@
 """The grid-bucketed subscription index (``SubIndex``).
 
-Mirrors the location store's :class:`~repro.store.spatial.GridIndex`
-discipline -- fixed global grid, last-writer-wins mutation -- but where
-an object record occupies the single bucket under its point, a
-subscription occupies *every* bucket its rectangle touches (closed
-edges).  Matching an incoming event is then one bucket probe: the
-candidates for a point are exactly the subscriptions bucketed at that
-point's cell.
-
-The fixed global grid keeps structural handovers cheap for the same
-reason it does in the store: splitting a region never re-buckets the
-kept records, merging two indexes is a bucket-wise union, and primary
-and secondary replicas bucket identically.
+A :class:`~repro.store.spatial.GridIndex` of :class:`SubRecord` leases:
+the bucketing, last-writer-wins mutation, merges and handovers are the
+store's, with each subscription occupying every bucket its watched
+rectangle touches.  Matching an incoming event is then one bucket
+probe: the candidates for a point are exactly the subscriptions
+bucketed at that point's cell.  What is added here is lease-specific:
+the expiry sweep, plus the id-sorted views the fan-out paths iterate.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Union
 
 from repro.geometry import Point, Rect
-from repro.store.spatial import DEFAULT_CELL
+from repro.store.spatial import GridIndex
 
 from .records import SubRecord
 
 __all__ = ["SubIndex"]
 
-#: A bucket coordinate on the fixed global grid.
-BucketKey = Tuple[int, int]
+
+def _by_sub_id(record: SubRecord) -> str:
+    return record.sub_id
 
 
-class SubIndex:
-    """A grid-bucketed index of :class:`SubRecord` by watched rectangle.
+class SubIndex(GridIndex):
+    """A grid-bucketed index of :class:`SubRecord` by watched rectangle."""
 
-    All mutating operations are last-writer-wins by ``version``; stale
-    writes are rejected (returned as no-ops), so applying a stream of
-    replicated or anti-entropy records is idempotent and
-    order-insensitive.
-    """
-
-    def __init__(
-        self,
-        cell: float = DEFAULT_CELL,
-        records: Iterable[SubRecord] = (),
-    ) -> None:
-        if cell <= 0:
-            raise ValueError(f"cell must be positive, got {cell}")
-        self.cell = cell
-        self._buckets: Dict[BucketKey, Dict[str, SubRecord]] = {}
-        self._by_id: Dict[str, SubRecord] = {}
-        for record in records:
-            self.upsert(record)
-
-    # ------------------------------------------------------------------
-    # Bucketing
-    # ------------------------------------------------------------------
-    def _keys_for(self, rect: Rect) -> Iterator[BucketKey]:
-        """Every bucket key whose cell the closed ``rect`` touches."""
-        x_lo = int(math.floor(rect.x / self.cell))
-        x_hi = int(math.floor(rect.x2 / self.cell))
-        y_lo = int(math.floor(rect.y / self.cell))
-        y_hi = int(math.floor(rect.y2 / self.cell))
-        for bx in range(x_lo, x_hi + 1):
-            for by in range(y_lo, y_hi + 1):
-                yield (bx, by)
-
-    def _key_for_point(self, point: Point) -> BucketKey:
-        return (
-            int(math.floor(point.x / self.cell)),
-            int(math.floor(point.y / self.cell)),
-        )
-
-    # ------------------------------------------------------------------
-    # Mutation (last-writer-wins)
-    # ------------------------------------------------------------------
-    def upsert(self, record: SubRecord) -> bool:
-        """Insert or replace a subscription; False on a stale write."""
-        existing = self._by_id.get(record.sub_id)
-        if existing is not None and not record.supersedes(existing):
-            return False
-        if existing is not None:
-            self._unbucket(existing)
-        self._by_id[record.sub_id] = record
-        for key in self._keys_for(record.rect):
-            self._buckets.setdefault(key, {})[record.sub_id] = record
-        return True
-
-    def _unbucket(self, record: SubRecord) -> None:
-        for key in self._keys_for(record.rect):
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                bucket.pop(record.sub_id, None)
-                if not bucket:
-                    del self._buckets[key]
-
-    def remove(
-        self, sub_id: str, version: Optional[int] = None
-    ) -> Optional[SubRecord]:
-        """Remove ``sub_id`` (only copies at or below ``version``)."""
-        existing = self._by_id.get(sub_id)
-        if existing is None:
-            return None
-        if version is not None and existing.version > version:
-            return None
-        del self._by_id[sub_id]
-        self._unbucket(existing)
-        return existing
-
-    def merge(self, records: Iterable[SubRecord]) -> int:
-        """Bulk last-writer-wins upsert; returns how many records won."""
-        return sum(1 for record in records if self.upsert(record))
-
-    def retain_touching(self, kept: Rect) -> List[SubRecord]:
-        """Drop and return every record whose rect does *not* touch ``kept``.
-
-        The pruning half of a region split: the caller keeps this index
-        (now reduced to subscriptions overlapping ``kept``).  Records
-        touching both halves stay -- a subscription is registered at
-        every covering primary, so the handed half carries its own copy.
-        """
-        dropped = [
-            record
-            for record in self._by_id.values()
-            if not record.rect.touches(kept)
-        ]
-        for record in dropped:
-            self.remove(record.sub_id)
-        return dropped
-
-    def sweep(self, now: float, grace: float = 0.0) -> List[SubRecord]:
-        """Remove and return every record expired by ``now``.
-
-        ``grace`` extends each lease (callers derive a small seeded
-        jitter per record so replicas never race each other's sweeps
-        into transient divergence storms).
-        """
-        expired = [
-            record
-            for record in self._by_id.values()
-            if now >= record.expires_at() + grace
-        ]
-        for record in expired:
-            self.remove(record.sub_id)
-        return expired
-
-    def clear(self) -> None:
-        """Drop every record."""
-        self._buckets.clear()
-        self._by_id.clear()
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def get(self, sub_id: str) -> Optional[SubRecord]:
-        """The current record for ``sub_id``, if present."""
-        return self._by_id.get(sub_id)
+    # Bound on this class too, not only inherited, so wrappers installed
+    # per class (tracing, profiling) tell subscription writes apart from
+    # store writes.
+    upsert = GridIndex.upsert
 
     def match(self, point: Point) -> List[SubRecord]:
         """Subscriptions whose rect covers ``point`` (closed edges).
@@ -163,7 +40,7 @@ class SubIndex:
         touches, so the point's cell holds every candidate.  Sorted by
         ``sub_id`` so match-driven fan-outs are deterministic.
         """
-        bucket = self._buckets.get(self._key_for_point(point))
+        bucket = self._buckets.get(self.key_for(point))
         if not bucket:
             return []
         return sorted(
@@ -174,38 +51,31 @@ class SubIndex:
                     point, closed_low_x=True, closed_low_y=True
                 )
             ),
-            key=lambda record: record.sub_id,
+            key=_by_sub_id,
         )
 
     def touching(self, rect: Rect) -> List[SubRecord]:
-        """Records whose watched rect touches ``rect`` (closed edges).
+        """Records whose watched rect touches ``rect``, sorted by ``sub_id``."""
+        return sorted(self._scan(rect).values(), key=_by_sub_id)
 
-        The copy half of a region split or a targeted anti-entropy
-        exchange.  Sorted by ``sub_id`` for deterministic shipping.
+    def sweep(
+        self,
+        now: float,
+        grace: Union[float, Callable[[SubRecord], float]] = 0.0,
+    ) -> List[SubRecord]:
+        """Remove and return every record expired by ``now``.
+
+        ``grace`` extends each lease, either by a constant or by a
+        per-record amount (callers derive a small deterministic jitter
+        per record so replicas never race each other's sweeps into
+        transient divergence storms).
         """
-        return sorted(
-            (
-                record
-                for record in self._by_id.values()
-                if record.rect.touches(rect)
-            ),
-            key=lambda record: record.sub_id,
-        )
-
-    def records(self) -> List[SubRecord]:
-        """Every stored record, sorted by ``sub_id`` (stable snapshot)."""
-        return sorted(
-            self._by_id.values(), key=lambda record: record.sub_id
-        )
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, sub_id: str) -> bool:
-        return sub_id in self._by_id
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SubIndex(subs={len(self._by_id)}, "
-            f"buckets={len(self._buckets)}, cell={self.cell:g})"
-        )
+        extra = grace if callable(grace) else (lambda record: grace)
+        expired = [
+            record
+            for record in self._by_id.values()
+            if now >= record.expires_at() + extra(record)
+        ]
+        for record in expired:
+            self.remove(record.sub_id)
+        return expired

@@ -45,6 +45,16 @@ class SubRecord:
                 f"duration must be positive, got {self.duration}"
             )
 
+    @property
+    def key(self) -> str:
+        """The identity the index keys this record on."""
+        return self.sub_id
+
+    @property
+    def shape(self) -> Rect:
+        """The geometry the index buckets this record by."""
+        return self.rect
+
     def expires_at(self) -> float:
         """When the lease runs out (absolute scheduler time)."""
         return self.registered_at + self.duration

@@ -379,65 +379,225 @@ class TestCaretakerAdvertisement:
         )
 
 
+def sends_during(cluster, action):
+    """The ``(source, destination, kind, body)`` sends ``action`` makes."""
+    sent = []
+    original = cluster.network.send
+    cluster.network.send = lambda *args, **kwargs: (
+        sent.append(args), original(*args, **kwargs)
+    )
+    try:
+        action()
+    finally:
+        cluster.network.send = original
+    return sent
+
+
+def primary_with_secondary(nodes):
+    return next(
+        n for n in nodes
+        if n.alive and n.is_primary() and n.owned.peer is not None
+        and n.neighbor_table
+    )
+
+
+class TestStaleRoutingState:
+    """Routing state naming a node that can no longer serve the claim."""
+
+    def test_gossip_leaves_out_suspected_primaries(self):
+        """A far node cannot tell a suspected primary from a live one, so
+        heartbeats relay only the claims their sender believes live."""
+        cluster, nodes, _ = build_cluster(count=10, seed=41)
+        node = next(
+            n for n in nodes
+            if n.alive and n.is_primary() and len(n.neighbor_table) >= 2
+        )
+        gone = next(iter(node.neighbor_table.values())).primary
+        node.suspected.add(gone)
+        sent = sends_during(cluster, node._send_neighbor_heartbeats)
+        beats = [body for _, _, kind, body in sent if kind == m.HEARTBEAT]
+        assert beats
+        live = [
+            info for info in node.neighbor_table.values()
+            if info.primary != gone
+        ]
+        for beat in beats:
+            assert list(beat.neighbors) == live
+
+    def test_request_never_forwarded_to_own_secondary(self):
+        """A secondary relays every request to its primary, so a stale
+        neighbor entry naming our own secondary would bounce a request
+        between the two forever."""
+        cluster, nodes, _ = build_cluster(count=10, seed=41)
+        node = primary_with_secondary(nodes)
+        node.shortcuts.clear()
+        rect = next(iter(node.neighbor_table))
+        peer = node.owned.peer
+        node.neighbor_table[rect] = m.NeighborInfo(rect=rect, primary=peer)
+        body = m.RouteBody(
+            origin=node.address, target=rect.center, payload=None,
+            request_id=123_456,
+        )
+        sent = sends_during(
+            cluster, lambda: node._route_forward(m.ROUTE, body, rect.center)
+        )
+        assert all(destination != peer for _, destination, _, _ in sent)
+
+    def test_entry_naming_own_secondary_becomes_a_hole(self):
+        """Our secondary serves our region only: a neighbor claim naming
+        it as primary is dead, so the failure sweep caretakes the
+        region instead of waiting on a clock the peer heartbeats keep
+        fresh."""
+        cluster, nodes, _ = build_cluster(count=10, seed=41)
+        node = primary_with_secondary(nodes)
+        rect = next(iter(node.neighbor_table))
+        node.neighbor_table[rect] = m.NeighborInfo(
+            rect=rect, primary=node.owned.peer
+        )
+        node._check_failures()
+        assert rect not in node.neighbor_table
+        assert rect in node.caretaker_rects
+
+    def test_suspected_primary_backed_by_own_secondary_becomes_a_hole(self):
+        """Nor can our secondary (or we) be promoted into another region:
+        a suspected primary whose named secondary is ours leaves its
+        region without an owner."""
+        cluster, nodes, _ = build_cluster(count=10, seed=41)
+        node = primary_with_secondary(nodes)
+        rect, entry = next(iter(node.neighbor_table.items()))
+        node.neighbor_table[rect] = m.NeighborInfo(
+            rect=rect, primary=entry.primary, secondary=node.owned.peer
+        )
+        node.last_seen[entry.primary] = cluster.scheduler.now - 1_000.0
+        node._check_failures()
+        assert entry.primary in node.suspected
+        assert rect not in node.neighbor_table
+        assert rect in node.caretaker_rects
+
+
+class TestUnansweredShortcut:
+    """A first hop through a shortcut must be answered by the delivery
+    ack within the failure timeout, or the entry goes: a departed or
+    crashed endpoint drops the hop without a NACK."""
+
+    def far_pair(self):
+        cluster, nodes, _ = build_cluster(count=16, seed=47)
+        primaries = [n for n in nodes if n.alive and n.is_primary()]
+
+        def near(node):
+            # Regions whose claims our neighbors relay to us.
+            rects = set(node.neighbor_table)
+            for other in primaries:
+                if other.owned.rect in node.neighbor_table:
+                    rects.update(other.neighbor_table)
+            return rects
+
+        for origin in primaries:
+            for far in primaries:
+                rect = far.owned.rect
+                if far is not origin and all(
+                    not rect.touches(r) for r in near(origin)
+                ):
+                    return cluster, origin, far
+        raise AssertionError("no primary three hops from another")
+
+    def route_through(self, cluster, origin, entry):
+        origin.shortcuts.clear()
+        origin.shortcuts.learn(entry)
+        origin.send_to_point(entry.rect.center, None)
+        config = origin.config
+        cluster.run_for(
+            config.heartbeat_interval * config.failure_timeout_multiplier
+            + 2 * config.check_interval
+        )
+
+    def test_unanswered_first_hop_drops_the_entry(self):
+        cluster, origin, far = self.far_pair()
+        gone = m.NeighborInfo(
+            rect=far.owned.rect, primary=synthetic_address(999)
+        )
+        self.route_through(cluster, origin, gone)
+        assert origin.shortcuts.get(far.owned.rect) != gone
+
+    def test_answered_first_hop_keeps_the_entry(self):
+        cluster, origin, far = self.far_pair()
+        live = m.NeighborInfo(rect=far.owned.rect, primary=far.address)
+        self.route_through(cluster, origin, live)
+        assert origin.shortcuts.get(far.owned.rect) == live
+
+
+def churn_then_lookup(seed):
+    """Seeded churn at 1% loss -- joins, a departure and a crash -- then
+    six lookups, each of which must reach an executor serving its target
+    (the protocol analogue of the model layer's executor-equivalence
+    property)."""
+    cluster = ProtocolCluster(
+        BOUNDS,
+        seed=seed,
+        latency=DistanceLatency(),
+        drop_probability=0.01,
+    )
+    rng = random.Random(seed)
+    nodes = []
+    for _ in range(8):
+        nodes.append(
+            cluster.join_node(
+                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
+                capacity=rng.choice([1, 10, 100]),
+            )
+        )
+    cluster.settle(60)
+    # Churn: two more joins, one graceful departure, one crash.
+    for _ in range(2):
+        nodes.append(
+            cluster.join_node(
+                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
+                capacity=rng.choice([10, 100]),
+            )
+        )
+    departer = next(
+        n for n in nodes if n.alive and n.is_primary()
+    )
+    cluster.depart_node(departer.node.node_id)
+    cluster.settle(30)
+    victim = next(
+        n for n in reversed(nodes) if n.alive and n.is_primary()
+    )
+    cluster.crash_node(victim.node.node_id)
+    cluster.settle(90)
+    origins = [n for n in nodes if n.alive and n.joined]
+    for _ in range(6):
+        target = Point(rng.uniform(1, 63), rng.uniform(1, 63))
+        ack = cluster.lookup(
+            rng.choice(origins).node.node_id, target, timeout=120.0
+        )
+        executor = next(
+            n
+            for n in cluster.nodes.values()
+            if n.alive and n.address == ack.executor
+        )
+        rects = [executor.owned.rect] + list(executor.caretaker_rects)
+        assert any(
+            r.covers(target, closed_low_x=True, closed_low_y=True)
+            or r.distance_to_point(target) < 1e-9
+            for r in rects
+        )
+
+
 class TestChurnProperty:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_routing_correct_under_churn_and_loss(self, seed):
         """Seeded churn at 1% loss: joins, a departure, and a crash never
         stop shortcut-cached routing from reaching an executor that
-        serves the target (the protocol analogue of the model layer's
-        executor-equivalence property)."""
-        cluster = ProtocolCluster(
-            BOUNDS,
-            seed=seed,
-            latency=DistanceLatency(),
-            drop_probability=0.01,
-        )
-        rng = random.Random(seed)
-        nodes = []
-        for _ in range(8):
-            nodes.append(
-                cluster.join_node(
-                    Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
-                    capacity=rng.choice([1, 10, 100]),
-                )
-            )
-        cluster.settle(60)
-        # Churn: two more joins, one graceful departure, one crash.
-        for _ in range(2):
-            nodes.append(
-                cluster.join_node(
-                    Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
-                    capacity=rng.choice([10, 100]),
-                )
-            )
-        departer = next(
-            n for n in nodes if n.alive and n.is_primary()
-        )
-        cluster.depart_node(departer.node.node_id)
-        cluster.settle(30)
-        victim = next(
-            n for n in reversed(nodes) if n.alive and n.is_primary()
-        )
-        cluster.crash_node(victim.node.node_id)
-        cluster.settle(90)
-        origins = [n for n in nodes if n.alive and n.joined]
-        for _ in range(6):
-            target = Point(rng.uniform(1, 63), rng.uniform(1, 63))
-            ack = cluster.lookup(
-                rng.choice(origins).node.node_id, target, timeout=120.0
-            )
-            executor = next(
-                n
-                for n in cluster.nodes.values()
-                if n.alive and n.address == ack.executor
-            )
-            rects = [executor.owned.rect] + list(executor.caretaker_rects)
-            assert any(
-                r.covers(target, closed_low_x=True, closed_low_y=True)
-                or r.distance_to_point(target) < 1e-9
-                for r in rects
-            )
+        serves the target."""
+        churn_then_lookup(seed)
+
+    @pytest.mark.parametrize("seed", [2, 3, 12, 13, 47, 69, 72, 88, 90, 98])
+    def test_routing_correct_at_formerly_failing_seeds(self, seed):
+        """Seeds at which a lookup used to time out, every attempt sent
+        through a shortcut to a node that had departed or crashed."""
+        churn_then_lookup(seed)
 
     def test_miss_rate_falls_once_cache_converges(self):
         """On a stable partition the cache warms up: the second batch of

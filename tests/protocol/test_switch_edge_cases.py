@@ -27,8 +27,8 @@ def make_request(node, index=5.0):
         state=m.RegionStateBody(
             rect=node.owned.rect,
             peer=None,
-            items=tuple(node.owned.items),
             neighbors=tuple(node.neighbor_table.values()),
+            data=node.owned.snapshot(),
         ),
         initiator_capacity=node.node.capacity,
         initiator_index=index,
@@ -90,7 +90,7 @@ class TestAcceptedSwitch:
         strong_rect = strong.owned.rect
         request = make_request(weak, index=9.0)
         weak._switch_pending = True
-        weak._switch_shipped_count = len(weak.owned.items)
+        weak._switch_capture = request.state.data
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )
@@ -108,7 +108,7 @@ class TestAcceptedSwitch:
         weak.owned.items.append((point, "cargo"))
         request = make_request(weak, index=9.0)
         weak._switch_pending = True
-        weak._switch_shipped_count = len(weak.owned.items)
+        weak._switch_capture = request.state.data
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )
@@ -148,7 +148,7 @@ class TestAcceptedSwitch:
         weak_rect = weak.owned.rect
         request = make_request(weak, index=9.0)
         weak._switch_pending = True
-        weak._switch_shipped_count = len(weak.owned.items)
+        weak._switch_capture = request.state.data
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )

@@ -102,7 +102,7 @@ class TestRestructuring:
         index.upsert(make_record(sub_id="kept", rect=Rect(0, 0, 4, 4)))
         index.upsert(make_record(sub_id="both", rect=Rect(0, 0, 40, 4)))
         index.upsert(make_record(sub_id="gone", rect=Rect(30, 0, 4, 4)))
-        dropped = index.retain_touching(Rect(0, 0, 10, 10))
+        dropped = index.split_off(Rect(0, 0, 10, 10))
         assert [r.sub_id for r in dropped] == ["gone"]
         assert sorted(r.sub_id for r in index.records()) == ["both", "kept"]
 
