@@ -60,6 +60,19 @@ class Rect:
                 f"width={self.width!r} height={self.height!r}"
             )
 
+    def __hash__(self) -> int:
+        # Rects key every neighbor table, shortcut cache and claim ledger,
+        # so the hash is cached on first use (not in ``__post_init__``,
+        # which would tax every construction).  The value is exactly the
+        # generated dataclass hash, so set and dict iteration orders --
+        # and with them seeded traces -- are unchanged.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.x, self.y, self.width, self.height))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     # ------------------------------------------------------------------
     # Derived coordinates
     # ------------------------------------------------------------------

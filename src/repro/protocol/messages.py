@@ -253,6 +253,12 @@ class HeartbeatBody:
     #: around saturated neighbors without new message rounds.  ``0.0``
     #: when ``NodeConfig.overload_enabled`` is off.
     pressure: float = 0.0
+    #: The sender's advert epoch: bumped whenever its advertised
+    #: ``(rect, secondary, neighbors, caretaken)`` changes, so a receiver
+    #: that already folded this epoch can skip re-deriving it.  ``0`` on
+    #: unstamped beats (peer beats, confrontation probes, perimeter-probe
+    #: replies), which receivers always fold in full.
+    epoch: int = 0
 
 
 def heartbeat_with_streak(beat: HeartbeatBody, streak: int) -> HeartbeatBody:

@@ -15,7 +15,9 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.errors import BootstrapError, MembershipError
 from repro.geometry import Point, Rect
@@ -52,6 +54,23 @@ RELIABLE_ROUTED_KINDS = frozenset({m.STORE_UPDATE, m.SUBSCRIBE})
 SLO_PENDING_LIMIT = 1024
 
 _request_ids = itertools.count(1)
+
+
+class _FoldMemo(NamedTuple):
+    """What the last full fold of one sender's stamped heartbeat did.
+
+    Valid while ``key`` -- the sender's advert epoch, rect and secondary,
+    the receiver's view epoch and its owned rect/role/peer -- still
+    matches; a hit replays the fold's durable effects instead of
+    re-deriving them (see :meth:`ProtocolNode._on_heartbeat`).
+    """
+
+    key: Tuple[Any, ...]
+    #: Claims the fold stamped into the witness ledger, in order.
+    witnessed: Tuple[m.NeighborInfo, ...]
+    #: Far claims the fold left in the shortcut cache, in gossip order,
+    #: each with its ``allow_adjacent`` flag (caretaken holes).
+    learned: Tuple[Tuple[m.NeighborInfo, bool], ...]
 
 
 def _address_order(address: NodeAddress) -> Tuple[str, int]:
@@ -378,6 +397,20 @@ class ProtocolNode:
         self.caretaker_rects: Set[Rect] = set()
         self.last_seen: Dict[NodeAddress, float] = {}
         self.suspected: Set[NodeAddress] = set()
+        #: Bumped by every change to ``neighbor_table``, ``suspected`` and
+        #: ``caretaker_rects`` -- all mutations go through the
+        #: ``_table_*`` / ``_suspect`` / hole helpers.  A heartbeat fold
+        #: memo is valid only while this view is unchanged.
+        self._view_epoch = 0
+        #: Sender side of the fold memo: the epoch of this node's current
+        #: advert ``(rect, secondary, gossip, caretaken)``, bumped whenever
+        #: the advert differs from the last one sent and stamped on every
+        #: neighbor heartbeat (``HeartbeatBody.epoch``).
+        self.table_epoch = 0
+        self._advert: Optional[Tuple[Any, ...]] = None
+        #: Receiver side: per sender, the last full fold of its stamped
+        #: heartbeat (see :meth:`_on_heartbeat`).
+        self._fold_memos: Dict[NodeAddress, _FoldMemo] = {}
         #: Recent heartbeat-borne ownership claims (rect -> (info, heard
         #: at)), direct and gossiped alike.  Split-brain owners of one
         #: region can have disjoint neighbor sets, so no single neighbor
@@ -1154,7 +1187,9 @@ class ProtocolNode:
                 self._on_reliable_ack(message)
             return
         self.last_seen[message.source] = self.scheduler.now
-        self.suspected.discard(message.source)
+        if message.source in self.suspected:
+            self.suspected.discard(message.source)
+            self._view_epoch += 1
         if self._overload and not self._overload_admit(message):
             return
         handler = self._handlers.get(message.kind)
@@ -1560,8 +1595,8 @@ class ProtocolNode:
     ) -> None:
         """Cache a remote region's claim gleaned from passing traffic.
 
-        Entries for ourselves, our own region, or regions already in the
-        neighbor table are useless (neighbors are consulted directly);
+        Entries for ourselves, our own region, or regions overlapping a
+        neighbor-table rect are useless (neighbors are consulted directly);
         claims adjacent to our region belong in the neighbor table's
         repair machinery, not here.  ``allow_adjacent`` lifts that last
         rule for caretaken holes: a hole has no owner to heartbeat it
@@ -1583,8 +1618,12 @@ class ProtocolNode:
             # cached copy so the two tables never disagree.
             self.shortcuts.invalidate_rect(info.rect)
             return
-        if info.rect in self.neighbor_table:
-            return
+        rect = info.rect
+        for known in self.neighbor_table:
+            # A claim overlapping a neighbor's ground is stale or the
+            # neighbor's is; the first-hand table wins until it changes.
+            if rect.intersects(known):
+                return
         if self.shortcuts.learn(info):
             obs.inc("routing.shortcut.learned")
 
@@ -1741,8 +1780,8 @@ class ProtocolNode:
         }
         self._split_announced[handed] = (set(recipients), now)
         for rect in stale:
-            del self.neighbor_table[rect]
-        self.neighbor_table[handed] = joiner_info
+            self._table_drop(rect)
+        self._table_put(joiner_info)
         for recipient in sorted(recipients, key=_address_order):
             self.network.send(
                 self.address, recipient, m.NEIGHBOR_UPDATE,
@@ -1791,13 +1830,13 @@ class ProtocolNode:
             neighbors=tuple(neighbors), nonce=body.nonce,
         )
         self.network.send(self.address, body.joiner, m.JOIN_GRANT, grant)
-        self.caretaker_rects.discard(hole)
+        self._release_hole(hole)
         joiner_info = m.NeighborInfo(rect=hole, primary=body.joiner)
         # Ownership of the hole just changed hands: any cached claim
         # overlapping it is stale, and the fresh owner is worth caching.
         self.shortcuts.invalidate_overlapping(hole)
         if self.owned is not None and hole.is_neighbor_of(self.owned.rect):
-            self.neighbor_table[hole] = joiner_info
+            self._table_put(joiner_info)
         else:
             self._learn_shortcut(joiner_info)
         self._broadcast_update(m.NeighborUpdateBody(info=joiner_info))
@@ -1848,11 +1887,10 @@ class ProtocolNode:
             rect=body.rect, role=body.role, peer=body.peer
         )
         self.owned.absorb(body.data)
-        self.neighbor_table = {
-            info.rect: info
-            for info in body.neighbors
+        self._set_table(
+            info for info in body.neighbors
             if body.rect.is_neighbor_of(info.rect)
-        }
+        )
         self.host_cache.remember_all(
             info.primary for info in body.neighbors
         )
@@ -1867,6 +1905,61 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # Neighbor-table maintenance
     # ------------------------------------------------------------------
+    # The routing view -- neighbor table, suspects, caretaken holes -- is
+    # only changed through the helpers below, which bump ``_view_epoch``
+    # on every real change (heartbeat fold memos key on it) and keep the
+    # shortcut cache disjoint from the table's rects.
+    def _table_put(self, info: m.NeighborInfo) -> None:
+        """Install ``info`` in the neighbor table (no-op when unchanged).
+
+        A new or changed entry evicts every cached shortcut overlapping
+        its rect: together with :meth:`_learn_shortcut` refusing such
+        claims, the cache never holds a rect overlapping a table rect.
+        """
+        rect = info.rect
+        if self.neighbor_table.get(rect) == info:
+            return
+        self.neighbor_table[rect] = info
+        self._view_epoch += 1
+        self.shortcuts.invalidate_overlapping(rect)
+
+    def _table_drop(self, rect: Rect) -> None:
+        """Remove the neighbor-table entry for ``rect``, if any."""
+        if self.neighbor_table.pop(rect, None) is not None:
+            self._view_epoch += 1
+
+    def _set_table(self, entries: Iterable[m.NeighborInfo]) -> None:
+        """Replace the whole neighbor table with ``entries``."""
+        self.neighbor_table = {info.rect: info for info in entries}
+        self._view_epoch += 1
+        for rect in self.neighbor_table:
+            self.shortcuts.invalidate_overlapping(rect)
+
+    def _suspect(self, address: NodeAddress) -> None:
+        """Start suspecting ``address``: drop the shortcuts through it.
+
+        Acts on the transition only; any message from ``address`` clears
+        the suspicion again (see :meth:`_receive`).
+        """
+        if address in self.suspected:
+            return
+        self.suspected.add(address)
+        self._view_epoch += 1
+        self._fold_memos.pop(address, None)
+        self.shortcuts.invalidate_address(address)
+
+    def _caretake(self, rect: Rect) -> None:
+        """Start serving the orphaned ``rect`` as its caretaker."""
+        if rect not in self.caretaker_rects:
+            self.caretaker_rects.add(rect)
+            self._view_epoch += 1
+
+    def _release_hole(self, rect: Rect) -> None:
+        """Stop caretaking ``rect`` (an owner has turned up)."""
+        if rect in self.caretaker_rects:
+            self.caretaker_rects.discard(rect)
+            self._view_epoch += 1
+
     def _my_info(self) -> m.NeighborInfo:
         assert self.owned is not None
         if self.owned.role == "primary":
@@ -2000,8 +2093,8 @@ class ProtocolNode:
         self._broadcast_update(m.NeighborUpdateBody(info=info))
         self.owned = None
         self.joined = False
-        self.neighbor_table = {}
         self.caretaker_rects = set()
+        self._set_table(())
         self._claims_heard = {}
         self._claims_confronted = {}
         self._switch_handoff = None
@@ -2013,10 +2106,10 @@ class ProtocolNode:
         self.start_join()
         return True
 
-    def _witness_claim(self, info: m.NeighborInfo) -> None:
+    def _witness_claim(self, info: m.NeighborInfo) -> bool:
         """Arbitrate third-party ownership claims heard in heartbeats.
 
-        The neighbor-table witness in ``_on_heartbeat`` only fires when
+        The neighbor-table witness in ``_fold_advert`` only fires when
         one table holds both conflicting claims.  After a double
         hole-grant the two claimants can have *disjoint* neighbor sets
         (each caretaker handed its joiner a different side of the region),
@@ -2029,23 +2122,19 @@ class ProtocolNode:
         grant hands out the identical region, while merely-overlapping
         claims arise transiently around every split -- and a per-pair
         cooldown bounds the witness to one notification per heartbeat
-        interval.
+        interval.  Returns whether the claim was stamped into the ledger.
         """
         if not self.config.claim_witness_enabled:
-            return
+            return False
         if info.primary == self.address:
-            return
+            return False
         now = self.scheduler.now
         horizon = (
             self.config.heartbeat_interval
             * self.config.failure_timeout_multiplier
         )
-        stale = [
-            rect for rect, (_, heard_at) in self._claims_heard.items()
-            if now - heard_at > horizon
-        ]
-        for rect in stale:
-            del self._claims_heard[rect]
+        # Claims older than the horizon are ignored here and expired by
+        # the failure sweep (_check_failures), not scanned per claim.
         cached = self._claims_heard.get(info.rect)
         if (
             cached is not None
@@ -2084,18 +2173,19 @@ class ProtocolNode:
                     m.NeighborUpdateBody(info=other),
                 )
         self._claims_heard[info.rect] = (info, now)
+        return True
 
     def _on_neighbor_update(self, message: Message) -> None:
         body: m.NeighborUpdateBody = message.body
         if body.removed_rect is not None:
-            self.neighbor_table.pop(body.removed_rect, None)
+            self._table_drop(body.removed_rect)
             # The retracted region was split, merged away, or orphaned:
             # any cached claim overlapping it is stale.
             self.shortcuts.invalidate_overlapping(body.removed_rect)
         if self.owned is None:
             return
         info = body.info
-        self.caretaker_rects.discard(info.rect)
+        self._release_hole(info.rect)
         if self._resolve_ownership_conflict(info, direct=False):
             return
         if info.rect == self.owned.rect:
@@ -2104,10 +2194,10 @@ class ProtocolNode:
         # claims whether or not the new region is adjacent to us.
         self.shortcuts.invalidate_overlapping(info.rect)
         if self.owned.rect.is_neighbor_of(info.rect):
-            self.neighbor_table[info.rect] = info
+            self._table_put(info)
             self.host_cache.remember(info.primary)
         else:
-            self.neighbor_table.pop(info.rect, None)
+            self._table_drop(info.rect)
             self._learn_shortcut(info)
 
     # ------------------------------------------------------------------
@@ -2151,6 +2241,10 @@ class ProtocolNode:
                 if info.primary not in self.suspected
             )
         caretaken = tuple(self.caretaker_rects)
+        advert = (self.owned.rect, self.owned.peer, gossip, caretaken)
+        if advert != self._advert:
+            self._advert = advert
+            self.table_epoch += 1
         beat = m.HeartbeatBody(
             rect=self.owned.rect, role="primary", secondary=self.owned.peer,
             neighbors=gossip,
@@ -2158,6 +2252,7 @@ class ProtocolNode:
             caretaken=caretaken,
             vitals=vitals,
             pressure=pressure,
+            epoch=self.table_epoch,
         )
         streaks: Dict[NodeAddress, int] = {}
         if vitals is not None:
@@ -2357,10 +2452,9 @@ class ProtocolNode:
             prober=str(info.primary),
             rect=str(info.rect),
         )
-        self.caretaker_rects.discard(info.rect)
+        self._release_hole(info.rect)
         if self.owned.rect.is_neighbor_of(info.rect):
-            self.shortcuts.invalidate_overlapping(info.rect)
-            self.neighbor_table[info.rect] = info
+            self._table_put(info)
             self.host_cache.remember(info.primary)
         else:
             self._learn_shortcut(info)
@@ -2423,7 +2517,7 @@ class ProtocolNode:
         # adjacent to ours, which self-heals tables after lost updates and
         # wrongly declared holes (e.g. a failover announcement that raced
         # our failure detector).
-        self.caretaker_rects.discard(body.rect)
+        self._release_hole(body.rect)
         # A peer heartbeat for our own region from an address we did not
         # expect means the primary switched under us (mechanism (b) moved
         # ownership); adopt the new primary.
@@ -2436,30 +2530,101 @@ class ProtocolNode:
             self.owned.peer = message.source
         # A primary heartbeat is first-hand: its rect is the sender's own
         # territory right now, so an overlap with ours is a real conflict.
-        if self._resolve_ownership_conflict(
-            m.NeighborInfo(
-                rect=body.rect, primary=message.source,
-                secondary=body.secondary,
-            ),
-            direct=True,
-        ):
+        sender_info = m.NeighborInfo(
+            rect=body.rect, primary=message.source, secondary=body.secondary,
+        )
+        if self._resolve_ownership_conflict(sender_info, direct=True):
             return
-        if self.owned is not None and body.rect != self.owned.rect:
+        owned = self.owned
+        if owned is not None and body.rect != owned.rect:
             self.neighbor_stats[body.rect] = (body.index, body.capacity)
             self._neighbor_stats_at[body.rect] = self.scheduler.now
             if self._overload:
                 self.neighbor_pressure[body.rect] = body.pressure
-        self._witness_claim(
-            m.NeighborInfo(
-                rect=body.rect, primary=message.source,
-                secondary=body.secondary,
-            )
+        if owned is None or not body.epoch:
+            # Unstamped beats (probes, confrontations, perimeter replies)
+            # always fold in full.
+            self._fold_advert(body, sender_info)
+            return
+        # The rest is a function of the sender's advert and our own view:
+        # when neither moved since the last fold of this sender's beats,
+        # replay that fold's durable effects instead of re-deriving them.
+        source = message.source
+        memo = self._fold_memos.get(source)
+        if (
+            memo is not None
+            and memo.key == self._fold_key(body, owned)
+            and self._replay_fold(memo)
+        ):
+            return
+        sent = self.network.stats.sent
+        witnessed, offered = self._fold_advert(body, sender_info)
+        if self.network.stats.sent != sent:
+            # A fold that confronted or probed must repeat on every beat.
+            self._fold_memos.pop(source, None)
+            return
+        cached = self.shortcuts.get
+        self._fold_memos[source] = _FoldMemo(
+            key=self._fold_key(body, owned),
+            witnessed=tuple(witnessed),
+            learned=tuple(
+                entry for entry in offered if cached(entry[0].rect) == entry[0]
+            ),
         )
+
+    def _fold_key(
+        self, body: m.HeartbeatBody, owned: OwnedRegion
+    ) -> Tuple[Any, ...]:
+        return (
+            body.epoch, body.rect, body.secondary, self._view_epoch,
+            owned.rect, owned.role, owned.peer,
+        )
+
+    def _replay_fold(self, memo: _FoldMemo) -> bool:
+        """Re-apply a memoized fold; False when it must run in full.
+
+        Re-stamps the witnessed claims -- unless one of their rects is
+        now claimed by another primary, which only a full fold may
+        arbitrate -- and refreshes the far claims in the shortcut cache:
+        touched while still cached unchanged, learned again otherwise.
+        """
+        heard = self._claims_heard
+        for info in memo.witnessed:
+            cached = heard.get(info.rect)
+            if cached is not None and cached[0].primary != info.primary:
+                return False
+        now = self.scheduler.now
+        for info in memo.witnessed:
+            heard[info.rect] = (info, now)
+        shortcuts = self.shortcuts
+        for info, allow_adjacent in memo.learned:
+            if shortcuts.get(info.rect) == info:
+                shortcuts.touch(info.rect)
+            else:
+                self._learn_shortcut(info, allow_adjacent=allow_adjacent)
+        return True
+
+    def _fold_advert(
+        self, body: m.HeartbeatBody, sender_info: m.NeighborInfo
+    ) -> Tuple[List[m.NeighborInfo], List[Tuple[m.NeighborInfo, bool]]]:
+        """Fold a primary heartbeat's claims into our view.
+
+        Witnesses the sender's claim and its gossip, (re-)installs the
+        sender and the adjacent entries it gossips, and offers the far
+        claims and caretaken holes to the shortcut cache.  Returns the
+        claims stamped into the witness ledger and the claims offered to
+        the cache (with their ``allow_adjacent`` flag), in order.
+        """
+        source = sender_info.primary
+        witnessed: List[m.NeighborInfo] = []
+        offered: List[Tuple[m.NeighborInfo, bool]] = []
+        if self._witness_claim(sender_info):
+            witnessed.append(sender_info)
         existing = self.neighbor_table.get(body.rect)
         if (
             self.config.claim_witness_enabled
             and existing is not None
-            and existing.primary != message.source
+            and existing.primary != source
             and existing.primary != self.address
             and existing.primary not in self.suspected
         ):
@@ -2469,7 +2634,7 @@ class ProtocolNode:
             # the deterministic loser about the winner; it will confront
             # the winner directly and yield.
             winner, loser = sorted(
-                (existing.primary, message.source),
+                (existing.primary, source),
                 key=lambda address: (address.ip, address.port),
             )
             causal.annotate(
@@ -2487,26 +2652,22 @@ class ProtocolNode:
                     )
                 ),
             )
-        adjacent = (
+        if existing is not None or (
             self.owned is not None
             and self.owned.rect.is_neighbor_of(body.rect)
-        )
-        sender_info = m.NeighborInfo(
-            rect=body.rect, primary=message.source,
-            secondary=body.secondary,
-        )
-        if existing is not None or adjacent:
+        ):
             # A fresh first-hand claim supersedes any cached claim
-            # overlapping the same ground.
-            self.shortcuts.invalidate_overlapping(body.rect)
-            self.neighbor_table[body.rect] = sender_info
+            # overlapping the same ground (_table_put evicts them).
+            self._table_put(sender_info)
         else:
             # A first-hand claim from a non-neighbor (e.g. a probe or
             # confrontation heartbeat): worth a shortcut entry.
+            offered.append((sender_info, False))
             self._learn_shortcut(sender_info)
         # Gossip: adopt adjacent entries we are missing; cache the rest.
         if self.owned is None:
-            return
+            return witnessed, offered
+        own = self.owned.rect
         for info in body.neighbors:
             if info.primary == self.address:
                 continue
@@ -2514,20 +2675,21 @@ class ProtocolNode:
             # confrontation (never an abandonment -- gossip can be stale,
             # and a probe to a genuinely dead claimant costs one message).
             self._resolve_ownership_conflict(info, direct=False)
-            self._witness_claim(info)
+            if self._witness_claim(info):
+                witnessed.append(info)
             if info.primary in self.suspected:
                 continue
             if info.rect in self.neighbor_table:
                 continue
-            if info.rect == self.owned.rect:
+            if info.rect == own:
                 continue
-            if self.owned.rect.is_neighbor_of(info.rect):
-                self.caretaker_rects.discard(info.rect)
-                self.shortcuts.invalidate_rect(info.rect)
-                self.neighbor_table[info.rect] = info
+            if own.is_neighbor_of(info.rect):
+                self._release_hole(info.rect)
+                self._table_put(info)
             else:
                 # Gossiped claims for far regions are exactly the passive
                 # traffic the shortcut cache learns from.
+                offered.append((info, False))
                 self._learn_shortcut(info)
         # Caretaken holes have no owner to heartbeat them into our table;
         # cache the caretaker's claim (even for an abutting hole) so
@@ -2536,10 +2698,10 @@ class ProtocolNode:
         for hole in body.caretaken:
             if hole in self.neighbor_table:
                 continue
-            self._learn_shortcut(
-                m.NeighborInfo(rect=hole, primary=message.source),
-                allow_adjacent=True,
-            )
+            info = m.NeighborInfo(rect=hole, primary=source)
+            offered.append((info, True))
+            self._learn_shortcut(info, allow_adjacent=True)
+        return witnessed, offered
 
     def _send_sync(self) -> None:
         if not self.alive:
@@ -2582,6 +2744,14 @@ class ProtocolNode:
             return
         now = self.scheduler.now
         cfg = self.config
+        # Expire witnessed claims older than the failure horizon (the
+        # witness itself ignores them; this only bounds the ledger).
+        if self._claims_heard:
+            horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
+            self._claims_heard = {
+                rect: claim for rect, claim in self._claims_heard.items()
+                if now - claim[1] <= horizon
+            }
         # 0. A primary evicts a silent secondary so the slot can be
         #    refilled by a later join (the paper: the region is marked
         #    "half full" again).
@@ -2600,8 +2770,7 @@ class ProtocolNode:
                     peer=str(self.owned.peer),
                     rect=str(self.owned.rect),
                 )
-                self.suspected.add(self.owned.peer)
-                self.shortcuts.invalidate_address(self.owned.peer)
+                self._suspect(self.owned.peer)
                 self.owned.peer = None
                 self._announce_self()
         # 0b. Drop the shortcuts whose delivery ack did not come back
@@ -2640,8 +2809,11 @@ class ProtocolNode:
                     continue
                 if now - seen <= timeout:
                     continue
-                self.suspected.add(info.primary)
-                self.shortcuts.invalidate_address(info.primary)
+                # Only the transition matters: an entry whose secondary
+                # keeps it (below) stays in the table, and re-suspecting
+                # its primary every tick would rescan the cache for
+                # nothing.
+                self._suspect(info.primary)
             if info.secondary not in (None, self.address, self.owned.peer):
                 # The secondary will promote itself and announce; route via
                 # the secondary in the meantime.  (Neither we nor our own
@@ -2655,8 +2827,8 @@ class ProtocolNode:
                 rect=str(rect),
                 suspect=str(info.primary),
             )
-            del self.neighbor_table[rect]
-            self.caretaker_rects.add(rect)
+            self._table_drop(rect)
+            self._caretake(rect)
         # 3. Expire stale neighbor workload statistics: an entry whose
         #    heartbeats stopped (crash, departure, region re-granted
         #    under a different rect) must not pin switch-candidate and
@@ -2695,14 +2867,12 @@ class ProtocolNode:
         # table may now contain rects the cache also holds.  Start fresh.
         self.shortcuts.clear()
         if self._replicated_neighbors:
-            self.neighbor_table = {
-                info.rect: info
-                for info in self._replicated_neighbors
+            self._set_table(
+                info for info in self._replicated_neighbors
                 if self.owned.rect.is_neighbor_of(info.rect)
-            }
+            )
         if failed is not None:
-            self.suspected.add(failed)
-            self.shortcuts.invalidate_address(failed)
+            self._suspect(failed)
             self.bootstrap.deregister(failed)
         self._announce_self()
 
@@ -2740,7 +2910,7 @@ class ProtocolNode:
             return
         self.owned = None
         self.joined = False
-        self.neighbor_table = {}
+        self._set_table(())
         self._claims_heard = {}
         self._replicated_neighbors = ()
         self.shortcuts.clear()
@@ -2882,21 +3052,20 @@ class ProtocolNode:
         self.owned.absorb(state.data)
         _note_handover("switch", counterpart, self.address, state.data)
         self.owned.absorb(unshipped)
-        self.neighbor_table = {
-            info.rect: info
-            for info in state.neighbors
+        self._set_table(
+            info for info in state.neighbors
             if state.rect.is_neighbor_of(info.rect)
             # After a chain of switches the shipped table can still name
             # *us* as primary of a region we owned earlier; routing via
             # such an entry would forward messages to ourselves forever.
             and info.primary != self.address
-        }
+        )
         if given_away is not None and state.rect.is_neighbor_of(given_away):
-            self.neighbor_table[given_away] = m.NeighborInfo(
+            self._table_put(m.NeighborInfo(
                 rect=given_away,
                 primary=counterpart,
                 secondary=given_away_peer,
-            )
+            ))
         self.neighbor_stats = {}
         self._neighbor_stats_at = {}
         self.neighbor_pressure = {}
@@ -3091,12 +3260,11 @@ class ProtocolNode:
             _note_handover(
                 "decline_merge", message.source, self.address, body.data
             )
-            self.neighbor_table.pop(body.rect, None)
-            self.neighbor_table = {
-                rect: info
-                for rect, info in self.neighbor_table.items()
+            self._table_drop(body.rect)
+            self._set_table(
+                info for rect, info in self.neighbor_table.items()
                 if self.owned.rect.is_neighbor_of(rect)
-            }
+            )
             for info in self.neighbor_table.values():
                 audience.add(info.primary)
                 if info.secondary is not None:
@@ -3139,7 +3307,7 @@ class ProtocolNode:
                     info=self._my_info(), removed_rect=body.rect
                 ),
             )
-        self.caretaker_rects.add(body.rect)
+        self._caretake(body.rect)
 
     # ------------------------------------------------------------------
     # Application message handling

@@ -1,9 +1,11 @@
 """The discrete-event scheduler: a virtual clock and an event queue.
 
-Plain priority-queue design: events are ``(time, sequence, callback)``
-entries; ``run_until`` pops them in timestamp order and advances the
-clock.  Sequence numbers break timestamp ties FIFO, so simulations are
-deterministic under equal-time events.
+Plain priority-queue design: the heap holds ``(time, sequence, event)``
+tuples, so every heap comparison runs on the leading float and int in C
+and never reaches the :class:`Event` itself; ``run_until`` pops them in
+timestamp order and advances the clock.  Sequence numbers are unique and
+break timestamp ties FIFO, so simulations are deterministic under
+equal-time events.
 
 Cancelled events are not removed from the heap eagerly (that would be
 O(N) per cancel); instead the scheduler keeps a live-event counter so
@@ -19,7 +21,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import SimulationError
@@ -29,9 +31,9 @@ from repro.obs import causal
 EventCallback = Callable[[], None]
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """One scheduled event (orderable by time, then sequence)."""
+    """One scheduled event; the queue orders it by ``(time, sequence)``."""
 
     time: float
     sequence: int
@@ -70,7 +72,7 @@ class EventScheduler:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._running = False
         #: Cancelled entries still sitting in the queue.
@@ -99,16 +101,17 @@ class EventScheduler:
                 f"cannot schedule into the past: now={self._now}, "
                 f"requested={time}"
             )
+        sequence = next(self._sequence)
         event = Event(
             time=time,
-            sequence=next(self._sequence),
+            sequence=sequence,
             callback=callback,
             # Direct module-global read (not causal.current()) keeps the
             # disabled-mode cost of this hot path to one attribute lookup.
             ctx=causal._current,
             _scheduler=self,
         )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def after(self, delay: float, callback: EventCallback) -> Event:
@@ -177,8 +180,10 @@ class EventScheduler:
     def _purge_cancelled(self) -> None:
         """Drop cancelled entries and re-heapify (amortized O(1) per
         cancel: each purge is linear but halves the queue at least)."""
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
+        # In place: ``run_until`` holds the list while callbacks cancel.
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapq.heapify(queue)
         self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
@@ -196,18 +201,19 @@ class EventScheduler:
         self._running = True
         fired = 0
         try:
-            while self._queue and self._queue[0].time <= time:
+            queue = self._queue
+            while queue and queue[0][0] <= time:
                 if max_events is not None and fired >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events} before reaching "
                         f"t={time}; runaway event loop?"
                     )
-                event = heapq.heappop(self._queue)
+                when, _, event = heapq.heappop(queue)
                 if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
                 event._fired = True
-                self._now = event.time
+                self._now = when
                 if event.ctx is not None:
                     with causal.using(event.ctx):
                         event.callback()

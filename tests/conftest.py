@@ -3,12 +3,19 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.geometry import Point, Rect
 from repro.core.node import Node
 from repro.core.query import reset_query_ids
 from repro.core.region import reset_region_ids
 from repro.protocol.node import reset_request_ids
+
+# Property tests draw the same examples on every run, so a tier-1 failure
+# reproduces as is.  Loaded before the test modules are imported, so their
+# per-test ``@settings(...)`` inherit it.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,9 @@
 """Tests for repro.geometry.rect -- the paper's region quadruple."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +51,37 @@ class TestConstruction:
         assert se == Point(2, 0)
         assert ne == Point(2, 1)
         assert nw == Point(0, 1)
+
+
+class TestHash:
+    """The hash is cached on first use but stays the field-tuple hash,
+    so set and dict iteration orders (and seeded traces) do not move."""
+
+    @pytest.mark.parametrize(
+        "fields", [(1, 2, 3, 4), (0.5, -7.25, 0.125, 64.0), (0, 0, 64, 64)]
+    )
+    def test_hash_is_field_tuple_hash(self, fields):
+        r = Rect(*fields)
+        assert hash(r) == hash(fields)
+        assert hash(r) == hash(fields)  # cached path
+
+    def test_hash_survives_copies(self):
+        r = Rect(1.5, 2.0, 3.0, 4.25)
+        expected = hash((1.5, 2.0, 3.0, 4.25))
+        hash(r)  # populate the cache before copying
+        moved = dataclasses.replace(r, x=9.0)
+        assert hash(moved) == hash((9.0, 2.0, 3.0, 4.25))
+        for clone in (
+            copy.deepcopy(r),
+            copy.copy(r),
+            pickle.loads(pickle.dumps(r)),
+            pickle.loads(pickle.dumps(Rect(1.5, 2.0, 3.0, 4.25))),
+        ):
+            assert clone == r
+            assert hash(clone) == expected
+
+    def test_equal_rects_collide_in_sets(self):
+        assert len({Rect(0, 0, 1, 1), Rect(0.0, 0.0, 1.0, 1.0)}) == 1
 
 
 class TestCoverage:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.scheduler import EventScheduler
+from repro.sim.scheduler import Event, EventScheduler
 
 
 class TestScheduling:
@@ -25,6 +25,34 @@ class TestScheduling:
             scheduler.at(1.0, lambda l=label: fired.append(l))
         scheduler.run_until(1.0)
         assert fired == list("abcde")
+
+    def test_heap_never_compares_events(self, monkeypatch):
+        """Equal-time events fire FIFO on the sequence number alone: the
+        heap orders ``(time, sequence, event)`` entries and never falls
+        through to the events or their (unorderable) callbacks."""
+
+        def refuse(self, other):
+            raise AssertionError("heap compared two events")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Event, name, refuse)
+
+        class Opaque:
+            def __init__(self, label, fired):
+                self.label, self.fired = label, fired
+
+            def __call__(self):
+                self.fired.append(self.label)
+
+        scheduler = EventScheduler()
+        fired = []
+        rng = random.Random(5)
+        times = {label: float(rng.choice([1, 2])) for label in range(300)}
+        for label, when in times.items():
+            scheduler.at(when, Opaque(label, fired))
+        scheduler.run_all()
+        # Time order first; within one timestamp, scheduling order.
+        assert fired == sorted(times, key=lambda label: (times[label], label))
 
     def test_clock_advances_to_event_times(self):
         scheduler = EventScheduler()
