@@ -331,16 +331,37 @@ class Space:
         if path is not None:
             path.append(current)
         current_dist = current.rect.distance_to_point(point)
+        px = point.x
+        py = point.y
+        adjacency = self._adjacency
+        region_covers = self.region_covers
         # The walk terminates: every step strictly decreases the distance
         # to the target, and there are finitely many regions.
         max_steps = len(self._regions) + 4
         for _ in range(max_steps):
-            if self.region_covers(current, point):
+            if region_covers(current, point):
                 return current
             best = None
             best_dist = math.inf
-            for neighbor in self._adjacency[current]:
-                d = neighbor.rect.distance_to_point(point)
+            for neighbor in adjacency[current]:
+                # Rect.distance_to_point, inlined: this loop is the hot
+                # path of every route and store update.  The edge sums
+                # and the ``** 0.5`` match the method bit for bit, so
+                # the first-minimum choice below is unchanged.
+                r = neighbor.rect
+                x = r.x
+                if px < x:
+                    dx = x - px
+                else:
+                    x2 = x + r.width
+                    dx = px - x2 if px > x2 else 0.0
+                y = r.y
+                if py < y:
+                    dy = y - py
+                else:
+                    y2 = y + r.height
+                    dy = py - y2 if py > y2 else 0.0
+                d = (dx * dx + dy * dy) ** 0.5
                 if d < best_dist:
                     best, best_dist = neighbor, d
             if best is not None and best_dist < current_dist - _PROGRESS_EPS:
@@ -353,8 +374,8 @@ class Space:
             # region boundary.  The covering region is then either a
             # neighbor (shared edge) or a corner-touching region; check the
             # neighbors first, then fall back to the scan of last resort.
-            for neighbor in self._adjacency[current]:
-                if self.region_covers(neighbor, point):
+            for neighbor in adjacency[current]:
+                if region_covers(neighbor, point):
                     if path is not None:
                         path.append(neighbor)
                     self.walk_hops += 1

@@ -14,7 +14,7 @@ which is what makes the 16 000-node experiments tractable in Python.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -49,7 +49,14 @@ class CellGrid:
         self.nx = max(1, int(math.ceil(bounds.width / cell_size - _INDEX_NUDGE)))
         self.ny = max(1, int(math.ceil(bounds.height / cell_size - _INDEX_NUDGE)))
         self._loads = np.zeros((self.nx, self.ny), dtype=np.float64)
+        self._loads_view = self._loads.view()
+        self._loads_view.flags.writeable = False
+        #: Bumped by every load change.  The prefix table and the
+        #: ``rect -> load`` memo both belong to one version, so readers
+        #: keyed on it (query-density weights) can never see stale loads.
+        self.version = 0
         self._prefix: "np.ndarray | None" = None
+        self._rect_loads: Dict[Rect, float] = {}
 
     # ------------------------------------------------------------------
     # Cell coordinates
@@ -85,8 +92,12 @@ class CellGrid:
     # ------------------------------------------------------------------
     @property
     def loads(self) -> np.ndarray:
-        """The raw per-cell load array (shape ``(nx, ny)``)."""
-        return self._loads
+        """A read-only view of the per-cell loads (shape ``(nx, ny)``).
+
+        Writes go through :meth:`set_load` and friends, which bump
+        :attr:`version`.
+        """
+        return self._loads_view
 
     @property
     def total_load(self) -> float:
@@ -96,17 +107,17 @@ class CellGrid:
     def clear(self) -> None:
         """Reset all cell loads to zero."""
         self._loads.fill(0.0)
-        self._prefix = None
+        self._changed()
 
     def set_load(self, ix: int, iy: int, value: float) -> None:
         """Set the load of a single cell."""
         self._loads[ix, iy] = value
-        self._prefix = None
+        self._changed()
 
     def add_load(self, ix: int, iy: int, value: float) -> None:
         """Add ``value`` to the load of a single cell."""
         self._loads[ix, iy] += value
-        self._prefix = None
+        self._changed()
 
     def add_hotspot(self, hotspot: Circle) -> None:
         """Deposit a hot spot's workload onto the grid.
@@ -134,7 +145,13 @@ class CellGrid:
         d = np.sqrt(dx * dx + dy * dy)
         contribution = np.clip(1.0 - d / hotspot.radius, 0.0, None)
         self._loads[ix0 : ix1 + 1, iy0 : iy1 + 1] += contribution
+        self._changed()
+
+    def _changed(self) -> None:
+        """Start a new load version: drop the prefix table and the memo."""
+        self.version += 1
         self._prefix = None
+        self._rect_loads = {}
 
     # ------------------------------------------------------------------
     # Region queries
@@ -166,17 +183,28 @@ class CellGrid:
         return (ix0, ix1, iy0, iy1)
 
     def load_in_rect(self, rect: Rect) -> float:
-        """Total workload of the cells covered by ``rect`` (O(1))."""
+        """Total workload of the cells covered by ``rect`` (O(1)).
+
+        Memoized per load version: between two load changes the
+        adaptation engine asks for the same region rects hundreds of
+        times, and a dict hit is far cheaper than four numpy scalar reads.
+        """
+        load = self._rect_loads.get(rect)
+        if load is not None:
+            return load
         ix0, ix1, iy0, iy1 = self.covered_index_ranges(rect)
         if ix0 > ix1 or iy0 > iy1:
-            return 0.0
-        prefix = self._ensure_prefix()
-        return float(
-            prefix[ix1 + 1, iy1 + 1]
-            - prefix[ix0, iy1 + 1]
-            - prefix[ix1 + 1, iy0]
-            + prefix[ix0, iy0]
-        )
+            load = 0.0
+        else:
+            prefix = self._ensure_prefix()
+            load = float(
+                prefix[ix1 + 1, iy1 + 1]
+                - prefix[ix0, iy1 + 1]
+                - prefix[ix1 + 1, iy0]
+                + prefix[ix0, iy0]
+            )
+        self._rect_loads[rect] = load
+        return load
 
     def load_in_rect_slow(self, rect: Rect) -> float:
         """Reference implementation of :meth:`load_in_rect`.

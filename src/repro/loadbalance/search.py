@@ -11,7 +11,6 @@ mechanisms for.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -53,24 +52,27 @@ def ttl_search(
     if origin not in space:
         raise ValueError(f"origin {origin!r} is not part of the space")
     candidates: List[Region] = []
-    visited = {origin}
-    queue = deque([(origin, 0)])
+    # Visited is keyed on region ids (C-level int hashing); the frontier
+    # lists expand level by level, which is exactly the FIFO order of a
+    # (region, depth) queue.
+    visited = {origin.region_id}
+    frontier = [origin]
+    neighbors = space.neighbors
     messages = 0
     expanded = 0
-    while queue:
-        region, depth = queue.popleft()
-        if depth >= ttl:
-            continue
-        expanded += 1
-        for neighbor in space.neighbors(region):
-            if neighbor in visited:
-                continue
-            visited.add(neighbor)
-            messages += 1
-            is_immediate = depth == 0
-            if predicate(neighbor) and not (
-                skip_immediate_neighbors and is_immediate
-            ):
-                candidates.append(neighbor)
-            queue.append((neighbor, depth + 1))
+    for depth in range(ttl):
+        report = not (skip_immediate_neighbors and depth == 0)
+        next_frontier: List[Region] = []
+        for region in frontier:
+            expanded += 1
+            for neighbor in neighbors(region):
+                region_id = neighbor.region_id
+                if region_id in visited:
+                    continue
+                visited.add(region_id)
+                messages += 1
+                if predicate(neighbor) and report:
+                    candidates.append(neighbor)
+                next_frontier.append(neighbor)
+        frontier = next_frontier
     return SearchResult(candidates=candidates, messages=messages, expanded=expanded)

@@ -106,8 +106,8 @@ class QueryGenerator:
     # ------------------------------------------------------------------
     def _weights(self) -> Optional[np.ndarray]:
         """Flattened cumulative cell loads; None when the field is empty."""
-        version = id(self.field.grid.loads) ^ hash(self.field.total_load)
-        if self._cumulative is None or self._cumulative_version != version:
+        version = self.field.grid.version
+        if self._cumulative_version != version:
             flat = self.field.grid.loads.reshape(-1)
             if flat.sum() <= 0.0:
                 self._cumulative = None

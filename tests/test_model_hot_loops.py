@@ -1,0 +1,246 @@
+"""Differential tests for the model layer's three hot loops.
+
+The greedy walk (``Space.locate``), the region-load lookup
+(``CellGrid.load_in_rect``) and the TTL search (``ttl_search``) are
+written for speed.  Each is checked here against a plain reference copy
+of the straightforward algorithm, on a seeded 512-node dual-peer
+overlay: the fast versions must return exactly what the references do.
+"""
+
+import math
+import random
+from collections import deque
+
+import numpy as np
+import pytest
+
+from repro.experiments.build import build_network
+from repro.experiments.config import ExperimentConfig, SystemVariant
+from repro.geometry import Circle, Point
+from repro.loadbalance import ttl_search
+from repro.sim.rng import RngStreams
+
+_PROGRESS_EPS = 1e-12
+
+
+@pytest.fixture
+def network():
+    return build_network(
+        SystemVariant.DUAL_PEER_ADAPTATION,
+        512,
+        ExperimentConfig(trials=1),
+        RngStreams(20070625),
+    )
+
+
+def sorted_regions(space):
+    return sorted(space.regions, key=lambda region: region.region_id)
+
+
+# ----------------------------------------------------------------------
+# (a) greedy walk
+# ----------------------------------------------------------------------
+def reference_walk(space, point, hint):
+    """The greedy walk on ``Rect.distance_to_point``; returns (region, path, hops, exit)."""
+    regions = space.regions
+    current = hint if hint in regions else space._hint_for(point)
+    if current is None or current not in regions:
+        current = space.any_region()
+    path = [current]
+    hops = 0
+    current_dist = current.rect.distance_to_point(point)
+    for _ in range(len(regions) + 4):
+        if space.region_covers(current, point):
+            return current, path, hops, "walk"
+        best = None
+        best_dist = math.inf
+        for neighbor in space.neighbors(current):
+            d = neighbor.rect.distance_to_point(point)
+            if d < best_dist:
+                best, best_dist = neighbor, d
+        if best is not None and best_dist < current_dist - _PROGRESS_EPS:
+            current, current_dist = best, best_dist
+            hops += 1
+            path.append(current)
+            continue
+        for neighbor in space.neighbors(current):
+            if space.region_covers(neighbor, point):
+                path.append(neighbor)
+                return neighbor, path, hops + 1, "neighbor"
+        for region in regions:
+            if space.region_covers(region, point):
+                if region is not current:
+                    path.append(region)
+                return region, path, hops, "scan"
+    raise AssertionError("reference walk did not converge")
+
+
+def boundary_points(rect):
+    """The corners and edge midpoints of ``rect``, plus the corners
+    nudged just outside it, so edge-exact distances decide the walk."""
+    cx = rect.x + rect.width / 2.0
+    cy = rect.y + rect.height / 2.0
+    nudged = [
+        Point(min(max(x, 0.0), 64.0), min(max(y, 0.0), 64.0))
+        for x, y in (
+            (rect.x - 1e-10, rect.y - 1e-10),
+            (rect.x2 + 1e-10, rect.y2 + 1e-10),
+        )
+    ]
+    return list(rect.corners()) + nudged + [
+        Point(cx, rect.y),
+        Point(rect.x2, cy),
+        Point(cx, rect.y2),
+        Point(rect.x, cy),
+    ]
+
+
+class TestGreedyWalk:
+    def check(self, space, point, hint):
+        expected, expected_path, expected_hops, exit_kind = reference_walk(space, point, hint)
+        path = []
+        hops_before = space.walk_hops
+        located = space.locate(point, hint, path)
+        assert located is expected
+        assert path == expected_path
+        assert space.walk_hops - hops_before == expected_hops
+        return exit_kind
+
+    def test_uniform_targets_match_reference(self, network):
+        space = network.overlay.space
+        regions = sorted_regions(space)
+        rng = random.Random(11)
+        for _ in range(2000):
+            point = Point(rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0))
+            hint = rng.choice(regions) if rng.random() < 0.8 else None
+            self.check(space, point, hint)
+
+    def test_region_corners_and_edge_midpoints_match_reference(self, network):
+        space = network.overlay.space
+        regions = sorted_regions(space)
+        rng = random.Random(12)
+        exits = set()
+        for region in regions:
+            for point in boundary_points(region.rect):
+                exits.add(self.check(space, point, region))
+                exits.add(self.check(space, point, rng.choice(regions)))
+        # Boundary targets drive the stall branch and the scan fallback.
+        assert exits == {"walk", "neighbor", "scan"}
+
+
+# ----------------------------------------------------------------------
+# (b) TTL search
+# ----------------------------------------------------------------------
+def reference_search(space, origin, ttl, predicate, skip_immediate_neighbors):
+    """The (region, depth) deque BFS; returns (candidates, messages, expanded)."""
+    candidates = []
+    visited = {origin}
+    queue = deque([(origin, 0)])
+    messages = 0
+    expanded = 0
+    while queue:
+        region, depth = queue.popleft()
+        if depth >= ttl:
+            continue
+        expanded += 1
+        for neighbor in space.neighbors(region):
+            if neighbor in visited:
+                continue
+            visited.add(neighbor)
+            messages += 1
+            if predicate(neighbor) and not (skip_immediate_neighbors and depth == 0):
+                candidates.append(neighbor)
+            queue.append((neighbor, depth + 1))
+    return candidates, messages, expanded
+
+
+class TestTtlSearch:
+    def test_matches_reference_bfs(self, network):
+        space = network.overlay.space
+
+        def recording(calls):
+            def predicate(region):
+                calls.append(region.region_id)
+                return region.is_full or region.region_id % 3 == 0
+            return predicate
+
+        for origin in sorted_regions(space):
+            for ttl in range(1, 5):
+                for skip in (True, False):
+                    expected_calls = []
+                    expected = reference_search(
+                        space, origin, ttl, recording(expected_calls), skip
+                    )
+                    calls = []
+                    result = ttl_search(
+                        space, origin, ttl, recording(calls),
+                        skip_immediate_neighbors=skip,
+                    )
+                    assert result.candidates == expected[0]
+                    assert result.messages == expected[1]
+                    assert result.expanded == expected[2]
+                    assert calls == expected_calls
+
+
+# ----------------------------------------------------------------------
+# (c) region-load memo
+# ----------------------------------------------------------------------
+def reference_load(grid, rect):
+    """The prefix-sum lookup, recomputed from the current loads."""
+    ix0, ix1, iy0, iy1 = grid.covered_index_ranges(rect)
+    if ix0 > ix1 or iy0 > iy1:
+        return 0.0
+    prefix = np.zeros((grid.nx + 1, grid.ny + 1), dtype=np.float64)
+    np.cumsum(grid.loads, axis=0, out=prefix[1:, 1:])
+    np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
+    return float(
+        prefix[ix1 + 1, iy1 + 1]
+        - prefix[ix0, iy1 + 1]
+        - prefix[ix1 + 1, iy0]
+        + prefix[ix0, iy0]
+    )
+
+
+class TestRegionLoadMemo:
+    def check(self, grid, rects, sampled):
+        loads = [grid.load_in_rect(rect) for rect in rects]
+        for rect, load in zip(rects, loads):
+            assert load == reference_load(grid, rect)
+        for rect in sampled:
+            assert grid.load_in_rect(rect) == pytest.approx(
+                grid.load_in_rect_slow(rect), rel=1e-9, abs=1e-9
+            )
+        return loads
+
+    def test_memo_tracks_every_load_change(self, network, monkeypatch):
+        grid = network.field.grid
+        rects = [region.rect for region in sorted_regions(network.overlay.space)]
+        sampled = rects[:: len(rects) // 6]
+        rng = random.Random(13)
+        steps = [
+            lambda: grid.set_load(3, 5, 2.5),
+            lambda: grid.add_load(3, 5, 0.75),
+            lambda: grid.add_hotspot(Circle(Point(20.0, 30.0), 6.0)),
+            grid.clear,
+            lambda: grid.add_load(100, 7, 1.0),
+            lambda: network.field.migrate(rng, steps=1),
+        ]
+        self.check(grid, rects, sampled)
+        for step in steps:
+            version = grid.version
+            step()
+            assert grid.version > version
+            loads = self.check(grid, rects, sampled)
+        # A second call at the same version is a pure memo hit.
+        with monkeypatch.context() as patch:
+            def untouchable(*_args):
+                raise AssertionError("memo miss at an unchanged version")
+
+            patch.setattr(grid, "_ensure_prefix", untouchable)
+            patch.setattr(grid, "covered_index_ranges", untouchable)
+            assert [grid.load_in_rect(rect) for rect in rects] == loads
+
+    def test_loads_view_is_read_only(self, network):
+        grid = network.field.grid
+        with pytest.raises(ValueError):
+            grid.loads[0, 0] = 1.0

@@ -38,6 +38,19 @@ class TestSampling:
         )
         assert near > 250
 
+    def test_weights_follow_a_load_move_that_keeps_the_total(self, rng):
+        field = HotspotField(BOUNDS, [], cell_size=1.0)
+        generator = QueryGenerator(field, background_fraction=0.0)
+        field.grid.set_load(0, 0, 1.0)
+        assert generator.sample_center(rng).x < 1.0
+        # Same total load, now all in the NE cell: the cached
+        # cumulative weights must not survive the move.
+        field.grid.set_load(0, 0, 0.0)
+        field.grid.set_load(63, 63, 1.0)
+        for _ in range(20):
+            p = generator.sample_center(rng)
+            assert p.x > 63.0 and p.y > 63.0
+
     def test_empty_field_falls_back_to_uniform(self, rng):
         field = HotspotField(BOUNDS, [])
         generator = QueryGenerator(field)
