@@ -12,14 +12,25 @@ network bandwidth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple
 
 from repro.geometry import Point
 
 
-@dataclass(frozen=True)
-class NodeAddress:
-    """The ``(IP, port)`` endpoint of a node's GeoGrid middleware."""
+class NodeAddress(NamedTuple):
+    """The ``(IP, port)`` endpoint of a node's GeoGrid middleware.
+
+    A named tuple: every transport and protocol table is keyed by
+    address, so hashing and ``==`` run millions of times per simulated
+    minute and belong in C.  An address equals a plain ``(ip, port)``
+    tuple, orders like one, and ``json.dumps`` writes it as a list --
+    render it with ``str()`` wherever it leaves the process (journals,
+    annotations, exports).
+
+    The hash goes through the ip *string*, so set iteration order follows
+    ``PYTHONHASHSEED``: a fan-out over a set of addresses must ``sorted()``
+    it first, or seeded simulations differ between processes.
+    """
 
     ip: str
     port: int

@@ -585,9 +585,7 @@ class InvariantAuditor:
                     f"health view holds {len(health.peers)} peers over "
                     f"capacity {health.capacity}"
                 )
-            for peer_address in sorted(
-                health.peers, key=lambda a: (a.ip, a.port)
-            ):
+            for peer_address in sorted(health.peers):
                 peer = by_address.get(peer_address)
                 if peer is None:
                     continue  # dead or departed peer: nothing to compare

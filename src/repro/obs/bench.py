@@ -755,7 +755,7 @@ def run_pubsub_bench(
     )
     live = sorted(
         (n for n in cluster.nodes.values() if n.alive and n.joined),
-        key=lambda n: (n.address.ip, n.address.port),
+        key=lambda n: n.address,
     )
     for op in workload.initial_subscriptions():
         origin = live[op.subscriber % len(live)]

@@ -49,10 +49,6 @@ __all__ = [
 REPORT_CAPACITY = 8
 
 
-def _address_key(address: NodeAddress) -> Tuple[str, int]:
-    return (address.ip, address.port)
-
-
 class PeerObservation:
     """Everything one view knows about one peer."""
 
@@ -210,9 +206,7 @@ class NeighborHealthView:
             if len(self.peers) >= self.capacity:
                 stalest = min(
                     self.peers,
-                    key=lambda a: (
-                        self.peers[a].last_heard, _address_key(a)
-                    ),
+                    key=lambda a: (self.peers[a].last_heard, a),
                 )
                 del self.peers[stalest]
             entry = PeerObservation()
@@ -288,9 +282,7 @@ class NeighborHealthView:
                 while len(subject_entry.reports) > REPORT_CAPACITY:
                     oldest = min(
                         subject_entry.reports,
-                        key=lambda a: (
-                            subject_entry.reports[a][0], _address_key(a)
-                        ),
+                        key=lambda a: (subject_entry.reports[a][0], a),
                     )
                     del subject_entry.reports[oldest]
 
@@ -473,11 +465,11 @@ class NeighborHealthView:
         if self._self_suspect(now):
             return ()
         scored = []
-        for address in sorted(self.peers, key=_address_key):
+        for address in sorted(self.peers):
             score = self.local_score(address, now)
             if score >= floor:
                 scored.append((address, round(score, 3)))
-        scored.sort(key=lambda item: (-item[1], _address_key(item[0])))
+        scored.sort(key=lambda item: (-item[1], item[0]))
         return tuple(scored[:limit])
 
     def flags(self, now: float) -> List[NodeAddress]:
@@ -494,7 +486,7 @@ class NeighborHealthView:
             if entry.ack_ewma > 0.0
         )
         median_rtt = rtts[len(rtts) // 2] if len(rtts) >= 3 else 0.0
-        for address in sorted(self.peers, key=_address_key):
+        for address in sorted(self.peers):
             entry = self.peers[address]
             if entry.beats == 0 or now - entry.last_heard > fresh_horizon:
                 continue
@@ -505,7 +497,7 @@ class NeighborHealthView:
                     (entry.ack_ewma / median_rtt - 2.0) * scorer.ack_weight
                 )
             reporters = 1 if local >= scorer.report_floor else 0
-            for reporter in sorted(entry.reports, key=_address_key):
+            for reporter in sorted(entry.reports):
                 reported_at, score = entry.reports[reporter]
                 age = now - reported_at
                 if age > report_horizon:

@@ -69,11 +69,6 @@ MAX_SUSPECTS = 3
 EVENT_SAMPLE = 8
 
 
-def _address_key(address: NodeAddress) -> Tuple[str, int]:
-    """Deterministic sort key for address-keyed fan-outs."""
-    return (address.ip, address.port)
-
-
 @dataclass(frozen=True)
 class VitalsDigest:
     """One versioned snapshot of a node's vitals, sized for a heartbeat.
@@ -390,7 +385,7 @@ def cluster_sample(cluster: Any) -> Dict[str, Any]:
     now = cluster.scheduler.now
     nodes: List[Dict[str, Any]] = []
     live = [n for n in cluster.nodes.values() if n.alive]
-    live.sort(key=lambda n: _address_key(n.address))
+    live.sort(key=lambda n: n.address)
     slo_values: Dict[str, List[float]] = {}
     for pnode in live:
         digest = pnode.vitals.last_digest
@@ -509,7 +504,7 @@ def drive_traffic(
 
     bounds = cluster.bounds
     live = [n for n in cluster.nodes.values() if n.alive and n.joined]
-    live.sort(key=lambda n: _address_key(n.address))
+    live.sort(key=lambda n: n.address)
     if live:
         for index in range(operations):
             origin = rng.choice(live)
@@ -550,7 +545,7 @@ def measure_digest_overhead(
         drive_traffic(cluster, rng, duration=10.0, operations=4)
         for pnode in sorted(
             (n for n in cluster.nodes.values() if n.alive),
-            key=lambda n: _address_key(n.address),
+            key=lambda n: n.address,
         ):
             digest = pnode.vitals.last_digest
             if digest is not None:
@@ -632,7 +627,7 @@ def measure_telemetry_overhead(
             )
         cluster.run_for(30.0)
         live = [n for n in cluster.nodes.values() if n.alive]
-        live.sort(key=lambda n: _address_key(n.address))
+        live.sort(key=lambda n: n.address)
         return cluster, rng, live
 
     def paired_round(

@@ -73,18 +73,6 @@ class _FoldMemo(NamedTuple):
     learned: Tuple[Tuple[m.NeighborInfo, bool], ...]
 
 
-def _address_order(address: NodeAddress) -> Tuple[str, int]:
-    """Deterministic sort key for address sets.
-
-    ``NodeAddress`` hashes through its ip *string*, so bare set iteration
-    order follows ``PYTHONHASHSEED`` -- and any fan-out that iterates a
-    set of addresses would emit messages in a per-process order, making
-    seeded simulations irreproducible across processes.  Every such
-    fan-out sorts with this key first.
-    """
-    return (address.ip, address.port)
-
-
 def reset_request_ids() -> None:
     """Rewind the process-wide request-id counter back to 1.
 
@@ -417,6 +405,10 @@ class ProtocolNode:
         #: table ever holds both claims; this cache lets any bystander
         #: notice the conflict and trigger a confrontation.
         self._claims_heard: Dict[Rect, Tuple[m.NeighborInfo, float]] = {}
+        #: A lower bound on the ledger's stamps (``inf`` when empty): the
+        #: failure sweep rebuilds the ledger only once this falls out of
+        #: the horizon.  Set on insert; re-stamps only raise stamps.
+        self._claims_oldest = math.inf
         #: Conflicting claim pairs already pointed at each other, with the
         #: time of the last notification (rate limit for the witness).
         self._claims_confronted: Dict[
@@ -444,6 +436,10 @@ class ProtocolNode:
         #: flight, a neighbor mid-split) heals itself without traffic.
         self._perimeter_gap: Optional[Tuple[str, float, float]] = None
         self._perimeter_gap_ticks = 0
+        #: ``(_view_epoch, owned rect)`` at which the neighbor table and
+        #: caretaken holes alone last covered the whole perimeter; while
+        #: it holds, :meth:`_find_perimeter_gap` skips its scan.
+        self._perimeter_covered: Optional[Tuple[int, Rect]] = None
 
         self.delivered: List[m.RouteDeliveredBody] = []
         self.query_results: Dict[int, List[m.QueryResultBody]] = {}
@@ -1782,7 +1778,7 @@ class ProtocolNode:
         for rect in stale:
             self._table_drop(rect)
         self._table_put(joiner_info)
-        for recipient in sorted(recipients, key=_address_order):
+        for recipient in sorted(recipients):
             self.network.send(
                 self.address, recipient, m.NEIGHBOR_UPDATE,
                 m.NeighborUpdateBody(info=self._my_info(), removed_rect=old_rect),
@@ -1907,8 +1903,9 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # The routing view -- neighbor table, suspects, caretaken holes -- is
     # only changed through the helpers below, which bump ``_view_epoch``
-    # on every real change (heartbeat fold memos key on it) and keep the
-    # shortcut cache disjoint from the table's rects.
+    # on every real change (the heartbeat fold memos and the perimeter
+    # coverage memo key on it, so a direct write would leave both stale)
+    # and keep the shortcut cache disjoint from the table's rects.
     def _table_put(self, info: m.NeighborInfo) -> None:
         """Install ``info`` in the neighbor table (no-op when unchanged).
 
@@ -1985,7 +1982,7 @@ class ProtocolNode:
             if info.secondary is not None:
                 recipients.add(info.secondary)
         recipients.discard(self.address)
-        for recipient in sorted(recipients, key=_address_order):
+        for recipient in sorted(recipients):
             self.network.send(
                 self.address, recipient, m.NEIGHBOR_UPDATE, update
             )
@@ -2041,9 +2038,7 @@ class ProtocolNode:
                     rect=str(self.owned.rect),
                 )
                 direct = False
-        mine = (self.address.ip, self.address.port)
-        theirs = (info.primary.ip, info.primary.port)
-        if not direct or mine <= theirs:
+        if not direct or self.address <= info.primary:
             # Either we keep the ground, or the evidence is second-hand:
             # confront the claimant directly so the loser (possibly us, on
             # its direct reply) can yield on first-hand evidence.
@@ -2096,6 +2091,7 @@ class ProtocolNode:
         self.caretaker_rects = set()
         self._set_table(())
         self._claims_heard = {}
+        self._claims_oldest = math.inf
         self._claims_confronted = {}
         self._switch_handoff = None
         self._replicated_neighbors = ()
@@ -2145,10 +2141,7 @@ class ProtocolNode:
             and info.primary not in self.suspected
         ):
             other = cached[0]
-            first, second = sorted(
-                (other.primary, info.primary),
-                key=lambda address: (address.ip, address.port),
-            )
+            first, second = sorted((other.primary, info.primary))
             pair = (info.rect, first, second)
             last = self._claims_confronted.get(pair)
             if last is None or now - last >= self.config.heartbeat_interval:
@@ -2173,6 +2166,8 @@ class ProtocolNode:
                     m.NeighborUpdateBody(info=other),
                 )
         self._claims_heard[info.rect] = (info, now)
+        if now < self._claims_oldest:
+            self._claims_oldest = now
         return True
 
     def _on_neighbor_update(self, message: Message) -> None:
@@ -2289,12 +2284,30 @@ class ProtocolNode:
         Returns ``(edge, lo, hi, probe_point)`` for the first remaining
         stretch, where ``probe_point`` lies just outside the gap's
         midpoint, or ``None`` when the perimeter is fully accounted for.
+
+        Runs on every neighbor-heartbeat tick, so it first tries the
+        table and holes alone: shortcuts only add cover, so when those
+        already close the perimeter the answer is ``None`` whatever the
+        cache holds, and stays so until ``_view_epoch`` or the rect
+        changes (memoized in ``_perimeter_covered``).
         """
         assert self.owned is not None and self.bounds is not None
         rect = self.owned.rect
+        key = (self._view_epoch, rect)
+        if key == self._perimeter_covered:
+            return None
         known = [info.rect for info in self.neighbor_table.values()]
         known.extend(self.caretaker_rects)
+        if self._perimeter_gap_of(rect, known) is None:
+            self._perimeter_covered = key
+            return None
         known.extend(info.rect for info in self.shortcuts.entries())
+        return self._perimeter_gap_of(rect, known)
+
+    def _perimeter_gap_of(
+        self, rect: Rect, known: List[Rect]
+    ) -> Optional[Tuple[str, float, float, Point]]:
+        """The first stretch of ``rect``'s perimeter ``known`` leaves open."""
         bounds = self.bounds
         tol = 1e-9
         offset = 1e-3
@@ -2596,6 +2609,8 @@ class ProtocolNode:
         now = self.scheduler.now
         for info in memo.witnessed:
             heard[info.rect] = (info, now)
+        if memo.witnessed and now < self._claims_oldest:
+            self._claims_oldest = now
         shortcuts = self.shortcuts
         for info, allow_adjacent in memo.learned:
             if shortcuts.get(info.rect) == info:
@@ -2633,10 +2648,7 @@ class ProtocolNode:
             # (equal rects are not neighbors, so they never talk).  Tell
             # the deterministic loser about the winner; it will confront
             # the winner directly and yield.
-            winner, loser = sorted(
-                (existing.primary, source),
-                key=lambda address: (address.ip, address.port),
-            )
+            winner, loser = sorted((existing.primary, source))
             causal.annotate(
                 "claim_confront",
                 witness=str(self.address),
@@ -2746,12 +2758,18 @@ class ProtocolNode:
         cfg = self.config
         # Expire witnessed claims older than the failure horizon (the
         # witness itself ignores them; this only bounds the ledger).
-        if self._claims_heard:
-            horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
+        # Every stamp is >= _claims_oldest, so while that bound is inside
+        # the horizon nothing can expire and the rebuild is skipped.
+        horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
+        if now - self._claims_oldest > horizon:
             self._claims_heard = {
                 rect: claim for rect, claim in self._claims_heard.items()
                 if now - claim[1] <= horizon
             }
+            self._claims_oldest = min(
+                (claim[1] for claim in self._claims_heard.values()),
+                default=math.inf,
+            )
         # 0. A primary evicts a silent secondary so the slot can be
         #    refilled by a later join (the paper: the region is marked
         #    "half full" again).
@@ -2912,6 +2930,7 @@ class ProtocolNode:
         self.joined = False
         self._set_table(())
         self._claims_heard = {}
+        self._claims_oldest = math.inf
         self._replicated_neighbors = ()
         self.shortcuts.clear()
         for timer in self._timers:
@@ -3273,7 +3292,7 @@ class ProtocolNode:
             # A retraction that never arrives leaves the survivor a
             # phantom entry for the declined region (then a bogus hole to
             # caretake and re-grant): ride the reliable channel.
-            for recipient in sorted(audience, key=_address_order):
+            for recipient in sorted(audience):
                 self._send_critical(
                     recipient, m.NEIGHBOR_UPDATE,
                     m.NeighborUpdateBody(
@@ -3300,7 +3319,7 @@ class ProtocolNode:
             "decline_caretake", message.source, self.address, body.data
         )
         audience.discard(self.address)
-        for recipient in sorted(audience, key=_address_order):
+        for recipient in sorted(audience):
             self._send_critical(
                 recipient, m.NEIGHBOR_UPDATE,
                 m.NeighborUpdateBody(

@@ -189,10 +189,6 @@ def admission_limits(budget: int) -> Dict[str, int]:
 OVERLOAD_OVERHEAD_BUDGET = 1.10
 
 
-def _address_key(address: Any) -> Tuple[str, int]:
-    return (address.ip, address.port)
-
-
 def measure_overload_overhead(
     population: int = 10,
     sim_seconds: float = 20.0,
@@ -235,7 +231,7 @@ def measure_overload_overhead(
             )
         cluster.run_for(30.0)
         live = [n for n in cluster.nodes.values() if n.alive]
-        live.sort(key=lambda n: _address_key(n.address))
+        live.sort(key=lambda n: n.address)
         return cluster, rng, live
 
     def paired_round(

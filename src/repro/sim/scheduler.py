@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro import obs
@@ -31,27 +30,40 @@ from repro.obs import causal
 EventCallback = Callable[[], None]
 
 
-@dataclass
 class Event:
-    """One scheduled event; the queue orders it by ``(time, sequence)``."""
+    """One scheduled event; the queue orders it by ``(time, sequence)``.
 
-    time: float
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Causal context captured at scheduling time and restored around the
-    #: callback, so timer-driven retries stay attributed to the operation
-    #: that armed them.  ``None`` whenever tracing is off.
-    ctx: Optional[causal.SpanContext] = field(
-        default=None, compare=False, repr=False
+    A slotted class with no generated comparisons: one is built for
+    every scheduled callback, and the heap never compares events (its
+    entries are ``(time, sequence, event)`` tuples with unique sequences).
+    """
+
+    __slots__ = (
+        "time", "sequence", "callback", "cancelled", "ctx", "_scheduler",
+        "_fired",
     )
-    #: Back-reference so ``cancel`` can keep the owning scheduler's
-    #: live-event accounting exact; ``None`` for detached events.
-    _scheduler: Optional["EventScheduler"] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Set once the callback has run; cancelling afterwards is a no-op.
-    _fired: bool = field(default=False, compare=False, repr=False)
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        callback: EventCallback,
+        ctx: Optional[causal.SpanContext] = None,
+        scheduler: Optional["EventScheduler"] = None,
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.cancelled = False
+        #: Causal context captured at scheduling time and restored around
+        #: the callback, so timer-driven retries stay attributed to the
+        #: operation that armed them.  ``None`` whenever tracing is off.
+        self.ctx = ctx
+        #: Back-reference so ``cancel`` can keep the owning scheduler's
+        #: live-event accounting exact; ``None`` for detached events.
+        self._scheduler = scheduler
+        #: Set once the callback has run; cancelling afterwards is a no-op.
+        self._fired = False
 
     def cancel(self) -> None:
         """Cancel the event; it will not fire.
@@ -102,15 +114,9 @@ class EventScheduler:
                 f"requested={time}"
             )
         sequence = next(self._sequence)
-        event = Event(
-            time=time,
-            sequence=sequence,
-            callback=callback,
-            # Direct module-global read (not causal.current()) keeps the
-            # disabled-mode cost of this hot path to one attribute lookup.
-            ctx=causal._current,
-            _scheduler=self,
-        )
+        # Direct module-global read (not causal.current()) keeps the
+        # disabled-mode cost of this hot path to one attribute lookup.
+        event = Event(time, sequence, callback, causal._current, self)
         heapq.heappush(self._queue, (time, sequence, event))
         return event
 

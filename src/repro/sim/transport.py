@@ -25,7 +25,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.errors import TransportError
@@ -37,9 +37,12 @@ from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.scheduler import EventScheduler
 
 
-@dataclass(frozen=True)
-class Message:
-    """One message in flight (or delivered)."""
+class Message(NamedTuple):
+    """One message in flight (or delivered).
+
+    A named tuple: one is built per send, and tuple construction and
+    field reads run in C.
+    """
 
     source: NodeAddress
     destination: NodeAddress
@@ -300,6 +303,10 @@ class SimNetwork:
         self._one_way_blocks.clear()
 
     def _partitioned(self, a: NodeAddress, b: NodeAddress) -> bool:
+        # Checked on every send and delivery; with no cut armed (the
+        # common case) skip the three lookups.
+        if not self._partition_of and not self._one_way_blocks:
+            return False
         if (a, b) in self._one_way_blocks:
             return True
         group_a = self._partition_of.get(a)
@@ -514,8 +521,12 @@ class SimNetwork:
             recorder.record("deliver", self.scheduler.now, **fields)
         # The handler runs *inside* the message's causal context, so any
         # message it sends (or timer it arms) chains to this delivery.
-        with causal.using(message.span):
+        # Without a span (tracing off) that context is a no-op: skip it.
+        if message.span is None:
             endpoint.handler(message)
+        else:
+            with causal.using(message.span):
+                endpoint.handler(message)
 
     def endpoint_count(self) -> int:
         """Number of live endpoints."""

@@ -29,10 +29,6 @@ __all__ = ["SUB_OVERHEAD_BUDGET", "measure_sub_overhead"]
 SUB_OVERHEAD_BUDGET = 1.10
 
 
-def _address_key(address: Any) -> Tuple[str, int]:
-    return (address.ip, address.port)
-
-
 def measure_sub_overhead(
     population: int = 10,
     sim_seconds: float = 20.0,
@@ -86,7 +82,7 @@ def measure_sub_overhead(
             )
         cluster.run_for(30.0)
         live = [n for n in cluster.nodes.values() if n.alive]
-        live.sort(key=lambda n: _address_key(n.address))
+        live.sort(key=lambda n: n.address)
         if enabled and live:
             workload = SubscriptionWorkload(
                 bounds,

@@ -41,7 +41,7 @@ def cluster_with_split_brain(seed=51):
     usurper.owned = OwnedRegion(
         rect=victim.owned.rect, role="primary", peer=None
     )
-    usurper.neighbor_table = dict(victim.neighbor_table)
+    usurper._set_table(victim.neighbor_table.values())
     usurper.joined = True
     usurper._start_timers()
     return cluster, victim, usurper

@@ -1,0 +1,244 @@
+"""The idle-tick sweeps match their unmemoized references.
+
+Two per-tick sweeps skip their work while nothing relevant changed:
+
+* ``_find_perimeter_gap`` remembers the ``(_view_epoch, rect)`` at which
+  the neighbor table and caretaken holes alone covered the perimeter
+  (shortcuts only add cover, so the answer is then ``None``);
+* ``_check_failures`` rebuilds the claim ledger only once the lower
+  bound ``_claims_oldest`` on its stamps leaves the failure horizon.
+
+The differential tests drive a live cluster through a crash and a join
+and check every sweep against the full computation it replaces; the
+invalidation test walks each view helper and the rect change that must
+retire the perimeter memo.
+"""
+
+import math
+import random
+
+from repro.geometry import Point, Rect
+from repro.protocol import ProtocolCluster
+from repro.protocol.node import ProtocolNode
+from tests.protocol.test_heartbeat_memo import (
+    beat_from,
+    deliver,
+    neighbor_pair,
+    quiet_cluster,
+)
+from tests.protocol.test_perimeter import (
+    adjacent_primaries,
+    blind,
+    build_cluster,
+)
+
+SEED = 20070625
+BOUNDS = Rect(0, 0, 64, 64)
+
+
+def full_scan(node):
+    """The unmemoized perimeter scan over every claim the node knows."""
+    known = [info.rect for info in node.neighbor_table.values()]
+    known.extend(node.caretaker_rects)
+    known.extend(info.rect for info in node.shortcuts.entries())
+    return node._perimeter_gap_of(node.owned.rect, known)
+
+
+def build(count, seed=SEED):
+    cluster = ProtocolCluster(BOUNDS, seed=seed)
+    rng = random.Random(seed)
+    for _ in range(count):
+        cluster.join_node(
+            Point(rng.uniform(1, 63), rng.uniform(1, 63)),
+            capacity=rng.choice((1.0, 5.0, 10.0)),
+        )
+    return cluster, rng
+
+
+def churn_run(cluster, rng):
+    """200 t of routed traffic with one crash (t=50) and one join (t=100)."""
+    ids = sorted(cluster.nodes)
+    for step in range(200):
+        if step == 50:
+            victim = rng.choice(ids)
+            cluster.crash_node(victim)
+            ids.remove(victim)
+        if step == 100:
+            cluster.join_node(
+                Point(rng.uniform(1, 63), rng.uniform(1, 63)), capacity=5.0
+            )
+        origin = cluster.nodes[rng.choice(ids)]
+        origin.send_to_point(Point(rng.uniform(0, 64), rng.uniform(0, 64)), step)
+        cluster.run_for(1.0)
+
+
+def test_perimeter_memo_matches_full_scan(monkeypatch):
+    original = ProtocolNode._find_perimeter_gap
+    tally = {"memo_hits": 0, "gaps": 0, "calls": 0}
+
+    def checked(self):
+        if (self._view_epoch, self.owned.rect) == self._perimeter_covered:
+            tally["memo_hits"] += 1
+        result = original(self)
+        tally["calls"] += 1
+        tally["gaps"] += result is not None
+        assert result == full_scan(self)
+        return result
+
+    monkeypatch.setattr(ProtocolNode, "_find_perimeter_gap", checked)
+    cluster, rng = build(32)
+    churn_run(cluster, rng)
+    # Steady-state ticks answered from the memo.
+    assert tally["memo_hits"] > tally["calls"] // 2
+    # Gaps are rare in a healthy 32-node overlay (gossip heals a missing
+    # adjacency before the next tick); a mutually blind pair with no
+    # common neighbor keeps one open until the perimeter probe heals it,
+    # which drives the full-scan branch.
+    cluster = build_cluster()
+    a, b = adjacent_primaries(cluster)
+    blind(a, b.owned.rect, b.address)
+    blind(b, a.owned.rect, a.address)
+    cluster.settle(6 * a.config.heartbeat_interval)
+    assert tally["gaps"] > 0
+    assert b.owned.rect in a.neighbor_table
+
+
+def test_claim_ledger_expiry_matches_per_tick_rebuild(monkeypatch):
+    original = ProtocolNode._check_failures
+    tally = {"expired": 0, "checks": 0}
+
+    def checked(self):
+        now = self.scheduler.now
+        cfg = self.config
+        horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
+        before = self._claims_heard
+        expected = before
+        if self.alive and self.owned is not None:
+            expected = {
+                rect: claim for rect, claim in before.items()
+                if now - claim[1] <= horizon
+            }
+        original(self)
+        tally["checks"] += 1
+        tally["expired"] += len(before) - len(expected)
+        assert list(self._claims_heard.items()) == list(expected.items())
+        assert all(
+            claim[1] >= self._claims_oldest
+            for claim in self._claims_heard.values()
+        )
+
+    monkeypatch.setattr(ProtocolNode, "_check_failures", checked)
+    cluster, rng = build(32)
+    churn_run(cluster, rng)
+    assert tally["checks"] > 1000
+    assert tally["expired"] > 0
+
+
+def test_replayed_stamps_keep_the_bound_valid(monkeypatch):
+    """A memoized fold replayed into an emptied ledger must lower the
+    bound again, or its claims would never expire."""
+    cluster = quiet_cluster()
+    node, sender = neighbor_pair(cluster)
+    cfg = node.config
+    horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
+    body = beat_from(cluster, sender, node)
+    deliver(cluster, sender, node, body)  # full fold, memo stored
+    replays = []
+    original = ProtocolNode._replay_fold
+
+    def replay(self, memo):
+        replays.append(original(self, memo))
+        return replays[-1]
+
+    monkeypatch.setattr(ProtocolNode, "_replay_fold", replay)
+
+    def age_out():
+        cluster.scheduler.run_all()
+        cluster.scheduler.run_until(cluster.scheduler.now + horizon + 1.0)
+        for address in node.last_seen:
+            node.last_seen[address] = cluster.scheduler.now
+        node._check_failures()
+
+    age_out()
+    assert node._claims_heard == {}
+    assert node._claims_oldest == math.inf
+    replays.clear()
+    deliver(cluster, sender, node, body)
+    assert replays == [True]
+    assert node._claims_heard
+    assert node._claims_oldest == cluster.scheduler.now
+    age_out()
+    assert node._claims_heard == {}
+
+
+def shares_edge(a, b):
+    """Whether ``b`` borders ``a`` along a stretch of positive length."""
+    if a.x2 == b.x or b.x2 == a.x:
+        return min(a.y2, b.y2) > max(a.y, b.y)
+    if a.y2 == b.y or b.y2 == a.y:
+        return min(a.x2, b.x2) > max(a.x, b.x)
+    return False
+
+
+def test_view_helpers_and_rect_changes_retire_the_memo():
+    cluster, _ = build(16)
+    cluster.settle(20)
+    node = next(
+        n for n in cluster.nodes.values()
+        if n.alive and n.is_primary()
+        and any(
+            shares_edge(n.owned.rect, rect) for rect in n.neighbor_table
+        )
+    )
+    node.shortcuts.clear()
+    rect = next(r for r in node.neighbor_table if shares_edge(node.owned.rect, r))
+    info = node.neighbor_table[rect]
+
+    def memo_current():
+        return node._perimeter_covered == (node._view_epoch, node.owned.rect)
+
+    def find():
+        result = node._find_perimeter_gap()
+        assert result == full_scan(node)
+        return result
+
+    assert find() is None and memo_current()
+
+    # Caretaking only adds cover, but it is a view change all the same.
+    far = Rect(node.owned.rect.x, node.owned.rect.y, 1e-3, 1e-3)
+    node._caretake(far)
+    assert not memo_current()
+    assert find() is None and memo_current()
+    node._release_hole(far)
+    assert not memo_current()
+    assert find() is None and memo_current()
+
+    node._table_drop(rect)
+    assert not memo_current()
+    assert find() is not None
+
+    node._caretake(rect)
+    assert find() is None and memo_current()
+    node._release_hole(rect)
+    assert not memo_current()
+    assert find() is not None
+
+    # Cover the stretch with a shortcut only: the scan answers None, but
+    # the memo is not stored -- the cache can lose the entry without a
+    # view change.
+    node.shortcuts.learn(info)
+    assert find() is None and not memo_current()
+    node.shortcuts.invalidate_rect(rect)
+    assert find() is not None
+
+    node._table_put(info)
+    assert find() is None and memo_current()
+
+    # A split (same view, smaller rect) opens the cut line.
+    owned = node.owned.rect
+    node.owned.rect = Rect(owned.x, owned.y, owned.width / 2, owned.height)
+    assert not memo_current()
+    assert find() is not None
+    node.owned.rect = owned
+    assert find() is None and memo_current()
+

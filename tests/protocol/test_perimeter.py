@@ -44,7 +44,7 @@ def adjacent_primaries(cluster):
 
 def blind(node, rect, address):
     """Erase every route from ``node`` to the primary owning ``rect``."""
-    node.neighbor_table.pop(rect, None)
+    node._table_drop(rect)
     node.shortcuts.invalidate_address(address)
     node.host_cache.forget(address)
     node._perimeter_gap = None

@@ -139,7 +139,7 @@ class TestOwnershipYield:
         usurper = cluster.spawn_node(rect.center, capacity=10)
         usurper._attach()
         usurper.owned = OwnedRegion(rect=rect, role="primary", peer=None)
-        usurper.neighbor_table = dict(strong.neighbor_table)
+        usurper._set_table(strong.neighbor_table.values())
         usurper.joined = True
         usurper._start_timers()
         winner, loser = sorted(

@@ -124,6 +124,17 @@ class TestShortcutCacheUnit:
     def test_best_of_empty_cache(self):
         assert ShortcutCache().best(Point(1, 1), better_than=100.0) is None
 
+    def test_best_keeps_the_first_of_equal_distances(self):
+        """Mirror-image rects tie exactly; the earlier entry wins."""
+        cache = ShortcutCache(8)
+        left = info(Rect(0, 10, 4, 4), 1)
+        right = info(Rect(16, 10, 4, 4), 2)
+        cache.learn(left)
+        cache.learn(right)
+        assert cache.best(Point(10, 12), better_than=100.0) == left
+        cache.touch(left.rect)
+        assert cache.best(Point(10, 12), better_than=100.0) == right
+
 
 def build_cluster(count=10, seed=11, drop=0.0, config=None, latency=None):
     cluster = ProtocolCluster(
@@ -433,7 +444,7 @@ class TestStaleRoutingState:
         node.shortcuts.clear()
         rect = next(iter(node.neighbor_table))
         peer = node.owned.peer
-        node.neighbor_table[rect] = m.NeighborInfo(rect=rect, primary=peer)
+        node._table_put(m.NeighborInfo(rect=rect, primary=peer))
         body = m.RouteBody(
             origin=node.address, target=rect.center, payload=None,
             request_id=123_456,
@@ -451,9 +462,7 @@ class TestStaleRoutingState:
         cluster, nodes, _ = build_cluster(count=10, seed=41)
         node = primary_with_secondary(nodes)
         rect = next(iter(node.neighbor_table))
-        node.neighbor_table[rect] = m.NeighborInfo(
-            rect=rect, primary=node.owned.peer
-        )
+        node._table_put(m.NeighborInfo(rect=rect, primary=node.owned.peer))
         node._check_failures()
         assert rect not in node.neighbor_table
         assert rect in node.caretaker_rects
@@ -465,9 +474,9 @@ class TestStaleRoutingState:
         cluster, nodes, _ = build_cluster(count=10, seed=41)
         node = primary_with_secondary(nodes)
         rect, entry = next(iter(node.neighbor_table.items()))
-        node.neighbor_table[rect] = m.NeighborInfo(
+        node._table_put(m.NeighborInfo(
             rect=rect, primary=entry.primary, secondary=node.owned.peer
-        )
+        ))
         node.last_seen[entry.primary] = cluster.scheduler.now - 1_000.0
         node._check_failures()
         assert entry.primary in node.suspected

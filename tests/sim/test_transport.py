@@ -290,6 +290,45 @@ class TestOneWayBlocks:
         scheduler.run_all()
         assert len(b_inbox) == 1
 
+    def test_block_applies_at_delivery_time(self):
+        """A one-way block armed while messages are in flight eats them,
+        and only in the blocked direction."""
+        scheduler, network = make_network(latency=ConstantLatency(5.0))
+        a_inbox, b_inbox = [], []
+        a = make_endpoint(network, 1, a_inbox)
+        b = make_endpoint(network, 2, b_inbox)
+        network.send(a, b, "ping", None)
+        network.send(b, a, "pong", None)
+        network.block_one_way(a, b)
+        scheduler.run_all()
+        assert b_inbox == []
+        assert [message.kind for message in a_inbox] == ["pong"]
+        assert network.stats.dropped_partition == 1
+        assert network.stats.recent_drops[-1] == (1, "ping", "partition")
+
+    def test_cuts_armed_after_heal_still_apply(self):
+        """Cut, heal, cut again with messages in flight: each arming is
+        seen by the delivery check."""
+        scheduler, network = make_network(latency=ConstantLatency(5.0))
+        b_inbox = []
+        a = make_endpoint(network, 1, [])
+        b = make_endpoint(network, 2, b_inbox)
+        network.block_one_way(a, b)
+        network.heal_partitions()
+        network.send(a, b, "ping", None)
+        network.set_partition(a, "west")
+        network.set_partition(b, "east")
+        network.send(a, b, "lost at send", None)
+        scheduler.run_all()
+        assert b_inbox == []
+        assert network.stats.dropped_partition == 2
+        network.heal_partitions()
+        network.send(a, b, "ping", None)
+        network.block_one_way(a, b)
+        scheduler.run_all()
+        assert b_inbox == []
+        assert network.stats.dropped_partition == 3
+
     def test_heal_partitions_lifts_one_way_blocks(self):
         scheduler, network = make_network(latency=ConstantLatency(1.0))
         b_inbox = []
