@@ -6,10 +6,6 @@ Usage::
     python -m repro fig5-6 --trials 3
     python -m repro fig7-8 --rounds 25
     python -m repro all --out results/
-    python -m repro bench
-    python -m repro bench store
-    python -m repro bench telemetry
-    python -m repro bench pubsub --smoke
     python -m repro routing --metrics
     python -m repro flightrec --demo
     python -m repro flightrec journal.jsonl --around 103.8 --window 5
@@ -20,10 +16,9 @@ Usage::
     python -m repro export --out results/
 
 Each command builds the experiment at paper scale (tunable), prints the
-paper-style table, and optionally writes it under ``--out``.  ``bench``
-writes the machine-readable ``BENCH_micro_ops.json`` / ``BENCH_routing.json``
-snapshots (see :mod:`repro.obs.bench`); ``--metrics`` runs any command
-under a live metrics registry and dumps it as JSON afterwards.
+paper-style table, and optionally writes it under ``--out``.
+``--metrics`` runs any command under a live metrics registry and dumps
+it as JSON afterwards.
 
 ``flightrec`` is the flight-recorder inspector: it filters and
 pretty-prints a journal written by
@@ -33,9 +28,12 @@ prints the auditor's forensics dump).  It takes its own options, so it is
 parsed separately from the figure commands.
 
 ``chaos`` runs the seeded fault campaign of :mod:`repro.sim.chaos`
-against the message-level protocol and writes ``BENCH_chaos.json``; it
-exits non-zero when any scenario leaves a persistent invariant
-violation or loses a stored object.  Like ``flightrec`` it owns its
+against the message-level protocol, once plain and once under a
+committed continuous-query load, and writes one ``BENCH_chaos.json``
+verdict row per scenario and campaign; it exits non-zero when any
+scenario leaves a persistent invariant violation, loses a stored object
+or a committed notification, misses its gray-failure detection budget,
+or breaks the flash-crowd contract.  Like ``flightrec`` it owns its
 option set and is parsed separately.
 
 ``top`` is the live cluster dashboard on the in-band telemetry plane:
@@ -195,66 +193,7 @@ def _run_ablations(args: argparse.Namespace) -> str:
     return "\n\n".join(sections)
 
 
-def _run_bench(args: argparse.Namespace) -> str:
-    from repro.obs import bench
-
-    out_dir = args.out if args.out is not None else pathlib.Path(".")
-    suite = getattr(args, "suite", None)
-    paths: List[pathlib.Path] = []
-    if suite in (None, "all"):
-        if args.population:
-            paths += bench.write_bench_files(
-                out_dir,
-                population=args.population,
-                routing_populations=(args.population,),
-            )
-        else:
-            paths += bench.write_bench_files(out_dir)
-    if suite == "routing":
-        # Just the greedy-vs-cached routing comparison, skipping the
-        # micro-ops (and their overhead measurement) for a fast CI run.
-        if args.population:
-            paths += bench.write_routing_bench_file(
-                out_dir, populations=(args.population,)
-            )
-        else:
-            paths += bench.write_routing_bench_file(out_dir)
-    if suite in ("store", "all"):
-        if args.population:
-            paths += bench.write_store_bench_file(
-                out_dir, population=args.population
-            )
-        else:
-            paths += bench.write_store_bench_file(out_dir)
-    if suite in ("telemetry", "all"):
-        # Deliberately pinned to the telemetry bench's validated seed and
-        # population (not --seed/--population): the detection-latency and
-        # zero-false-positive verdicts are an SLA checked at a fixed
-        # configuration, so the artifact stays comparable across PRs.
-        paths += bench.write_telemetry_bench_file(out_dir)
-    if suite in ("pubsub", "all"):
-        # Pinned like the telemetry bench: the loss-free notification
-        # verdict is an SLA checked at a fixed configuration.  --smoke
-        # skips the wall-clock overhead measurement (the slow half) for
-        # CI, keeping the campaign and delivery verdicts.
-        paths += bench.write_pubsub_bench_file(
-            out_dir, skip_overhead=bool(getattr(args, "smoke", False))
-        )
-    if suite in ("overload", "all"):
-        # Pinned like the pubsub bench: the flash-crowd graceful-
-        # degradation verdict is an SLA checked at a fixed configuration.
-        # --smoke skips the wall-clock overhead measurement.
-        paths += bench.write_overload_bench_file(
-            out_dir, skip_overhead=bool(getattr(args, "smoke", False))
-        )
-    report = bench.render_report(paths)
-    for path in paths:
-        print(f"[saved to {path}]", file=sys.stderr)
-    return report
-
-
 COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
-    "bench": _run_bench,
     "fig2-3": _run_fig2_3,
     "fig5-6": _run_fig5_6,
     "fig7-8": _run_fig7_8,
@@ -268,16 +207,11 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
 }
 
 DESCRIPTIONS = {
-    "bench": "write BENCH_micro_ops.json / BENCH_routing.json snapshots "
-             "('bench routing' compares greedy vs shortcut-cached routing; "
-             "'bench store' writes BENCH_store.json; 'bench telemetry' "
-             "writes BENCH_telemetry.json; 'bench pubsub' writes "
-             "BENCH_pubsub.json)",
     "fig2-3": "region size & load maps at 500 nodes (Figures 2/3)",
     "fig5-6": "workload-index std/mean vs population (Figures 5/6)",
     "fig7-8": "convergence by adaptation round (Figures 7/8)",
     "fig9-10": "convergence by number of adaptations (Figures 9/10)",
-    "routing": "O(2*sqrt(N)) routing-hop check",
+    "routing": "O(2*sqrt(N)) routing-hop check, greedy vs shortcut-cached",
     "routing-load": "routing workload balance across variants",
     "dualpeer": "dual-peer ablation (splits, failover, balance)",
     "churn": "resilience under sustained Poisson churn",
@@ -296,20 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         "command",
         choices=sorted(COMMANDS) + ["list", "all"],
         help="which experiment to run ('list' prints descriptions)",
-    )
-    parser.add_argument(
-        "suite", nargs="?",
-        choices=["routing", "store", "telemetry", "pubsub", "overload", "all"],
-        default=None,
-        help="bench only: 'routing' writes just the greedy-vs-cached "
-             "BENCH_routing.json; 'store' writes BENCH_store.json instead "
-             "of the micro/routing snapshots; 'telemetry' writes "
-             "BENCH_telemetry.json (gray-detection latency, digest bytes, "
-             "plane overhead) at its pinned validation seed; 'pubsub' "
-             "writes BENCH_pubsub.json (loss-free notification delivery "
-             "under faults, sub-plane overhead); 'overload' writes "
-             "BENCH_overload.json (flash-crowd graceful degradation, "
-             "admission-control overhead); 'all' writes all six",
     )
     parser.add_argument(
         "--trials", type=int, default=3,
@@ -335,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect runtime metrics during the run and dump the "
              "registry as JSON after each command",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="bench pubsub/overload only: skip the wall-clock overhead "
-             "measurement, keeping the campaign and delivery/degradation "
-             "verdicts (the fast CI mode)",
-    )
     return parser
 
 
@@ -351,10 +265,13 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         description=(
             "Run the seeded fault campaign (asymmetric partitions, gray "
             "failures, crash-restart, regional outages, drop/latency "
-            "spikes, churn storms) against the message-level protocol "
-            "and write BENCH_chaos.json.  Exit code 1 when any scenario "
-            "leaves a persistent invariant violation or loses a stored "
-            "object."
+            "spikes, churn storms, a flash crowd) against the "
+            "message-level protocol, once plain and once under a "
+            "committed continuous-query load, and write one "
+            "BENCH_chaos.json row per result.  Exit code 1 when any "
+            "scenario fails its verdict: a persistent invariant "
+            "violation, a lost stored object or notification, a missed "
+            "gray-failure detection, or a broken flash-crowd contract."
         ),
     )
     parser.add_argument(
@@ -377,10 +294,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         help="baseline random drop probability during scenarios",
     )
     parser.add_argument(
-        "--skip-overhead", action="store_true",
-        help="skip the reliable-layer wall-clock overhead measurement",
-    )
-    parser.add_argument(
         "--metrics", action="store_true",
         help="run the campaign under a live metrics registry and dump it "
              "as JSON afterwards (also written as chaos.metrics.json)",
@@ -392,16 +305,71 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bench_meta() -> Dict[str, str]:
+    """Provenance stamped into ``BENCH_chaos.json`` under ``_meta``."""
+    import datetime
+    import platform
+    import subprocess
+
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        sha = "unknown"
+    return {
+        "git_sha": sha,
+        "timestamp_utc": datetime.datetime.now(
+            datetime.timezone.utc
+        ).isoformat(timespec="seconds"),
+        "python": platform.python_version(),
+    }
+
+
+def _chaos_row(result, pubsub: bool) -> Dict[str, object]:
+    """One scenario's ``BENCH_chaos.json`` verdict row."""
+    row: Dict[str, object] = {
+        "ok": result.ok,
+        "violations": len(result.violations),
+        "lost_objects": result.lost_objects,
+        "objects": result.objects,
+        "dead_letters": result.dead_letters,
+        "retries": result.retries,
+        "acked": result.acked,
+        "duplicates": result.duplicates,
+        "sim_time": result.sim_time,
+    }
+    if pubsub:
+        row["expected_notifications"] = result.expected_notifications
+        row["lost_notifications"] = result.lost_notifications
+    if result.gray_expected is not None:
+        row["detect_ticks"] = result.detect_ticks
+        row["detect_budget"] = result.detect_budget
+    if result.queue_bound and not pubsub:
+        # The pubsub arena runs with the overload plane off, so only the
+        # plain flash_crowd row asserts the admission contract.
+        row["sheds"] = result.sheds
+        row["control_sheds"] = result.control_sheds
+        row["peak_queue_depth"] = result.peak_queue_depth
+        row["queue_bound"] = result.queue_bound
+    return row
+
+
 def _chaos_main(argv: List[str]) -> int:
+    import dataclasses
     import json
 
     from repro.errors import ConfigurationError
-    from repro.obs.bench import bench_meta
     from repro.sim.chaos import (
+        CampaignReport,
         ChaosConfig,
         SCENARIOS,
-        measure_reliable_overhead,
         run_campaign,
+        run_pubsub_campaign,
     )
 
     args = build_chaos_parser().parse_args(argv)
@@ -426,33 +394,24 @@ def _chaos_main(argv: List[str]) -> int:
         return 2
     registry = obs.enable() if args.metrics else None
     try:
-        report = run_campaign(config, scenarios=args.scenario)
+        plain = run_campaign(config, scenarios=args.scenario)
+        pubsub = run_pubsub_campaign(config, scenarios=args.scenario)
     finally:
         if registry is not None:
             obs.disable()
+    report = CampaignReport(
+        seed=config.seed,
+        results=plain.results + [
+            dataclasses.replace(result, name=f"pubsub.{result.name}")
+            for result in pubsub.results
+        ],
+    )
     print(report.render())
 
-    payload: Dict[str, object] = {"_meta": bench_meta()}
+    payload: Dict[str, object] = {"_meta": _bench_meta()}
     for result in report.results:
-        payload[f"chaos.{result.name}"] = {
-            "ok": result.ok,
-            "violations": len(result.violations),
-            "lost_objects": result.lost_objects,
-            "objects": result.objects,
-            "dead_letters": result.dead_letters,
-            "retries": result.retries,
-            "acked": result.acked,
-            "duplicates": result.duplicates,
-            "sim_time": result.sim_time,
-        }
-    if not args.skip_overhead:
-        overhead = measure_reliable_overhead(seed=args.seed)
-        payload["chaos.overhead"] = overhead
-        print()
-        print(
-            f"reliable-layer overhead (loss-free): "
-            f"{overhead['ratio']:.3f}x "
-            f"({overhead['enabled_s']:.3f}s vs {overhead['disabled_s']:.3f}s)"
+        payload[f"chaos.{result.name}"] = _chaos_row(
+            result, pubsub=result.name.startswith("pubsub.")
         )
     out_dir = args.out if args.out is not None else pathlib.Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -758,13 +717,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "export":
         return _export_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    if args.suite is not None and args.command != "bench":
-        print(
-            f"error: the '{args.suite}' suite argument only applies to "
-            f"'bench'",
-            file=sys.stderr,
-        )
-        return 2
     if args.command == "list":
         for name in sorted(COMMANDS):
             print(f"{name:<14} {DESCRIPTIONS[name]}")

@@ -1,4 +1,4 @@
-"""Runtime observability: metrics registry, trace events, bench snapshots.
+"""Runtime observability: metrics registry, trace events, flight recorder.
 
 The paper's entire evaluation is metric-driven (hop counts, workload-index
 convergence, per-mechanism adaptation counts), and the ROADMAP's north star
@@ -27,8 +27,8 @@ or scoped::
     snapshot = registry.snapshot()
 
 ``python -m repro <figure> --metrics`` dumps the registry after any
-experiment; ``python -m repro bench`` writes ``BENCH_routing.json`` and
-``BENCH_micro_ops.json`` snapshots (see :mod:`repro.obs.bench`).
+experiment.  Host-time benchmarks live outside the package, in
+``perfbench/``.
 
 Alongside the metrics registry lives a second, independently switchable
 collector: the **flight recorder** (:mod:`repro.obs.flightrec`), a

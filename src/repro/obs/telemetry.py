@@ -22,14 +22,12 @@ This module supplies the node-local half of that plane:
 
 The module also hosts the observer-side conveniences built on top:
 ``cluster_sample`` (one dashboard/export sample of a live cluster),
-the demo-cluster driver shared by ``python -m repro top`` / ``export``,
-and the telemetry micro-benches behind ``python -m repro bench telemetry``.
+and the demo-cluster driver shared by ``python -m repro top`` / ``export``.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -45,11 +43,9 @@ __all__ = [
     "cluster_sample",
     "demo_cluster",
     "drive_traffic",
-    "measure_digest_overhead",
-    "measure_telemetry_overhead",
 ]
 
-#: Hard ceiling on the wire size of one digest (checked by the bench and
+#: Hard ceiling on the wire size of one digest (checked by the tests and
 #: the ``telemetry`` audit).  Heartbeats are the protocol's most frequent
 #: message; the piggyback must stay a small constant tax.
 DIGEST_BYTE_BUDGET = 512
@@ -116,7 +112,7 @@ class VitalsDigest:
 
         The simulation never serializes messages for real, so this stands
         in for the wire form: a fixed field order, fixed float precision,
-        ``ip:port`` addresses.  Byte accounting (bench + audit) uses it.
+        ``ip:port`` addresses.  Byte accounting (tests + audit) uses it.
         The subscription suffix is elided while all three sub fields are
         zero, keeping idle digests at their historical size.
         """
@@ -528,173 +524,3 @@ def drive_traffic(
             else:
                 origin.send_to_point(Point(x, y), "demo")
     cluster.run_for(duration)
-
-
-# ----------------------------------------------------------------------
-# Benches (consumed by `python -m repro bench telemetry`)
-# ----------------------------------------------------------------------
-def measure_digest_overhead(
-    seed: int = 7,
-    population: int = 8,
-    slices: int = 6,
-) -> Dict[str, Any]:
-    """Sample digest wire sizes across a live cluster's heartbeat rolls."""
-    cluster, rng = demo_cluster(seed=seed, population=population)
-    sizes: List[int] = []
-    for _ in range(slices):
-        drive_traffic(cluster, rng, duration=10.0, operations=4)
-        for pnode in sorted(
-            (n for n in cluster.nodes.values() if n.alive),
-            key=lambda n: n.address,
-        ):
-            digest = pnode.vitals.last_digest
-            if digest is not None:
-                sizes.append(digest.encoded_size())
-    mean = sum(sizes) / len(sizes) if sizes else 0.0
-    peak = max(sizes) if sizes else 0
-    return {
-        "samples": len(sizes),
-        "bytes_mean": round(mean, 1),
-        "bytes_max": peak,
-        "byte_budget": DIGEST_BYTE_BUDGET,
-        "within_budget": peak <= DIGEST_BYTE_BUDGET,
-    }
-
-
-def measure_telemetry_overhead(
-    population: int = 10,
-    sim_seconds: float = 20.0,
-    ops_per_step: int = 8,
-    step: float = 0.5,
-    seed: int = 7,
-    repeats: int = 33,
-) -> Dict[str, Dict[str, float]]:
-    """Wall-clock cost of the telemetry plane on routing + store benches.
-
-    Same shape as ``chaos.measure_reliable_overhead``: identical seeded
-    workloads with ``NodeConfig.telemetry_enabled`` on vs off.  The
-    timed window sustains client load throughout (``ops_per_step``
-    operations injected every ``step`` sim-seconds): an idle cluster's
-    only activity is heartbeat ticks, so a burst-then-idle window would
-    measure the fixed per-tick telemetry tax against no useful work and
-    overstate the ratio a deployed cluster would see.  The timed
-    sections are tens of milliseconds, where machine-speed drift across
-    the measurement dwarfs the effect being measured, so each round runs
-    the two modes *interleaved*: both clusters advance through the same
-    schedule one ``step`` slice at a time, each slice timed separately
-    and accumulated per mode.  Adjacent slices run microseconds apart,
-    so a slow machine phase taxes both modes almost identically -- far
-    tighter pairing than timing two whole runs back to back.  The slice
-    order within each step alternates (warm-cache and heat-up effects
-    cancel), GC is paused throughout, and the reported ratio is the
-    **median of the per-round ratios** -- rounds are kept short so the
-    median spans many of them, riding out multi-second machine-load
-    phases that inflate every slice they touch.  ``enabled_s``/``disabled_s`` are
-    the minimum accumulated times, reported for scale only; ``ratio``
-    is the paired median, not their quotient.  The PR contract is
-    ratio < 1.10 for both workloads.
-    """
-    import gc
-    import math
-    import statistics
-
-    from repro.geometry import Point, Rect
-    from repro.protocol.cluster import ProtocolCluster
-    from repro.protocol.node import NodeConfig
-
-    bounds = Rect(0.0, 0.0, 64.0, 64.0)
-
-    def build(enabled: bool) -> Tuple[Any, Any, list]:
-        """One settled cluster plus its op-injection rng and live list.
-
-        Both modes use identical seeds; the telemetry plane consumes no
-        randomness, so the two clusters evolve through identical
-        membership and traffic and differ only in telemetry work.
-        """
-        cluster = ProtocolCluster(
-            bounds,
-            seed=seed,
-            drop_probability=0.01,
-            config=NodeConfig(telemetry_enabled=enabled),
-        )
-        rng = random.Random(seed * 7919 + 13)
-        for _ in range(population):
-            cluster.join_node(
-                Point(
-                    rng.uniform(0.0, bounds.width),
-                    rng.uniform(0.0, bounds.height),
-                )
-            )
-        cluster.run_for(30.0)
-        live = [n for n in cluster.nodes.values() if n.alive]
-        live.sort(key=lambda n: n.address)
-        return cluster, rng, live
-
-    def paired_round(
-        sides: Dict[bool, Tuple[Any, Any, list]],
-        store: bool,
-        round_number: int,
-    ) -> Tuple[float, float]:
-        """Accumulated (disabled, enabled) wall time over interleaved slices.
-
-        Rounds reuse the same cluster pair (settling is by far the most
-        expensive part of a round, and both sides age identically), so
-        object ids are derived from the round to stay unique.
-        """
-        totals = {False: 0.0, True: 0.0}
-        steps_per_round = int(sim_seconds / step)
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for step_number in range(steps_per_round):
-                order = (
-                    (False, True) if step_number % 2 == 0 else (True, False)
-                )
-                for enabled in order:
-                    cluster, rng, live = sides[enabled]
-                    started = time.perf_counter()
-                    for offset in range(ops_per_step):
-                        # Object ids derive from the round and step so
-                        # both sides issue identical operations (each
-                        # side's own rng stays in lockstep by
-                        # construction).
-                        index = (
-                            round_number * steps_per_round + step_number
-                        ) * ops_per_step + offset
-                        origin = rng.choice(live)
-                        target = Point(
-                            rng.uniform(0.0, bounds.width),
-                            rng.uniform(0.0, bounds.height),
-                        )
-                        if store:
-                            origin.store_update(
-                                object_id=f"ovh-{index}", point=target
-                            )
-                        else:
-                            origin.send_to_point(target, "ovh")
-                    cluster.run_for(step)
-                    totals[enabled] += time.perf_counter() - started
-            return totals[False], totals[True]
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    results: Dict[str, Dict[str, float]] = {}
-    for name, store in (("routing", False), ("store", True)):
-        sides = {enabled: build(enabled) for enabled in (False, True)}
-        paired_round(sides, store, 0)  # warm allocators and code paths
-        enabled_s = math.inf
-        disabled_s = math.inf
-        ratios = []
-        for round_number in range(1, repeats + 1):
-            d, e = paired_round(sides, store, round_number)
-            disabled_s = min(disabled_s, d)
-            enabled_s = min(enabled_s, e)
-            ratios.append(e / d if d else 0.0)
-        results[name] = {
-            "enabled_s": round(enabled_s, 4),
-            "disabled_s": round(disabled_s, 4),
-            "ratio": round(statistics.median(ratios), 3),
-        }
-    return results

@@ -168,8 +168,7 @@ class NodeConfig:
     #: digest piggybacks on neighbor heartbeats, neighborhood health
     #: views, gray-failure flagging, and client-edge SLO histograms.
     #: Pure observation -- no protocol decision consults it -- so the
-    #: knob exists for overhead ablation (``repro bench telemetry``),
-    #: not correctness.
+    #: knob exists to switch the plane's cost off, not for correctness.
     telemetry_enabled: bool = True
     #: Whether a primary that sees a persistently uncovered stretch of
     #: its own perimeter probes it.  Grants born inside an incomplete

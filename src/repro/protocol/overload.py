@@ -36,12 +36,7 @@ mechanisms.
 
 from __future__ import annotations
 
-import gc
-import math
-import random
-import statistics
-import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 from repro.protocol import messages as m
 
@@ -56,8 +51,6 @@ __all__ = [
     "admission_budget",
     "admission_limits",
     "wire_priority",
-    "OVERLOAD_OVERHEAD_BUDGET",
-    "measure_overload_overhead",
 ]
 
 #: Membership, failover, and adaptation traffic.  Never shed: these
@@ -181,115 +174,3 @@ def admission_limits(budget: int) -> Dict[str, int]:
             continue
         limits[kind] = max(1, int(budget * headroom))
     return limits
-
-
-#: The PR's wall-clock overhead contract: a cluster with admission
-#: control enabled must stay under this ratio vs ``overload_enabled=
-#: False`` on both the routing and store workloads.
-OVERLOAD_OVERHEAD_BUDGET = 1.10
-
-
-def measure_overload_overhead(
-    population: int = 10,
-    sim_seconds: float = 20.0,
-    ops_per_step: int = 8,
-    step: float = 0.5,
-    seed: int = 7,
-    repeats: int = 33,
-) -> Dict[str, Dict[str, float]]:
-    """Wall-clock cost of the overload plane on routing + store benches.
-
-    Same harness as ``telemetry.measure_telemetry_overhead`` (see there
-    for why rounds interleave slice-by-slice and the reported ratio is
-    the median of per-round ratios): identical seeded workloads with
-    ``NodeConfig.overload_enabled`` on vs off.  The enabled side pays
-    the real admission check on every delivery plus the pressure
-    arithmetic on every heartbeat; under ambient (non-storm) load it
-    should shed nothing, so the measured ratio is the pure bookkeeping
-    tax.  The PR contract is ratio < 1.10 for both workloads.
-    """
-    from repro.geometry import Point, Rect
-    from repro.protocol.cluster import ProtocolCluster
-    from repro.protocol.node import NodeConfig
-
-    bounds = Rect(0.0, 0.0, 64.0, 64.0)
-
-    def build(enabled: bool) -> Tuple[Any, Any, list]:
-        cluster = ProtocolCluster(
-            bounds,
-            seed=seed,
-            drop_probability=0.01,
-            config=NodeConfig(overload_enabled=enabled),
-        )
-        rng = random.Random(seed * 7919 + 13)
-        for _ in range(population):
-            cluster.join_node(
-                Point(
-                    rng.uniform(0.0, bounds.width),
-                    rng.uniform(0.0, bounds.height),
-                )
-            )
-        cluster.run_for(30.0)
-        live = [n for n in cluster.nodes.values() if n.alive]
-        live.sort(key=lambda n: n.address)
-        return cluster, rng, live
-
-    def paired_round(
-        sides: Dict[bool, Tuple[Any, Any, list]],
-        store: bool,
-        round_number: int,
-    ) -> Tuple[float, float]:
-        """Accumulated (disabled, enabled) wall time over interleaved slices."""
-        totals = {False: 0.0, True: 0.0}
-        steps_per_round = int(sim_seconds / step)
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for step_number in range(steps_per_round):
-                order = (
-                    (False, True) if step_number % 2 == 0 else (True, False)
-                )
-                for enabled in order:
-                    cluster, rng, live = sides[enabled]
-                    started = time.perf_counter()
-                    for offset in range(ops_per_step):
-                        index = (
-                            round_number * steps_per_round + step_number
-                        ) * ops_per_step + offset
-                        origin = rng.choice(live)
-                        target = Point(
-                            rng.uniform(0.0, bounds.width),
-                            rng.uniform(0.0, bounds.height),
-                        )
-                        if store:
-                            origin.store_update(
-                                object_id=f"oovh-{index}", point=target
-                            )
-                        else:
-                            origin.send_to_point(target, "oovh")
-                    cluster.run_for(step)
-                    totals[enabled] += time.perf_counter() - started
-            return totals[False], totals[True]
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    results: Dict[str, Dict[str, float]] = {}
-    for name, store in (("routing", False), ("store", True)):
-        sides = {enabled: build(enabled) for enabled in (False, True)}
-        paired_round(sides, store, 0)  # warm allocators and code paths
-        enabled_s = math.inf
-        disabled_s = math.inf
-        ratios: List[float] = []
-        for round_number in range(1, repeats + 1):
-            d, e = paired_round(sides, store, round_number)
-            disabled_s = min(disabled_s, d)
-            enabled_s = min(enabled_s, e)
-            ratios.append(e / d if d else 0.0)
-        results[name] = {
-            "enabled_s": round(enabled_s, 4),
-            "disabled_s": round(disabled_s, 4),
-            "ratio": round(statistics.median(ratios), 3),
-        }
-    return results

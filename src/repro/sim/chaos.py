@@ -35,7 +35,6 @@ Run it from the CLI with ``python -m repro chaos`` (writes
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
@@ -50,7 +49,6 @@ __all__ = [
     "run_scenario",
     "run_campaign",
     "run_pubsub_campaign",
-    "measure_reliable_overhead",
 ]
 
 
@@ -175,7 +173,7 @@ class ScenarioResult:
     def summary(self) -> str:
         verdict = "ok" if self.ok else "FAIL"
         line = (
-            f"{self.name:<22} {verdict:<5} "
+            f"{self.name:<27} {verdict:<5} "
             f"violations={len(self.violations):<3} "
             f"lost={self.lost_objects}/{self.objects:<4} "
             f"retries={self.retries:<5} dead_letters={self.dead_letters:<4} "
@@ -1035,63 +1033,3 @@ def run_pubsub_campaign(
         arena = _PubSubArena(config, name)
         report.results.append(SCENARIOS[name](config, arena=arena))
     return report
-
-
-# ----------------------------------------------------------------------
-# Reliable-layer overhead
-# ----------------------------------------------------------------------
-def measure_reliable_overhead(
-    population: int = 10,
-    operations: int = 40,
-    seed: int = 7,
-) -> Dict[str, float]:
-    """Wall-clock cost of the reliable layer on a loss-free network.
-
-    Runs the identical build-and-update workload with the reliable
-    channel disabled and enabled, alternating (off, on, off, on), on a
-    lossless transport, where every ack round-trip is pure overhead.
-    Returns ``enabled_s``, ``disabled_s`` (min of two passes each) and
-    their ``ratio`` (the instrumentation contract is ratio < 1.10).
-    """
-    from repro.protocol.cluster import ProtocolCluster
-    from repro.protocol.node import NodeConfig
-
-    def workload(reliable_enabled: bool) -> float:
-        rng = random.Random(seed)
-        cluster = ProtocolCluster(
-            _Arena.BOUNDS,
-            seed=seed,
-            config=NodeConfig(reliable_enabled=reliable_enabled),
-        )
-        started = time.perf_counter()
-        for _ in range(population):
-            cluster.join_node(
-                Point(rng.uniform(1.0, 63.0), rng.uniform(1.0, 63.0)),
-                capacity=rng.choice([1.0, 10.0, 100.0]),
-            )
-        cluster.settle(30.0)
-        for index in range(operations):
-            origin = rng.choice(
-                [n for n in cluster.nodes.values() if n.alive and n.joined]
-            )
-            cluster.store_update(
-                origin.node.node_id,
-                f"obj-{index % 8}",
-                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
-                version=index,
-            )
-        cluster.settle(20.0)
-        return time.perf_counter() - started
-
-    # Alternate the passes (off, on, off, on) so host-speed drift during
-    # the measurement lands on both sides; min-of-2 per side.
-    disabled, enabled = [], []
-    for _ in range(2):
-        disabled.append(workload(False))
-        enabled.append(workload(True))
-    disabled_s, enabled_s = min(disabled), min(enabled)
-    return {
-        "enabled_s": enabled_s,
-        "disabled_s": disabled_s,
-        "ratio": enabled_s / disabled_s if disabled_s > 0 else 1.0,
-    }

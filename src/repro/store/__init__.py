@@ -15,7 +15,7 @@ message-level incarnation lives inside :mod:`repro.protocol.node` (the
   anti-entropy exchange between dual peers.
 * :class:`~repro.store.overlay_store.OverlayStore` -- the store bound to
   the in-memory overlay model, used by the paper-scale experiments and
-  by ``python -m repro bench store``.
+  the ``paper_adapt`` benchmark workload.
 """
 
 from repro.store.spatial import DEFAULT_CELL, GridIndex, ObjectRecord

@@ -11,18 +11,17 @@ partition through the overlay's structural listeners:
 * ownership changes (primary switches, role swaps, secondary steals --
   the load-balance adaptations) do not move records between *regions*,
   but they do move region state between *nodes*: the store counts those
-  records as migrated, which is the "objects migrated per adaptation"
-  column of ``BENCH_store.json``.
+  records as migrated ("objects migrated per adaptation").
 
 Updates and lookups go through the overlay's routing machinery, so the
-bench's hop counts describe the same greedy geographic routing the
+store's hop counts describe the same greedy geographic routing the
 protocol layer performs message by message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List
 
 from repro import obs
 from repro.core.node import Node
@@ -71,7 +70,7 @@ class OverlayStore:
         self.stats = OverlayStoreStats()
         #: Store motion not yet attributed to an adaptation mechanism;
         #: the adaptation context drains this right after an execute, so
-        #: the bench can histogram "objects migrated per adaptation".
+        #: ``ctx.store_motion`` counts objects migrated per mechanism.
         self.pending_motion = 0
         overlay.split_listeners.append(self._on_split)
         overlay.merge_listeners.append(self._on_merge)

@@ -12,8 +12,8 @@ exercises the store's cross-region eviction path.
 :class:`MovingObjectWorkload` is deliberately engine-agnostic: it yields
 :class:`StepReport` values describing *what happened* (object, old
 position, new position, version) and leaves delivery to the caller, so
-the same trajectory stream drives the overlay-model bench and the
-message-level protocol tests.
+the same trajectory stream drives the protocol benchmark workloads
+and the message-level protocol tests.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ and geo-tagged events being published (some inside watched ground, most
 not).  :class:`SubscriptionWorkload` models that mix, engine-agnostic:
 it yields :class:`SubscribeOp` / :class:`PublishOp` values describing
 *what happens* and leaves delivery to the caller, so the same seeded
-trace drives the protocol bench, the chaos campaign, and the
+trace drives the chaos campaign and the
 differential test against the model-layer oracle.
 
 Publish targeting is explicit: each publish step lands a configurable
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.geometry import Point, Rect
 

@@ -161,6 +161,13 @@ class TestRouting:
         cells = run_routing(config, populations=(200,), samples=40)
         report = fig_routing.render_report(cells)
         assert "2*sqrt(N)" in report
+        assert "cached hops" in report
+
+    def test_cached_hops_at_most_greedy_at_n256(self, config):
+        (cell,) = run_routing(config, populations=(256,), samples=200)
+        assert cell.cached_hops.count == cell.hops.count == cell.samples
+        # Identical source/target pairs: the warmed cache can only shorten.
+        assert cell.cached_hops.mean <= cell.hops.mean
 
 
 class TestDualPeerAblation:

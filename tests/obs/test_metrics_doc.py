@@ -43,7 +43,7 @@ def test_scanner_sees_the_metric_surface():
     # long-standing names from different layers must be found.
     assert "sim.transport.sent" in names
     assert "routing.route.hops" in names
-    assert "telemetry.detection.detected" in names
+    assert "slo.store.update_commit" in names
     assert "slo.route.completion" in names
     assert len(names) > 50
 

@@ -27,88 +27,14 @@ class TestParser:
         assert args.population == 100
         assert args.seed == 7
 
-
-class TestBenchSuiteArg:
-    def test_store_suite_parses(self):
-        args = build_parser().parse_args(["bench", "store"])
-        assert args.suite == "store"
-
-    def test_suite_rejected_outside_bench(self, capsys):
-        assert main(["list", "store"]) == 2
-        assert "only applies to 'bench'" in capsys.readouterr().err
-
-    def test_bench_store_writes_only_store_file(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.obs import bench
-
-        # The real store bench simulates hundreds of nodes; shrink it so
-        # the CLI wiring test stays fast.
-        orig = bench.write_store_bench_file
-        monkeypatch.setattr(
-            bench, "write_store_bench_file",
-            lambda out_dir, **kw: orig(
-                out_dir, population=40, objects=8, steps=1,
-                adaptation_rounds=1,
-            ),
-        )
-        assert main(["bench", "store", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "BENCH_store.json").exists()
-        assert not (tmp_path / "BENCH_micro_ops.json").exists()
-        assert "BENCH_store.json" in capsys.readouterr().out
-
-    def test_routing_suite_parses(self):
-        args = build_parser().parse_args(["bench", "routing"])
-        assert args.suite == "routing"
-
-    def test_bench_routing_writes_only_routing_file(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.obs import bench
-
-        # Shrink the populations so the CLI wiring test stays fast.
-        orig = bench.write_routing_bench_file
-        monkeypatch.setattr(
-            bench, "write_routing_bench_file",
-            lambda out_dir, **kw: orig(
-                out_dir, populations=(40,), samples=8, warmup_routes=20,
-            ),
-        )
-        assert main(["bench", "routing", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "BENCH_routing.json").exists()
-        assert not (tmp_path / "BENCH_micro_ops.json").exists()
-        assert not (tmp_path / "BENCH_store.json").exists()
-        assert "BENCH_routing.json" in capsys.readouterr().out
+    def test_bench_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestTelemetryPlaneCli:
-    def test_bench_telemetry_writes_only_telemetry_file(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import json
-
-        from repro.obs import bench
-
-        # The full bench replays every chaos scenario and measures the
-        # overhead ratios; one scenario without overhead keeps the CLI
-        # wiring test fast while still exercising detection.
-        orig = bench.write_telemetry_bench_file
-        monkeypatch.setattr(
-            bench, "write_telemetry_bench_file",
-            lambda out_dir, **kw: orig(
-                out_dir, skip_overhead=True, scenarios=["gray_failure"],
-            ),
-        )
-        assert main(["bench", "telemetry", "--out", str(tmp_path)]) == 0
-        path = tmp_path / "BENCH_telemetry.json"
-        assert path.exists()
-        assert not (tmp_path / "BENCH_store.json").exists()
-        payload = json.loads(path.read_text())
-        assert payload["telemetry.detection.detected"]["mean"] == 1.0
-        assert payload["telemetry.detection.false_positives"]["mean"] == 0.0
-        assert payload["telemetry.digest.within_budget"]["mean"] == 1.0
-        assert "BENCH_telemetry.json" in capsys.readouterr().out
-
     def test_top_once_renders_single_frame(self, capsys):
         code = main(
             ["top", "--once", "--population", "6", "--interval", "5"]
@@ -143,59 +69,35 @@ class TestTelemetryPlaneCli:
         assert main(["export", "--samples", "0"]) == 2
         assert "--samples" in capsys.readouterr().err
 
-    def test_bench_pubsub_writes_only_pubsub_file(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_chaos_writes_plain_and_pubsub_rows(self, tmp_path, capsys):
         import json
 
-        from repro.obs import bench
-
-        # The full bench replays every chaos scenario under the
-        # committed subscription load and measures the overhead ratios;
-        # one scenario at reduced scale without overhead keeps the CLI
-        # wiring test fast while still exercising delivery verdicts.
-        orig = bench.write_pubsub_bench_file
-        monkeypatch.setattr(
-            bench, "write_pubsub_bench_file",
-            lambda out_dir, **kw: orig(
-                out_dir, population=8, objects=8, recovery=160.0,
-                skip_overhead=True, scenarios=["crash_restart"],
-            ),
+        code = main(
+            ["chaos", "--scenario", "crash_restart", "--out", str(tmp_path)]
         )
-        assert main(["bench", "pubsub", "--out", str(tmp_path)]) == 0
-        path = tmp_path / "BENCH_pubsub.json"
-        assert path.exists()
-        assert not (tmp_path / "BENCH_store.json").exists()
-        payload = json.loads(path.read_text())
-        assert payload["pubsub.campaign.ok"]["mean"] == 1.0
-        assert payload["pubsub.campaign.violations"]["mean"] == 0.0
-        assert payload["pubsub.notify.expected"]["mean"] > 0
-        assert payload["pubsub.notify.lost"]["mean"] == 0.0
-        assert payload["pubsub.verdict.loss_free"]["mean"] == 1.0
-        assert "BENCH_pubsub.json" in capsys.readouterr().out
-
-    def test_bench_pubsub_smoke_skips_overhead(self, monkeypatch):
-        from repro.obs import bench
-
-        seen = {}
-        monkeypatch.setattr(
-            bench, "write_pubsub_bench_file",
-            lambda out_dir, **kw: seen.update(kw) or [],
-        )
-        assert main(["bench", "pubsub", "--smoke"]) == 0
-        assert seen["skip_overhead"] is True
-
-    def test_smoke_parses(self):
-        args = build_parser().parse_args(["bench", "pubsub", "--smoke"])
-        assert args.suite == "pubsub"
-        assert args.smoke is True
+        assert code == 0
+        assert "2 scenario(s), 0 failed" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "BENCH_chaos.json").read_text())
+        assert set(payload) == {
+            "_meta", "chaos.crash_restart", "chaos.pubsub.crash_restart",
+        }
+        assert set(payload["_meta"]) == {"git_sha", "timestamp_utc", "python"}
+        for row in (payload["chaos.crash_restart"],
+                    payload["chaos.pubsub.crash_restart"]):
+            assert row["ok"] is True
+            assert row["violations"] == 0
+            assert row["lost_objects"] == 0
+        pubsub = payload["chaos.pubsub.crash_restart"]
+        assert pubsub["expected_notifications"] > 0
+        assert pubsub["lost_notifications"] == 0
+        assert "expected_notifications" not in payload["chaos.crash_restart"]
 
     def test_chaos_metrics_dumps_registry(self, tmp_path, capsys):
         import json
 
         code = main(
             ["chaos", "--scenario", "crash_restart", "--population", "6",
-             "--objects", "4", "--skip-overhead", "--metrics",
+             "--objects", "4", "--metrics",
              "--out", str(tmp_path)]
         )
         assert code == 0
