@@ -15,8 +15,11 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import attrgetter
 from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
+    Any, Callable, Container, Dict, Iterable, List, NamedTuple, Optional, Set,
+    Tuple,
 )
 
 from repro.errors import BootstrapError, MembershipError
@@ -71,6 +74,29 @@ class _FoldMemo(NamedTuple):
     #: Far claims the fold left in the shortcut cache, in gossip order,
     #: each with its ``allow_adjacent`` flag (caretaken holes).
     learned: Tuple[Tuple[m.NeighborInfo, bool], ...]
+
+
+class _Routed(NamedTuple):
+    """One routed kind's row of the executor rule.
+
+    Holds only what differs between kinds; the rule itself is
+    :meth:`ProtocolNode._execute`.
+    """
+
+    #: The coordinate the request body is routed toward.
+    target: Callable[[Any], Point]
+    #: The executor's answer: the target's owner, or a caretaker.
+    serve: Callable[[Any], None]
+    #: The dead end's best-effort answer (no neighbor strictly closer to
+    #: the target); ``None`` means the same as ``serve``.
+    border: Optional[Callable[[Any], None]] = None
+    #: A caretaker's answer for the covering hole, when not ``serve``.
+    hole: Optional[Callable[[Any, Rect], None]] = None
+    #: A secondary covering the target answers from its replica instead
+    #: of relaying to its primary.
+    replica: Optional[Callable[[Any], None]] = None
+    #: Whether the kind's plane runs; off, the request is dropped.
+    enabled: bool = True
 
 
 def reset_request_ids() -> None:
@@ -605,8 +631,37 @@ class ProtocolNode:
             self.reliable.on_ack_observed = self._note_ack_latency
 
         self._join_attempt = 0
-        self._handlers = {
-            m.JOIN_REQUEST: self._on_join_request,
+        #: The routed kinds (Section 2.2): each is served by the region
+        #: covering its target, through the one rule in :meth:`_execute`.
+        self._routed: Dict[str, _Routed] = {
+            m.JOIN_REQUEST: _Routed(
+                attrgetter("coord"), self._admit_joiner, hole=self._grant_hole
+            ),
+            m.ROUTE: _Routed(
+                attrgetter("target"), self._serve_route, border=self._ack_route
+            ),
+            m.PUBLISH: _Routed(
+                attrgetter("point"), self._serve_publish, border=self._keep_item
+            ),
+            m.QUERY: _Routed(attrgetter("rect.center"), self._serve_query),
+            m.SUBSCRIBE: _Routed(
+                attrgetter("record.rect.center"), self._serve_subscribe,
+                enabled=self._sub,
+            ),
+            m.STORE_UPDATE: _Routed(
+                attrgetter("record.point"), self._store_accept_update
+            ),
+            m.STORE_REMOVE: _Routed(
+                attrgetter("point"), self._serve_store_remove,
+                border=self._evict,
+            ),
+            m.STORE_LOOKUP: _Routed(
+                attrgetter("rect.center"), self._serve_store_lookup,
+                replica=partial(self._serve_store_lookup, from_replica=True),
+            ),
+        }
+        self._handlers = dict.fromkeys(self._routed, self._on_routed)
+        self._handlers.update({
             m.JOIN_GRANT: self._on_join_grant,
             m.GRANT_DECLINE: self._on_grant_decline,
             m.NEIGHBOR_UPDATE: self._on_neighbor_update,
@@ -617,20 +672,13 @@ class ProtocolNode:
             m.SWITCH_REQUEST: self._on_switch_request,
             m.SWITCH_ACCEPT: self._on_switch_accept,
             m.SWITCH_REJECT: self._on_switch_reject,
-            m.ROUTE: self._on_route,
-            m.ROUTE_DELIVERED: self._on_route_delivered,
-            m.QUERY: self._on_query,
+            m.ROUTE_DELIVERED: self._on_answer,
             m.QUERY_FANOUT: self._on_query_fanout,
-            m.QUERY_RESULT: self._on_query_result,
-            m.PUBLISH: self._on_publish,
+            m.QUERY_RESULT: self._on_answer,
             m.REPLICATE: self._on_replicate,
-            m.STORE_UPDATE: self._on_store_update,
-            m.STORE_REMOVE: self._on_store_remove,
-            m.STORE_ACK: self._on_store_ack,
-            m.STORE_LOOKUP: self._on_store_lookup,
+            m.STORE_ACK: self._on_answer,
             m.STORE_FANOUT: self._on_store_fanout,
-            m.STORE_RESULT: self._on_store_result,
-            m.STORE_REPLICATE: self._on_store_replicate,
+            m.STORE_RESULT: self._on_answer,
             m.STORE_SYNC: self._on_store_sync,
             m.STORE_PULL: self._on_store_pull,
             m.STORE_REPAIR: self._on_store_repair,
@@ -639,27 +687,12 @@ class ProtocolNode:
             m.RELIABLE: self._on_reliable,
             m.RELIABLE_ACK: self._on_reliable_ack,
             m.PERIMETER_PROBE: self._on_perimeter_probe,
-            m.SUBSCRIBE: self._on_subscribe,
             m.SUB_FANOUT: self._on_sub_fanout,
-            m.SUB_ACK: self._on_sub_ack,
-            m.SUB_REPLICATE: self._on_sub_replicate,
+            m.SUB_ACK: self._on_answer,
             m.SUB_SYNC: self._on_sub_sync,
             m.NOTIFY: self._on_notify,
             m.SHED: self._on_shed,
-        }
-        #: Handlers a shortcut hop (or its MISROUTE bounce) may wrap: the
-        #: routed-request subset of the protocol, dispatched by inner kind
-        #: on the unwrapped body.
-        self._routed_handlers = {
-            m.JOIN_REQUEST: self._handle_join_request,
-            m.ROUTE: self._handle_route,
-            m.PUBLISH: self._handle_publish,
-            m.QUERY: self._handle_query,
-            m.STORE_UPDATE: self._handle_store_update,
-            m.STORE_REMOVE: self._handle_store_remove,
-            m.STORE_LOOKUP: self._handle_store_lookup,
-            m.SUBSCRIBE: self._handle_subscribe,
-        }
+        })
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -1019,14 +1052,10 @@ class ProtocolNode:
             origin=self.address, target=target, payload=payload,
             request_id=request_id,
         )
-        ctx = causal.operation(
-            "route_request",
-            origin=str(self.address),
-            target=str(target),
-            request_id=request_id,
+        self._issue(
+            m.ROUTE, body, "route_request",
+            target=str(target), request_id=request_id,
         )
-        with causal.using(ctx):
-            self._handle_route(body)
         return request_id
 
     def publish(self, point: Point, item: Any) -> None:
@@ -1035,11 +1064,7 @@ class ProtocolNode:
             origin=self.address, point=point, item=item,
             event_id=next(_request_ids),
         )
-        ctx = causal.operation(
-            "publish", origin=str(self.address), point=str(point)
-        )
-        with causal.using(ctx):
-            self._handle_publish(body)
+        self._issue(m.PUBLISH, body, "publish", point=str(point))
 
     def query_rect(self, rect: Rect) -> int:
         """Issue a location query over ``rect``.
@@ -1049,14 +1074,9 @@ class ProtocolNode:
         """
         request_id = next(_request_ids)
         body = m.QueryBody(origin=self.address, rect=rect, request_id=request_id)
-        ctx = causal.operation(
-            "query_rect",
-            origin=str(self.address),
-            rect=str(rect),
-            request_id=request_id,
+        self._issue(
+            m.QUERY, body, "query_rect", rect=str(rect), request_id=request_id
         )
-        with causal.using(ctx):
-            self._handle_query(body)
         return request_id
 
     def store_update(
@@ -1085,16 +1105,11 @@ class ProtocolNode:
             origin=self.address, record=record, request_id=request_id,
             prev_point=prev_point,
         )
-        ctx = causal.operation(
-            "store_update",
-            origin=str(self.address),
-            object_id=str(object_id),
-            point=str(point),
-            version=version,
+        self._issue(
+            m.STORE_UPDATE, body, "store_update",
+            object_id=str(object_id), point=str(point), version=version,
             request_id=request_id,
         )
-        with causal.using(ctx):
-            self._handle_store_update(body)
         return request_id
 
     def store_lookup(self, rect: Rect) -> int:
@@ -1109,14 +1124,10 @@ class ProtocolNode:
         body = m.StoreLookupBody(
             origin=self.address, rect=rect, request_id=request_id
         )
-        ctx = causal.operation(
-            "store_lookup",
-            origin=str(self.address),
-            rect=str(rect),
-            request_id=request_id,
+        self._issue(
+            m.STORE_LOOKUP, body, "store_lookup",
+            rect=str(rect), request_id=request_id,
         )
-        with causal.using(ctx):
-            self._handle_store_lookup(body)
         return request_id
 
     def subscribe(
@@ -1160,16 +1171,17 @@ class ProtocolNode:
         body = m.SubscribeBody(
             origin=self.address, record=record, request_id=request_id
         )
-        ctx = causal.operation(
-            "subscribe",
-            origin=str(self.address),
-            rect=str(rect),
-            sub_id=sub_id,
-            request_id=request_id,
+        self._issue(
+            m.SUBSCRIBE, body, "subscribe",
+            rect=str(rect), sub_id=sub_id, request_id=request_id,
         )
-        with causal.using(ctx):
-            self._handle_subscribe(body)
         return request_id, sub_id
+
+    def _issue(self, kind: str, body: Any, operation: str, **fields: Any) -> None:
+        """Start a client operation here: a causal trace, then the rule."""
+        ctx = causal.operation(operation, origin=str(self.address), **fields)
+        with causal.using(ctx):
+            self._execute(kind, body)
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -1391,6 +1403,63 @@ class ProtocolNode:
         return None
 
     # ------------------------------------------------------------------
+    # The executor rule (Section 2.2)
+    # ------------------------------------------------------------------
+    def _on_routed(self, message: Message) -> None:
+        self._execute(message.kind, message.body)
+
+    def _execute(self, kind: str, body: Any) -> None:
+        """Serve, relay or forward one routed request of ``kind``.
+
+        Every routed kind follows the one rule; its row in
+        :attr:`_routed` supplies only what differs.  A node without a
+        region (mid-join, a released secondary, a yielded owner) drops
+        the request: the origin's timeout is the signal.  A secondary
+        relays to its primary -- a mobile user's entry point can be any
+        node -- unless it covers the target and the kind reads from the
+        replica.  The target's owner serves, a caretaker serves its
+        orphaned hole, anyone else forwards one greedy hop; when no
+        neighbor is strictly closer, this node is the dead end on a
+        border it does not own and answers best-effort.
+        """
+        row = self._routed[kind]
+        owned = self.owned
+        if owned is None or not row.enabled:
+            return
+        target = row.target(body)
+        if owned.role == "secondary":
+            if row.replica is not None and self._covers(owned.rect, target):
+                row.replica(body)
+            elif owned.peer is not None:
+                self._send_hop(owned.peer, kind, body, inner_kind=kind)
+            return
+        if self._covers(owned.rect, target):
+            row.serve(body)
+            return
+        hole = self._caretaker_for(target)
+        if hole is not None:
+            if row.hole is not None:
+                row.hole(body, hole)
+            else:
+                row.serve(body)
+        elif not self._route_forward(kind, body, target):
+            (row.border or row.serve)(body)
+
+    def _send_hop(
+        self, destination: NodeAddress, kind: str, body: Any, inner_kind: str
+    ) -> None:
+        """One forwarding hop; reliable when the payload must not drop.
+
+        ``inner_kind`` is the routed request actually being moved --
+        ``kind`` itself for a plain hop, the wrapped kind for a
+        SHORTCUT_HOP envelope or a MISROUTE bounce.
+        """
+        if inner_kind in RELIABLE_ROUTED_KINDS:
+            self._send_critical(destination, kind, body)
+        else:
+            self.network.send(self.address, destination, kind, body)
+
+    # ------------------------------------------------------------------
     # Shortcut-aware forwarding
     # ------------------------------------------------------------------
     def _route_forward(self, kind: str, body: Any, target: Point) -> bool:
@@ -1515,8 +1584,7 @@ class ProtocolNode:
         a covering suggestion, repairing the sender's cache.
         """
         body: m.ShortcutHopBody = message.body
-        handler = self._routed_handlers.get(body.kind)
-        if handler is None:
+        if body.kind not in self._routed:
             return
         if self.owned is not None:
             serves = (
@@ -1528,7 +1596,7 @@ class ProtocolNode:
                 < body.sender_distance - 1e-12
             )
             if serves or progress:
-                handler(body.body)
+                self._execute(body.kind, body.body)
                 return
         causal.annotate(
             "shortcut_misroute",
@@ -1581,9 +1649,8 @@ class ProtocolNode:
             kind=body.kind,
             claimed=str(body.claimed_rect),
         )
-        handler = self._routed_handlers.get(body.kind)
-        if handler is not None:
-            handler(body.body)
+        if body.kind in self._routed:
+            self._execute(body.kind, body.body)
 
     def _learn_shortcut(
         self, info: m.NeighborInfo, allow_adjacent: bool = False
@@ -1625,55 +1692,12 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # Join handling
     # ------------------------------------------------------------------
-    def _on_join_request(self, message: Message) -> None:
-        body: m.JoinRequestBody = message.body
-        self._handle_join_request(body)
-
-    def _forward_to_my_primary(self, kind: str, body: Any) -> bool:
-        """Secondaries relay requests to the primary serving their region.
-
-        Returns True when the message was relayed (the caller must stop).
-        A mobile user's entry point can be any node, including one that
-        currently only backs a region.
-        """
-        if self.owned is not None and self.owned.role == "secondary":
-            if self.owned.peer is not None:
-                self._send_hop(self.owned.peer, kind, body, inner_kind=kind)
-            return True
-        return False
-
-    def _send_hop(
-        self, destination: NodeAddress, kind: str, body: Any, inner_kind: str
-    ) -> None:
-        """One forwarding hop; reliable when the payload must not drop.
-
-        ``inner_kind`` is the routed request actually being moved --
-        ``kind`` itself for a plain hop, the wrapped kind for a
-        SHORTCUT_HOP envelope or a MISROUTE bounce.
-        """
-        if inner_kind in RELIABLE_ROUTED_KINDS:
-            self._send_critical(destination, kind, body)
-        else:
-            self.network.send(self.address, destination, kind, body)
-
-    def _handle_join_request(self, body: m.JoinRequestBody) -> None:
-        if self.owned is None:
-            return
-        if self._forward_to_my_primary(m.JOIN_REQUEST, body):
-            return
-        if self._owns_point(body.coord):
-            self._admit_joiner(body)
-            return
-        hole = self._caretaker_for(body.coord)
-        if hole is not None:
-            self._grant_hole(body, hole)
-            return
-        if not self._route_forward(m.JOIN_REQUEST, body, body.coord):
-            # Nobody is strictly closer: the coordinate sits on a border we
-            # do not own; admit here rather than dropping the join.
-            self._admit_joiner(body)
-
     def _admit_joiner(self, body: m.JoinRequestBody) -> None:
+        """Grant the joiner a slot or a half of our region.
+
+        Also the dead end's answer: a coordinate on a border nobody is
+        strictly closer to is admitted here rather than dropped.
+        """
         assert self.owned is not None
         if self.config.dual_peer and self.owned.peer is None:
             self._grant_secondary(body)
@@ -2944,18 +2968,42 @@ class ProtocolNode:
         """Adopt shipped region data; a primary replicates what won."""
         assert self.owned is not None
         won = self.owned.absorb(data)
-        if self.owned.role != "primary" or self.owned.peer is None:
-            return
         for record in won.objects:
-            self._send_critical(
-                self.owned.peer, m.STORE_REPLICATE,
-                m.StoreReplicateBody(record=record),
-            )
+            self._replicate(m.RegionData(objects=(record,)))
         for record in won.subscriptions:
-            self._send_critical(
-                self.owned.peer, m.SUB_REPLICATE,
-                m.SubReplicateBody(record=record),
-            )
+            self._replicate(m.RegionData(subscriptions=(record,)))
+
+    def _replicate(
+        self,
+        data: m.RegionData = m.RegionData(),
+        removed: Tuple[Tuple[Any, int], ...] = (),
+    ) -> None:
+        """Ship one change of a primary's region data to its secondary.
+
+        The dual-peer write path (Section 2.3): every item, record and
+        registration a primary accepts, and every store eviction, reaches
+        the secondary synchronously over the reliable channel, one change
+        per message.  Nothing is sent without a standing secondary.
+        """
+        owned = self.owned
+        if owned.role != "primary" or owned.peer is None:
+            return
+        self._send_critical(
+            owned.peer, m.REPLICATE, m.ReplicateBody(data=data, removed=removed)
+        )
+        if data.objects or removed:
+            obs.inc("store.node.replicated", len(data.objects) + len(removed))
+        if data.subscriptions:
+            obs.inc("sub.node.replicated", len(data.subscriptions))
+
+    def _on_replicate(self, message: Message) -> None:
+        """Secondary side of :meth:`_replicate`: fold the change in."""
+        body: m.ReplicateBody = message.body
+        if self.owned is None or self.owned.role != "secondary":
+            return
+        self.owned.absorb(body.data)
+        for object_id, version in body.removed:
+            self.owned.store.remove(object_id, version=version)
 
     def _rehome_sweep(self) -> None:
         """Route records our ground does not cover back to their home.
@@ -2990,16 +3038,13 @@ class ProtocolNode:
                 self._rehome_pending[request_id] = (
                     kind, record.key, record.version,
                 )
-                if kind == m.STORE_UPDATE:
-                    self._handle_store_update(m.StoreUpdateBody(
-                        origin=self.address, record=record,
-                        request_id=request_id,
-                    ))
-                else:
-                    self._handle_subscribe(m.SubscribeBody(
-                        origin=self.address, record=record,
-                        request_id=request_id,
-                    ))
+                body_type = (
+                    m.StoreUpdateBody if kind == m.STORE_UPDATE
+                    else m.SubscribeBody
+                )
+                self._execute(kind, body_type(
+                    origin=self.address, record=record, request_id=request_id,
+                ))
 
     def _drop_rehomed(self, request_id: int, executor: NodeAddress) -> None:
         """An ack arrived: drop the local copy it proves rehomed."""
@@ -3013,13 +3058,7 @@ class ProtocolNode:
             if self.owned.store.remove(key, version=version) is None:
                 return
             obs.inc("store.node.rehomed")
-            if self.owned.peer is not None:
-                self._send_critical(
-                    self.owned.peer, m.STORE_REPLICATE,
-                    m.StoreReplicateBody(
-                        removed_id=key, removed_version=version
-                    ),
-                )
+            self._replicate(removed=((key, version),))
         else:
             if self.owned.subs.remove(key, version=version) is None:
                 return
@@ -3232,9 +3271,9 @@ class ProtocolNode:
             unshipped=replace(written, items=()),
         )
         for point, item in written.items:
-            self._handle_publish(
-                m.PublishBody(origin=self.address, point=point, item=item)
-            )
+            self._execute(m.PUBLISH, m.PublishBody(
+                origin=self.address, point=point, item=item
+            ))
 
     def _on_switch_reject(self, message: Message) -> None:
         self._switch_pending = False
@@ -3330,185 +3369,152 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # Application message handling
     # ------------------------------------------------------------------
-    def _on_route(self, message: Message) -> None:
-        self._handle_route(message.body)
+    def _serve_route(self, body: m.RouteBody) -> None:
+        """Executor side of a routed request: deliver and ack."""
+        causal.annotate(
+            "route_served",
+            executor=str(self.address),
+            request_id=body.request_id,
+            hops=body.hops,
+        )
+        self._window_served += 1
+        if self.on_deliver is not None:
+            self.on_deliver(body.target, body.payload)
+        self._ack_route(body)
 
-    def _handle_route(self, body: m.RouteBody) -> None:
-        if self._forward_to_my_primary(m.ROUTE, body):
-            return
-        if self._owns_point(body.target) or self._caretaker_for(body.target):
-            causal.annotate(
-                "route_served",
-                executor=str(self.address),
-                request_id=body.request_id,
-                hops=body.hops,
-            )
-            self._window_served += 1
-            if self.on_deliver is not None:
-                self.on_deliver(body.target, body.payload)
-            ack = m.RouteDeliveredBody(
-                request_id=body.request_id,
-                executor=self.address,
-                hops=body.hops,
-                region=self.owned.rect if self.owned is not None else None,
-            )
-            self.network.send(self.address, body.origin, m.ROUTE_DELIVERED, ack)
-            return
-        if not self._route_forward(m.ROUTE, body, body.target):
-            # Border target nobody is closer to: answer best-effort.
-            ack = m.RouteDeliveredBody(
-                request_id=body.request_id,
-                executor=self.address,
-                hops=body.hops,
-                region=self.owned.rect if self.owned is not None else None,
-            )
-            self.network.send(self.address, body.origin, m.ROUTE_DELIVERED, ack)
+    def _ack_route(self, body: m.RouteBody) -> None:
+        """Tell the origin who answered (a dead end answers unserved)."""
+        ack = m.RouteDeliveredBody(
+            request_id=body.request_id,
+            executor=self.address,
+            hops=body.hops,
+            region=self.owned.rect,
+        )
+        self.network.send(self.address, body.origin, m.ROUTE_DELIVERED, ack)
 
-    def _on_route_delivered(self, message: Message) -> None:
-        body: m.RouteDeliveredBody = message.body
-        self._slo_finish(body.request_id)
-        self._shortcut_unacked.pop(body.request_id, None)
-        if body.region is not None:
+    def _on_answer(self, message: Message) -> None:
+        """An executor answered one of our requests (ack or result).
+
+        Closes the request's SLO clock and first-hop shortcut watch,
+        learns the answering region as a shortcut, records the answer,
+        and lets an ack prove a rehomed copy safe to drop.
+        """
+        kind = message.kind
+        body = message.body
+        request_id = body.request_id
+        self._slo_finish(request_id)
+        self._shortcut_unacked.pop(request_id, None)
+        # Replica answers name the secondary as executor; caching that
+        # as a region's primary would poison the entry.
+        if body.region is not None and not (
+            kind == m.STORE_RESULT and body.from_replica
+        ):
             self._learn_shortcut(
                 m.NeighborInfo(rect=body.region, primary=body.executor)
             )
-        self.delivered.append(body)
+        if kind == m.ROUTE_DELIVERED:
+            self.delivered.append(body)
+        elif kind == m.STORE_ACK or kind == m.SUB_ACK:
+            acks = self.store_acks if kind == m.STORE_ACK else self.sub_acks
+            acks[request_id] = body
+            self._drop_rehomed(request_id, body.executor)
+        else:
+            results = (
+                self.query_results if kind == m.QUERY_RESULT
+                else self.store_results
+            )
+            results.setdefault(request_id, []).append(body)
 
-    def _on_publish(self, message: Message) -> None:
-        self._handle_publish(message.body)
+    def _serve_publish(self, body: m.PublishBody) -> None:
+        """Executor side of a publish: keep, replicate, match."""
+        self._window_served += 1
+        entry = (body.point, body.item)
+        self.owned.items.append(entry)
+        self._replicate(m.RegionData(items=(entry,)))
+        if self._sub:
+            self._sub_match_publish(body)
 
-    def _handle_publish(self, body: m.PublishBody) -> None:
-        if self._forward_to_my_primary(m.PUBLISH, body):
-            return
-        if self._owns_point(body.point) or self._caretaker_for(body.point):
-            assert self.owned is not None
-            self._window_served += 1
-            self.owned.items.append((body.point, body.item))
-            if self.owned.peer is not None and self.owned.role == "primary":
-                self._send_critical(
-                    self.owned.peer, m.REPLICATE,
-                    m.ReplicateBody(point=body.point, item=body.item),
-                )
-            if self._sub:
-                self._sub_match_publish(body)
-            return
-        if not self._route_forward(m.PUBLISH, body, body.point):
-            if self.owned is not None:
-                self.owned.items.append((body.point, body.item))
-                if self._sub:
-                    self._sub_match_publish(body)
-
-    def _on_replicate(self, message: Message) -> None:
-        body: m.ReplicateBody = message.body
-        if self.owned is not None and self.owned.role == "secondary":
-            self.owned.items.append((body.point, body.item))
+    def _keep_item(self, body: m.PublishBody) -> None:
+        """A dead end keeps a published item, unreplicated."""
+        self.owned.items.append((body.point, body.item))
+        if self._sub:
+            self._sub_match_publish(body)
 
     # ------------------------------------------------------------------
-    # Location queries with fan-out
+    # Fan-out over the regions a request rectangle touches
     # ------------------------------------------------------------------
-    def _on_query(self, message: Message) -> None:
-        self._handle_query(message.body)
+    def _fan_out(
+        self,
+        kind: str,
+        marked: Any,
+        rect: Rect,
+        neighbors: Iterable[m.NeighborInfo],
+        skip: Container[NodeAddress] = (),
+    ) -> None:
+        """Hand a served request on to the neighbor regions ``rect`` touches.
 
-    def _handle_query(self, body: m.QueryBody) -> None:
-        if self._forward_to_my_primary(m.QUERY, body):
-            return
-        target = body.rect.center
-        if self._owns_point(target) or self._caretaker_for(target):
-            self._serve_query(body)
-            return
-        if not self._route_forward(m.QUERY, body, target):
-            self._serve_query(body)
+        The paper's query and standing-query examples (Section 2.2) as
+        messages.  ``marked`` already names the primaries that served
+        the request; each other touching region gets it one hop further,
+        through its secondary while the primary is suspected, unless that
+        endpoint is in ``skip``.  Closed-rect touch, not interior
+        overlap: a region meeting ``rect`` only at a corner can still own
+        matching points (point coverage is closed at the high edges).
+        """
+        served = marked.served
+        for info in neighbors:
+            if info.primary in served or not info.rect.touches(rect):
+                continue
+            endpoint = self._live_endpoint(info)
+            if endpoint is None or endpoint in skip:
+                continue
+            self.network.send(self.address, endpoint, kind, marked.forwarded())
 
     def _on_query_fanout(self, message: Message) -> None:
         body: m.QueryBody = message.body
         if self.owned is None or self.owned.role != "primary":
             return
-        # Closed-rect touch, not interior overlap: a region meeting the
-        # query rect only at its own northeast corner can still own
-        # matching points (point coverage is closed at the high edges).
-        if not self.owned.rect.touches(body.rect):
-            return
-        self._serve_query(body)
+        if self.owned.rect.touches(body.rect):
+            self._serve_query(body)
 
     def _serve_query(self, body: m.QueryBody) -> None:
         if body.request_id in self._served_queries:
             return
         self._served_queries.add(body.request_id)
         self._window_served += 1
-        assert self.owned is not None
+        owned = self.owned
         matches = tuple(
             (point, item)
-            for point, item in self.owned.items
+            for point, item in owned.items
             if body.rect.covers(point, closed_low_x=True, closed_low_y=True)
         )
         result = m.QueryResultBody(
             request_id=body.request_id,
             executor=self.address,
-            region=self.owned.rect,
+            region=owned.rect,
             items=matches,
             hops=body.hops,
         )
         self.network.send(self.address, body.origin, m.QUERY_RESULT, result)
-        # Fan out to neighbor regions overlapping the query rectangle,
-        # exactly as in the paper's subscription example (Section 2.2).
-        marked = body.marked_served(self.address)
-        for info in self.neighbor_table.values():
-            if info.primary in marked.served:
-                continue
-            if not info.rect.touches(body.rect):
-                continue
-            endpoint = self._live_endpoint(info)
-            if endpoint is None:
-                continue
-            self.network.send(
-                self.address, endpoint, m.QUERY_FANOUT,
-                marked.forwarded(),
-            )
-
-    def _on_query_result(self, message: Message) -> None:
-        body: m.QueryResultBody = message.body
-        self._learn_shortcut(
-            m.NeighborInfo(rect=body.region, primary=body.executor)
+        self._fan_out(
+            m.QUERY_FANOUT, body.marked_served(self.address), body.rect,
+            self.neighbor_table.values(),
         )
-        self.query_results.setdefault(body.request_id, []).append(body)
 
     # ------------------------------------------------------------------
     # Continuous-query subscriptions (repro.sub)
     # ------------------------------------------------------------------
-    def _on_subscribe(self, message: Message) -> None:
-        self._handle_subscribe(message.body)
-
-    def _handle_subscribe(self, body: m.SubscribeBody) -> None:
-        if not self._sub:
-            return
-        if self._forward_to_my_primary(m.SUBSCRIBE, body):
-            return
-        target = body.record.rect.center
-        if self._owns_point(target) or self._caretaker_for(target):
-            self._serve_subscribe(body)
-            return
-        if not self._route_forward(m.SUBSCRIBE, body, target):
-            self._serve_subscribe(body)
-
     def _on_sub_fanout(self, message: Message) -> None:
         body: m.SubscribeBody = message.body
         if not self._sub:
             return
         if self.owned is None or self.owned.role != "primary":
             return
-        # Closed-rect touch, exactly like query fan-out: a region meeting
-        # the watched rect only at a corner can still execute matching
-        # events (point coverage is closed at the high edges).
-        if not self.owned.rect.touches(body.record.rect):
-            return
-        self._serve_subscribe(body)
+        if self.owned.rect.touches(body.record.rect):
+            self._serve_subscribe(body)
 
     def _serve_subscribe(self, body: m.SubscribeBody) -> None:
         """Executor side of a registration: index, ack, fan out."""
-        if self.owned is None:
-            # Between regions (a released secondary rejoining): nothing
-            # to register into; the subscriber's renewal retries.
-            return
         if body.request_id in self._served_subs:
             return
         self._served_subs.add(body.request_id)
@@ -3521,21 +3527,10 @@ class ProtocolNode:
             region=self.owned.rect,
         )
         self.network.send(self.address, body.origin, m.SUB_ACK, ack)
-        # Fan out to neighbor regions the watched rectangle touches --
-        # the paper's standing-query example (Section 2.2) as messages.
-        marked = body.marked_served(self.address)
-        for info in self.neighbor_table.values():
-            if info.primary in marked.served:
-                continue
-            if not info.rect.touches(body.record.rect):
-                continue
-            endpoint = self._live_endpoint(info)
-            if endpoint is None:
-                continue
-            self.network.send(
-                self.address, endpoint, m.SUB_FANOUT,
-                marked.forwarded(),
-            )
+        self._fan_out(
+            m.SUB_FANOUT, body.marked_served(self.address), body.record.rect,
+            self.neighbor_table.values(),
+        )
 
     def _sub_register(self, record: SubRecord) -> bool:
         """Install one registration locally; replicate when fresh.
@@ -3554,31 +3549,8 @@ class ProtocolNode:
                 sub_id=record.sub_id,
                 version=record.version,
             )
-            if self.owned.role == "primary" and self.owned.peer is not None:
-                self._send_critical(
-                    self.owned.peer, m.SUB_REPLICATE,
-                    m.SubReplicateBody(record=record),
-                )
-                obs.inc("sub.node.replicated")
+            self._replicate(m.RegionData(subscriptions=(record,)))
         return fresh
-
-    def _on_sub_replicate(self, message: Message) -> None:
-        body: m.SubReplicateBody = message.body
-        if not self._sub:
-            return
-        if self.owned is None or self.owned.role != "secondary":
-            return
-        self.owned.subs.upsert(body.record)
-
-    def _on_sub_ack(self, message: Message) -> None:
-        body: m.SubAckBody = message.body
-        self._slo_finish(body.request_id)
-        if body.region is not None:
-            self._learn_shortcut(
-                m.NeighborInfo(rect=body.region, primary=body.executor)
-            )
-        self.sub_acks[body.request_id] = body
-        self._drop_rehomed(body.request_id, body.executor)
 
     def _sub_match_store(self, record: ObjectRecord) -> None:
         """Push a freshly accepted store update to covering subscriptions."""
@@ -3716,13 +3688,11 @@ class ProtocolNode:
                 sub_id=sub_id,
                 version=renewed.version,
             )
-            self._handle_subscribe(
-                m.SubscribeBody(
-                    origin=self.address,
-                    record=renewed,
-                    request_id=next(_request_ids),
-                )
-            )
+            self._execute(m.SUBSCRIBE, m.SubscribeBody(
+                origin=self.address,
+                record=renewed,
+                request_id=next(_request_ids),
+            ))
 
     def _sub_lease_grace(self, record: SubRecord) -> float:
         """Deterministic per-(sub, holder) jitter added to lease expiry.
@@ -3781,22 +3751,6 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # Location store: data plane
     # ------------------------------------------------------------------
-    def _on_store_update(self, message: Message) -> None:
-        self._handle_store_update(message.body)
-
-    def _handle_store_update(self, body: m.StoreUpdateBody) -> None:
-        if self._forward_to_my_primary(m.STORE_UPDATE, body):
-            return
-        point = body.record.point
-        if self._owns_point(point) or self._caretaker_for(point):
-            self._store_accept_update(body)
-            return
-        if not self._route_forward(m.STORE_UPDATE, body, point):
-            # Border position nobody is closer to: store best-effort here,
-            # mirroring the route/publish border rule.
-            if self.owned is not None:
-                self._store_accept_update(body)
-
     def _store_accept_update(self, body: m.StoreUpdateBody) -> None:
         """Executor side of a store update: insert, replicate, ack."""
         assert self.owned is not None
@@ -3813,12 +3767,7 @@ class ProtocolNode:
         )
         obs.inc("store.node.updates")
         if fresh:
-            if self.owned.role == "primary" and self.owned.peer is not None:
-                self._send_critical(
-                    self.owned.peer, m.STORE_REPLICATE,
-                    m.StoreReplicateBody(record=record),
-                )
-                obs.inc("store.node.replicated")
+            self._replicate(m.RegionData(objects=(record,)))
             if self._sub:
                 self._sub_match_store(record)
             if body.prev_point is not None and not self._covers(
@@ -3827,13 +3776,11 @@ class ProtocolNode:
                 # The object crossed a region boundary: evict the stale
                 # copy at its old home (versioned, so a newer update
                 # there wins any race).
-                self._handle_store_remove(
-                    m.StoreRemoveBody(
-                        object_id=record.object_id,
-                        point=body.prev_point,
-                        version=record.version,
-                    )
-                )
+                self._execute(m.STORE_REMOVE, m.StoreRemoveBody(
+                    object_id=record.object_id,
+                    point=body.prev_point,
+                    version=record.version,
+                ))
         else:
             obs.inc("store.node.stale_updates")
         ack = m.StoreAckBody(
@@ -3844,70 +3791,19 @@ class ProtocolNode:
         )
         self.network.send(self.address, body.origin, m.STORE_ACK, ack)
 
-    def _on_store_remove(self, message: Message) -> None:
-        self._handle_store_remove(message.body)
+    def _serve_store_remove(self, body: m.StoreRemoveBody) -> None:
+        """Executor side of an eviction: remove, replicate."""
+        if self._evict(body) is not None:
+            obs.inc("store.node.evicted")
+            self._replicate(removed=((body.object_id, body.version),))
 
-    def _handle_store_remove(self, body: m.StoreRemoveBody) -> None:
-        if self._forward_to_my_primary(m.STORE_REMOVE, body):
-            return
-        if self._owns_point(body.point) or self._caretaker_for(body.point):
-            assert self.owned is not None
-            removed = self.owned.store.remove(
-                body.object_id, version=body.version
-            )
-            if removed is not None:
-                obs.inc("store.node.evicted")
-                if (
-                    self.owned.role == "primary"
-                    and self.owned.peer is not None
-                ):
-                    self._send_critical(
-                        self.owned.peer, m.STORE_REPLICATE,
-                        m.StoreReplicateBody(
-                            removed_id=body.object_id,
-                            removed_version=body.version,
-                        ),
-                    )
-            return
-        if not self._route_forward(m.STORE_REMOVE, body, body.point):
-            if self.owned is not None:
-                self.owned.store.remove(body.object_id, version=body.version)
-
-    def _on_store_ack(self, message: Message) -> None:
-        body: m.StoreAckBody = message.body
-        self._slo_finish(body.request_id)
-        if body.region is not None:
-            self._learn_shortcut(
-                m.NeighborInfo(rect=body.region, primary=body.executor)
-            )
-        self.store_acks[body.request_id] = body
-        self._drop_rehomed(body.request_id, body.executor)
+    def _evict(self, body: m.StoreRemoveBody) -> Optional[ObjectRecord]:
+        """Remove the copy ``body`` names, unless a newer one is held."""
+        return self.owned.store.remove(body.object_id, version=body.version)
 
     # ------------------------------------------------------------------
     # Location store: range lookups with fan-out
     # ------------------------------------------------------------------
-    def _on_store_lookup(self, message: Message) -> None:
-        self._handle_store_lookup(message.body)
-
-    def _handle_store_lookup(self, body: m.StoreLookupBody) -> None:
-        target = body.rect.center
-        if (
-            self.owned is not None
-            and self.owned.role == "secondary"
-            and self._covers(self.owned.rect, target)
-        ):
-            # Dual-peer reads: the replica can answer for its own region
-            # directly instead of relaying to the primary.
-            self._serve_store_lookup(body, from_replica=True)
-            return
-        if self._forward_to_my_primary(m.STORE_LOOKUP, body):
-            return
-        if self._owns_point(target) or self._caretaker_for(target):
-            self._serve_store_lookup(body)
-            return
-        if not self._route_forward(m.STORE_LOOKUP, body, target):
-            self._serve_store_lookup(body)
-
     def _on_store_fanout(self, message: Message) -> None:
         body: m.StoreLookupBody = message.body
         if self.owned is None:
@@ -3923,71 +3819,40 @@ class ProtocolNode:
     def _serve_store_lookup(
         self, body: m.StoreLookupBody, from_replica: bool = False
     ) -> None:
-        if self.owned is None:
-            # Between regions (a released secondary rejoining): no store
-            # to answer from; the lookup times out at its origin.
-            return
+        """Answer a range lookup; a replica answers for its own region."""
         if body.request_id in self._served_store_lookups:
             return
         self._served_store_lookups.add(body.request_id)
         self._window_served += 1
-        matches = tuple(self.owned.store.query(body.rect))
+        owned = self.owned
+        matches = tuple(owned.store.query(body.rect))
         result = m.StoreResultBody(
             request_id=body.request_id,
             executor=self.address,
-            region=self.owned.rect,
+            region=owned.rect,
             records=matches,
             hops=body.hops,
             from_replica=from_replica,
         )
         obs.inc("store.node.lookups_served")
         self.network.send(self.address, body.origin, m.STORE_RESULT, result)
-        # Fan out to neighbor regions overlapping the lookup rectangle.
-        # A replica serving for a dead primary uses the replicated
-        # neighbor table it would activate on failover.
+        # Replicas serve lookups too, so the served set also names
+        # secondaries, and none of them is asked twice.  A replica serving
+        # for a dead primary uses the replicated neighbor table it would
+        # activate on failover.
         marked = body.marked_served(self.address)
-        if self.owned.peer is not None:
-            marked = marked.marked_served(self.owned.peer)
-        neighbors = self.neighbor_table.values()
+        if owned.peer is not None:
+            marked = marked.marked_served(owned.peer)
+        neighbors: Iterable[m.NeighborInfo] = self.neighbor_table.values()
         if from_replica and not self.neighbor_table:
-            neighbors = list(self._replicated_neighbors)
-        for info in neighbors:
-            if info.primary in marked.served:
-                continue
-            if not info.rect.touches(body.rect):
-                continue
-            endpoint = self._live_endpoint(info)
-            if endpoint is None or endpoint in marked.served:
-                continue
-            self.network.send(
-                self.address, endpoint, m.STORE_FANOUT, marked.forwarded()
-            )
-
-    def _on_store_result(self, message: Message) -> None:
-        body: m.StoreResultBody = message.body
-        self._slo_finish(body.request_id)
-        if not body.from_replica:
-            # Replica answers name the secondary as executor; caching that
-            # as a region's primary would poison the entry.
-            self._learn_shortcut(
-                m.NeighborInfo(rect=body.region, primary=body.executor)
-            )
-        self.store_results.setdefault(body.request_id, []).append(body)
+            neighbors = self._replicated_neighbors
+        self._fan_out(
+            m.STORE_FANOUT, marked, body.rect, neighbors, skip=marked.served
+        )
 
     # ------------------------------------------------------------------
     # Location store: replication and anti-entropy
     # ------------------------------------------------------------------
-    def _on_store_replicate(self, message: Message) -> None:
-        body: m.StoreReplicateBody = message.body
-        if self.owned is None or self.owned.role != "secondary":
-            return
-        if body.record is not None:
-            self.owned.store.upsert(body.record)
-        elif body.removed_id is not None:
-            self.owned.store.remove(
-                body.removed_id, version=body.removed_version
-            )
-
     def _send_store_sync(self) -> None:
         """Ship the primary's store digest to its secondary (sync timer).
 

@@ -102,13 +102,11 @@ for _kind in (
     m.STORE_SYNC,
     m.STORE_PULL,
     m.STORE_REPAIR,
-    m.STORE_REPLICATE,
     m.REPLICATE,
     m.PUBLISH,
     m.SUBSCRIBE,
     m.SUB_FANOUT,
     m.SUB_ACK,
-    m.SUB_REPLICATE,
     m.SUB_SYNC,
     m.NOTIFY,
 ):

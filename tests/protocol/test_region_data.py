@@ -19,6 +19,42 @@ from repro.store.spatial import ObjectRecord
 from repro.sub import SubRecord
 
 BOUNDS = Rect(0, 0, 64, 64)
+INSIDE = Point(20, 20)
+WATCHED = Rect(18, 18, 4, 4)
+
+#: One request body per routed kind, sent from ``origin``.
+ROUTED_BODIES = {
+    m.JOIN_REQUEST: lambda origin: m.JoinRequestBody(
+        joiner=origin, coord=INSIDE, capacity=1.0
+    ),
+    m.ROUTE: lambda origin: m.RouteBody(
+        origin=origin, target=INSIDE, payload="probe", request_id=900_011
+    ),
+    m.PUBLISH: lambda origin: m.PublishBody(
+        origin=origin, point=INSIDE, item="probe", event_id=900_012
+    ),
+    m.QUERY: lambda origin: m.QueryBody(
+        origin=origin, rect=WATCHED, request_id=900_013
+    ),
+    m.SUBSCRIBE: lambda origin: m.SubscribeBody(
+        origin=origin,
+        record=SubRecord(
+            sub_id="probe/2", rect=WATCHED, subscriber=origin,
+            registered_at=0.0, duration=50.0,
+        ),
+        request_id=900_014,
+    ),
+    m.STORE_UPDATE: lambda origin: m.StoreUpdateBody(
+        origin=origin, record=ObjectRecord("probe", INSIDE, version=1),
+        request_id=900_015,
+    ),
+    m.STORE_REMOVE: lambda origin: m.StoreRemoveBody(
+        object_id="probe", point=INSIDE, version=1
+    ),
+    m.STORE_LOOKUP: lambda origin: m.StoreLookupBody(
+        origin=origin, rect=WATCHED, request_id=900_016
+    ),
+}
 
 
 def deliver(cluster, source, node, kind, body):
@@ -41,22 +77,48 @@ def holders(cluster, sub_id):
     ]
 
 
+def released_secondary():
+    cluster = ProtocolCluster(BOUNDS, seed=42)  # dual peer on
+    primary = cluster.join_node(Point(10, 30), capacity=10)
+    secondary = cluster.join_node(Point(50, 30), capacity=1)
+    cluster.settle(20)
+    assert secondary.is_secondary()
+    deliver(
+        cluster, primary, secondary, m.SECONDARY_RELEASED,
+        m.SecondaryReleasedBody(rect=secondary.owned.rect),
+    )
+    assert secondary.owned is None
+    return cluster, primary, secondary
+
+
+def unjoined_node():
+    cluster = ProtocolCluster(BOUNDS, seed=42)
+    primary = cluster.join_node(Point(10, 30), capacity=10)
+    joiner = cluster.spawn_node(Point(50, 30), capacity=1)
+    joiner._attach()
+    return cluster, primary, joiner
+
+
 class TestRegionlessNode:
     """A released secondary has no region, yet still receives requests."""
 
     @pytest.fixture
     def released(self):
-        cluster = ProtocolCluster(BOUNDS, seed=42)  # dual peer on
-        primary = cluster.join_node(Point(10, 30), capacity=10)
-        secondary = cluster.join_node(Point(50, 30), capacity=1)
-        cluster.settle(20)
-        assert secondary.is_secondary()
-        deliver(
-            cluster, primary, secondary, m.SECONDARY_RELEASED,
-            m.SecondaryReleasedBody(rect=secondary.owned.rect),
-        )
-        assert secondary.owned is None
-        return cluster, primary, secondary
+        return released_secondary()
+
+    @pytest.mark.parametrize("setup", [released_secondary, unjoined_node])
+    @pytest.mark.parametrize("kind", sorted(ROUTED_BODIES))
+    def test_routed_request_is_dropped_unanswered(self, setup, kind):
+        cluster, primary, node = setup()
+        assert node.alive and node.owned is None
+        assert set(node._routed) == set(ROUTED_BODIES)
+        sent = cluster.network.stats.sent
+        deliver(cluster, primary, node, kind, ROUTED_BODIES[kind](primary.address))
+        # No ack, no answer, no forward: the origin's timeout is the signal.
+        assert cluster.network.stats.sent == sent
+        cluster.run_for(5)
+        assert not primary.delivered
+        assert not primary.query_results
 
     def test_store_lookup_is_dropped(self, released):
         cluster, primary, secondary = released
@@ -130,6 +192,42 @@ class TestHandoverAccounting:
         # again as a failover handover.
         assert snapshot["store.node.migrated"]["total"] == 2
         assert snapshot["sub.node.migrated"]["total"] == 2
+
+
+class TestReplication:
+    """One REPLICATE kind carries every change a primary ships its secondary."""
+
+    def test_absorb_and_eviction_reach_the_replica_and_are_counted(self):
+        cluster = ProtocolCluster(BOUNDS, seed=42)  # dual peer on
+        primary = cluster.join_node(Point(10, 30), capacity=10)
+        secondary = cluster.join_node(Point(50, 30), capacity=1)
+        cluster.settle(20)
+        assert primary.owned.peer == secondary.address
+        sub = SubRecord(
+            sub_id="absorbed/1", rect=Rect(20, 20, 4, 4),
+            subscriber=primary.address,
+            registered_at=cluster.scheduler.now, duration=500.0,
+        )
+        data = m.RegionData(
+            objects=(
+                ObjectRecord("a", Point(20, 20), version=1),
+                ObjectRecord("b", Point(40, 40), version=1),
+            ),
+            subscriptions=(sub,),
+        )
+        with obs.capture() as registry:
+            primary._absorb(data)
+            primary._execute(m.STORE_REMOVE, m.StoreRemoveBody(
+                object_id="a", point=Point(20, 20), version=1,
+            ))
+            cluster.run_for(5)
+        snapshot = registry.snapshot()
+        assert snapshot["store.node.replicated"]["total"] == 3
+        assert snapshot["sub.node.replicated"]["total"] == 1
+        replica = secondary.owned
+        assert "a" not in replica.store
+        assert replica.store.get("b") is not None
+        assert replica.subs.get("absorbed/1") is not None
 
 
 class TestOwnershipYield:
