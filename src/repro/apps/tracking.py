@@ -14,7 +14,7 @@ the previous one lapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.geometry import Point
 from repro.core.node import Node
@@ -73,11 +73,6 @@ class RouteTracker:
         self.step_duration = step_duration
         self.condition = condition
         self.steps: List[TrackerStep] = []
-
-    @property
-    def current_step(self) -> Optional[TrackerStep]:
-        """The most recent position update, if any."""
-        return self.steps[-1] if self.steps else None
 
     def move_to(self, position: Point, now: float) -> TrackerStep:
         """Report a new position; registers the next window subscription."""

@@ -225,34 +225,6 @@ class BasicGeoGrid:
         self._secondary_of.setdefault(primary, set()).add(region)
         self._notify_ownership(region, "role_swap")
 
-    def move_secondary(self, source: Region, target: Region) -> Node:
-        """Move the secondary owner of ``source`` into ``target``'s slot.
-
-        ``target`` must not already have a secondary.  Returns the moved
-        node.  This is the primitive behind the "steal secondary owner"
-        adaptations.
-        """
-        node = source.secondary
-        if node is None:
-            raise MembershipError(
-                f"region {source.region_id} has no secondary owner to move"
-            )
-        if target.secondary is not None:
-            raise MembershipError(
-                f"region {target.region_id} already has a secondary owner"
-            )
-        self.release_secondary(source)
-        self.assign_secondary(target, node)
-        self._notify_ownership(source, "replica_drop")
-        self._notify_ownership(target, "replica_seed")
-        return node
-
-    def roles_of(self, node: Node) -> List[str]:
-        """Human-readable role labels, for diagnostics."""
-        labels = [f"primary:{r.region_id}" for r in self.primary_regions(node)]
-        labels += [f"secondary:{r.region_id}" for r in self.secondary_regions(node)]
-        return labels
-
     # ------------------------------------------------------------------
     # Membership: join
     # ------------------------------------------------------------------

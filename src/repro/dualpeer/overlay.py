@@ -11,7 +11,7 @@ because the repair path is shared.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro import obs
 from repro.core.node import Node
@@ -89,24 +89,3 @@ class DualPeerGeoGrid(BasicGeoGrid):
     def full_region_count(self) -> int:
         """Number of regions that currently have a dual peer."""
         return sum(1 for region in self.space.regions if region.is_full)
-
-    def half_full_region_count(self) -> int:
-        """Number of regions with only a primary owner."""
-        return sum(1 for region in self.space.regions if region.is_half_full)
-
-    def secondary_count(self) -> int:
-        """Number of nodes currently serving as a secondary owner."""
-        return sum(1 for region in self.space.regions if region.secondary is not None)
-
-    def region_owner_capacities(self) -> "list[tuple[float, Optional[float]]]":
-        """Per-region (primary capacity, secondary capacity or None).
-
-        Handy for asserting the paper's observation that powerful nodes end
-        up owning bigger regions under dual peer.
-        """
-        result = []
-        for region in self.space.regions:
-            primary = region.primary.capacity if region.primary else 0.0
-            secondary = region.secondary.capacity if region.secondary else None
-            result.append((primary, secondary))
-        return result

@@ -14,7 +14,7 @@ which is what makes the 16 000-node experiments tractable in Python.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -80,12 +80,6 @@ class CellGrid:
         ix = int((point.x - self.bounds.x) / self.cell_size)
         iy = int((point.y - self.bounds.y) / self.cell_size)
         return (min(max(ix, 0), self.nx - 1), min(max(iy, 0), self.ny - 1))
-
-    def iter_cells(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over all cell indices."""
-        for ix in range(self.nx):
-            for iy in range(self.ny):
-                yield (ix, iy)
 
     # ------------------------------------------------------------------
     # Loads

@@ -104,11 +104,6 @@ class AdaptationPlan:
     #: Human-readable description for logs and reports.
     description: str = ""
 
-    @property
-    def predicted_improvement(self) -> float:
-        """Absolute predicted drop of the initiating region's index."""
-        return self.index_before - self.index_after
-
 
 @dataclass(frozen=True)
 class AdaptationRecord:

@@ -115,14 +115,13 @@ def run_split_brain_repro(
         latency=DistanceLatency(),
         drop_probability=drop,
         # All reliability layers off: the witness (PR-2) would resolve
-        # the split brain, and any ack/retransmit exchange -- the old
-        # grant resend or the generic reliable channel that subsumed it --
-        # would repair the lost grants that set it up in the first place.
+        # the split brain, and the reliable channel's ack/retransmit
+        # exchange (grant resends included) would repair the lost grants
+        # that set it up in the first place.
         # The shortcut cache is also off so the replayed message sequence
         # matches the historical (pre-shortcut) journal hop for hop.
         config=NodeConfig(
             claim_witness_enabled=False,
-            grant_resend_attempts=0,
             shortcut_cache_size=0,
             reliable_enabled=False,
             join_retry_jitter=0.0,

@@ -127,10 +127,6 @@ class NeighborInfo:
         """Copy with the secondary slot replaced."""
         return NeighborInfo(self.rect, self.primary, secondary)
 
-    def with_primary(self, primary: NodeAddress) -> "NeighborInfo":
-        """Copy with the primary endpoint replaced."""
-        return NeighborInfo(self.rect, primary, self.secondary)
-
 
 @dataclass(frozen=True)
 class RegionData:
@@ -261,15 +257,15 @@ class HeartbeatBody:
     caretaken: Tuple[Rect, ...] = ()
     #: The sender's piggybacked telemetry digest (the in-band telemetry
     #: plane rides existing heartbeats -- no new round-trips).  ``None``
-    #: on peer heartbeats and when ``NodeConfig.telemetry_enabled`` is
-    #: off; receivers fold it into their neighborhood health view.
+    #: on peer heartbeats, probe answers and confrontations; receivers
+    #: fold it into their neighborhood health view.
     vitals: Optional["VitalsDigest"] = None
     #: Consecutive heartbeat ticks (including this one) on which the
     #: sender addressed *this* receiver.  Neighbor-set churn silently
     #: pauses a sender's heartbeats to a peer; without this attestation
     #: the resulting arrival gap is indistinguishable from in-flight
     #: loss, and the health view would blame a healthy node for it.
-    #: ``0`` means the sender does not attest (telemetry off).
+    #: ``0`` means the sender does not attest (an unstamped heartbeat).
     vitals_streak: int = 0
     #: The sender's ingress backpressure in [0, 1]: current queue depth
     #: over its capacity-scaled admission budget.  Rides next to the

@@ -56,6 +56,53 @@ RELIABLE_ROUTED_KINDS = frozenset({m.STORE_UPDATE, m.SUBSCRIBE})
 #: entries (lost requests that never completed) fall off the LRU.
 SLO_PENDING_LIMIT = 1024
 
+#: Interval of heartbeats between neighbor primaries.
+HEARTBEAT_INTERVAL = 5.0
+#: Interval of heartbeats inside a dual-peer pair ("higher frequency
+#: than among the primary nodes of different regions", Section 2.3).
+PEER_HEARTBEAT_INTERVAL = 2.0
+#: A peer is suspected after this many missed intervals.
+FAILURE_TIMEOUT_MULTIPLIER = 4.0
+#: How long a silent neighbor primary stays credible: past it the
+#: neighbor is suspected, its stats expire, and its claims and split
+#: announcements are forgotten.
+FAILURE_HORIZON = HEARTBEAT_INTERVAL * FAILURE_TIMEOUT_MULTIPLIER
+#: How long a silent dual-peer partner stays credible.  Must exceed one
+#: round trip across the service area, or a freshly granted secondary
+#: gets evicted before its first heartbeat can arrive.
+PEER_TIMEOUT = PEER_HEARTBEAT_INTERVAL * FAILURE_TIMEOUT_MULTIPLIER
+#: Primary-to-secondary full state sync period.
+SYNC_INTERVAL = 10.0
+#: Period of the local failure-detection sweep.
+CHECK_INTERVAL = 1.0
+#: A joiner that has not been granted a region after this long retries
+#: through a fresh entry node (join messages are best-effort like
+#: everything else and can be lost).
+JOIN_RETRY_INTERVAL = 10.0
+#: Trigger ratio over the lowest neighbor index (paper: sqrt(2)).
+ADAPTATION_TRIGGER_RATIO = math.sqrt(2.0)
+#: How many divergent store buckets one anti-entropy round may pull.
+#: Bounds the repair traffic after a lossy handover; remaining
+#: divergence drains over subsequent sync intervals.
+STORE_REPAIR_MAX_BUCKETS = 8
+#: Hop budget of one perimeter probe.
+PERIMETER_PROBE_TTL = 16
+#: Default lease length of a subscription issued without an explicit
+#: duration.
+SUB_LEASE_DURATION = 120.0
+#: Fractional per-(sub, holder) hashed jitter added to lease expiry
+#: before a sweep drops the registration.  Derived from a CRC, not
+#: ``rng``, so sweeps stay byte-reproducible and replicas of one
+#: subscription drain within a bounded, deterministic spread.
+SUB_LEASE_JITTER = 0.1
+#: Join grants keep their historical cadence: fixed heartbeat-spaced
+#: resends, three after the first send.  A split grant is the only copy
+#: of the handed half's store records while in flight, so one dropped
+#: grant would lose them for good.
+JOIN_GRANT_POLICY = RetryPolicy(
+    timeout=HEARTBEAT_INTERVAL, max_attempts=4, backoff=1.0, jitter=0.25
+)
+
 _request_ids = itertools.count(1)
 
 
@@ -95,8 +142,6 @@ class _Routed(NamedTuple):
     #: A secondary covering the target answers from its replica instead
     #: of relaying to its primary.
     replica: Optional[Callable[[Any], None]] = None
-    #: Whether the kind's plane runs; off, the request is dropped.
-    enabled: bool = True
 
 
 def reset_request_ids() -> None:
@@ -112,30 +157,12 @@ def reset_request_ids() -> None:
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """Protocol timing parameters (virtual time units)."""
+    """The protocol settings a deployment, a scenario or a replay turns."""
 
-    #: Interval of heartbeats between neighbor primaries.
-    heartbeat_interval: float = 5.0
-    #: Interval of heartbeats inside a dual-peer pair ("higher frequency
-    #: than among the primary nodes of different regions", Section 2.3).
-    peer_heartbeat_interval: float = 2.0
-    #: A peer is suspected after this many missed intervals.  The product
-    #: ``peer_heartbeat_interval * failure_timeout_multiplier`` must exceed
-    #: one round trip across the service area, or a freshly granted
-    #: secondary gets evicted before its first heartbeat can arrive.
-    failure_timeout_multiplier: float = 4.0
-    #: Primary-to-secondary full state sync period.
-    sync_interval: float = 10.0
-    #: Period of the local failure-detection sweep.
-    check_interval: float = 1.0
     #: Whether joins fill empty secondary slots (dual peer) or always split.
     dual_peer: bool = True
-    #: A joiner that has not been granted a region after this long retries
-    #: through a fresh entry node (join messages are best-effort like
-    #: everything else and can be lost).
-    join_retry_interval: float = 10.0
-    #: Seeded fractional jitter on ``join_retry_interval``: each retry is
-    #: scheduled after ``interval * (1 +- jitter)``.  Keeps a crowd of
+    #: Seeded fractional jitter on :data:`JOIN_RETRY_INTERVAL`: each retry
+    #: is scheduled after ``interval * (1 +- jitter)``.  Keeps a crowd of
     #: joiners orphaned by the same heal/outage from retrying (and
     #: hammering the bootstrap) in lockstep.
     join_retry_jitter: float = 0.25
@@ -148,26 +175,12 @@ class NodeConfig:
     adaptation_enabled: bool = False
     #: How often an overloaded primary considers proposing a switch.
     adaptation_interval: float = 15.0
-    #: Trigger ratio over the lowest neighbor index (paper: sqrt(2)).
-    adaptation_trigger_ratio: float = 1.4142135623730951
     #: Whether bystanders arbitrate third-party ownership claims heard in
     #: heartbeat gossip (the PR-2 split-brain witness).  Disabling this is
     #: a *fault-injection knob*: it re-opens the double hole-grant split
     #: brain so the invariant auditor and flight recorder can be exercised
     #: against a real historical failure (see repro.protocol.forensics).
     claim_witness_enabled: bool = True
-    #: How many times an unacknowledged join grant is resent before the
-    #: joiner is given up on.  A split grant is the only copy of the
-    #: handed half's store records while in flight, so one dropped grant
-    #: would lose them for good.  ``0`` disables the ack/resend exchange
-    #: entirely -- a *fault-injection knob* like ``claim_witness_enabled``,
-    #: used by the forensics replay to re-open the historical lost-grant
-    #: failure modes.
-    grant_resend_attempts: int = 3
-    #: How many divergent store buckets one anti-entropy round may pull.
-    #: Bounds the repair traffic after a lossy handover; remaining
-    #: divergence drains over subsequent sync intervals.
-    store_repair_max_buckets: int = 8
     #: Capacity of the adaptive routing shortcut cache: learned
     #: ``(rect, primary, secondary)`` entries for non-neighbor regions,
     #: consulted by the forwarding path under the same strict-progress
@@ -180,22 +193,9 @@ class NodeConfig:
     #: retractions, departure handoffs, store-update hops) ride the
     #: reliable request/ack channel.  Disabling it reverts every exchange
     #: to raw fire-and-forget sends -- the ablation/fault-injection knob
-    #: the chaos harness and forensic replays use.
+    #: the chaos harness and forensic replays use (it also re-opens the
+    #: historical lost-grant failure modes).
     reliable_enabled: bool = True
-    #: First-attempt ack deadline of the default reliable policy.
-    reliable_timeout: float = 4.0
-    #: Total transmissions (first send + retries) per reliable exchange.
-    reliable_max_attempts: int = 4
-    #: Multiplier applied to the ack deadline per retry.
-    reliable_backoff: float = 2.0
-    #: Seeded fractional jitter applied to every armed ack deadline.
-    reliable_jitter: float = 0.25
-    #: Whether the in-band telemetry plane runs: per-node vitals frames,
-    #: digest piggybacks on neighbor heartbeats, neighborhood health
-    #: views, gray-failure flagging, and client-edge SLO histograms.
-    #: Pure observation -- no protocol decision consults it -- so the
-    #: knob exists to switch the plane's cost off, not for correctness.
-    telemetry_enabled: bool = True
     #: Whether a primary that sees a persistently uncovered stretch of
     #: its own perimeter probes it.  Grants born inside an incomplete
     #: neighborhood can leave two adjacent primaries mutually blind --
@@ -208,22 +208,6 @@ class NodeConfig:
     #: fault-injection knobs) by forensic replays pinned to historical
     #: message sequences.
     perimeter_probe_enabled: bool = True
-    #: Hop budget of one perimeter probe.
-    perimeter_probe_ttl: int = 16
-    #: Whether the continuous-query subscription plane runs: SUBSCRIBE
-    #: routing/fan-out, per-region SubIndex registration + replication,
-    #: match-driven NOTIFY push, lease sweeps, and subscription state
-    #: riding every structural handoff.  Off, no subscription message is
-    #: ever emitted and every touched site reverts to pre-plane behavior.
-    sub_enabled: bool = True
-    #: Default lease length of a subscription issued without an explicit
-    #: duration.
-    sub_lease_duration: float = 120.0
-    #: Fractional per-(sub, holder) hashed jitter added to lease expiry
-    #: before a sweep drops the registration.  Derived from a CRC, not
-    #: ``rng``, so sweeps stay byte-reproducible and replicas of one
-    #: subscription drain within a bounded, deterministic spread.
-    sub_lease_jitter: float = 0.1
     #: Interval at which a subscriber re-asserts each live lease it
     #: originated.  Registrations are soft state like store records: a
     #: region can lose every copy at once (a primary with no standing
@@ -242,26 +226,6 @@ class NodeConfig:
     #: heartbeat carries ``pressure=0.0``, and seeded runs are
     #: byte-identical to a build without the plane.
     overload_enabled: bool = False
-    #: Minimum ingress admission budget regardless of capacity.  Even a
-    #: capacity-1 node must absorb its own control fan-in (heartbeats
-    #: from every neighbor, sync traffic from its peer).
-    overload_inbox_floor: int = 16
-    #: Ingress budget per unit of node capacity; the effective budget is
-    #: ``max(floor, scale * capacity)``, so strong servers absorb the
-    #: bursts weak nodes shed.
-    overload_inbox_scale: float = 4.0
-    #: Base back-off carried in SHED NACKs; the hint scales up with how
-    #: far past its budget the shedder is.
-    overload_retry_after: float = 2.0
-    #: A neighbor whose advertised backpressure reaches this fraction of
-    #: its budget is considered saturated: greedy forwarding prefers a
-    #: calmer strictly-closer neighbor when one exists (never giving up
-    #: strict progress toward the target).
-    overload_deflect_threshold: float = 0.75
-    #: Consecutive stat windows with shedding before an overloaded
-    #: primary escalates to the sqrt(2) switch proposal out of schedule.
-    #: Shedding buys time; adaptation fixes the cause.
-    overload_escalate_windows: int = 2
 
 
 @dataclass
@@ -513,7 +477,7 @@ class ProtocolNode:
         #: Latest ingress backpressure advertised by neighbor primaries
         #: (rect -> pressure in [0, 1]); only written when the overload
         #: plane is on.  Routing deflects around entries at or above
-        #: ``overload_deflect_threshold``.
+        #: ``overload.DEFLECT_THRESHOLD``.
         self.neighbor_pressure: Dict[Rect, float] = {}
         #: Set while a primary switch we initiated is in flight.
         self._switch_pending = False
@@ -539,56 +503,26 @@ class ProtocolNode:
         #: the node is no longer alive but its endpoint lingers so the
         #: peer's ack (or the retry budget) can finish the handoff.
         self._draining = False
-        #: The reliable request/ack channel critical exchanges ride.
-        #: Grants keep their historical cadence (fixed heartbeat-spaced
-        #: resends, ``grant_resend_attempts`` retries); everything else
-        #: uses the exponential-backoff default policy.
-        cfg = self.config
+        #: The reliable request/ack channel critical exchanges ride:
+        #: grants on :data:`JOIN_GRANT_POLICY`, everything else on the
+        #: exponential-backoff default policy.
         self.reliable = ReliableChannel(
             address=self.address,
             network=network,
             scheduler=scheduler,
             rng=rng,
-            policies={
-                m.JOIN_GRANT: RetryPolicy(
-                    timeout=cfg.heartbeat_interval,
-                    max_attempts=max(1, cfg.grant_resend_attempts + 1),
-                    backoff=1.0,
-                    jitter=cfg.reliable_jitter,
-                ),
-            },
-            default_policy=RetryPolicy(
-                timeout=cfg.reliable_timeout,
-                max_attempts=cfg.reliable_max_attempts,
-                backoff=cfg.reliable_backoff,
-                jitter=cfg.reliable_jitter,
-            ),
-            enabled=cfg.reliable_enabled,
+            policies={m.JOIN_GRANT: JOIN_GRANT_POLICY},
+            enabled=self.config.reliable_enabled,
             is_alive=lambda: self.alive or self._draining,
         )
 
-        #: The in-band telemetry plane (repro.obs.telemetry/.health):
-        #: a vitals frame fed by cheap hooks, a decaying neighborhood
-        #: health view fed by heartbeat digests and reliable-channel
-        #: evidence, and client-edge SLO histograms.  Pure observation:
-        #: nothing protocol-visible branches on any of it, and none of
-        #: it consumes ``self.rng``, so seeded runs stay byte-identical
-        #: with the plane on or off.
-        self._telemetry = cfg.telemetry_enabled
-        #: Whether the continuous-query subscription plane runs (checked
-        #: at every touched site; off, no subscription message is sent).
-        self._sub = cfg.sub_enabled
         #: Whether the overload control plane runs (checked at every
         #: touched site; off, admission never sheds, heartbeats carry
         #: ``pressure=0.0``, and no SHED message is ever sent).
-        self._overload = cfg.overload_enabled
+        self._overload = self.config.overload_enabled
         #: Capacity-scaled ingress budget and the per-kind admission
         #: depth cut-offs derived from it (see repro.protocol.overload).
-        self._overload_budget = overload.admission_budget(
-            self.node.capacity,
-            cfg.overload_inbox_floor,
-            cfg.overload_inbox_scale,
-        )
+        self._overload_budget = overload.admission_budget(self.node.capacity)
         self._admit_limits = overload.admission_limits(self._overload_budget)
         #: Messages shed by ingress admission (total and by wire kind).
         self.sheds = 0
@@ -605,7 +539,7 @@ class ProtocolNode:
         self.deflections = 0
         self.vitals = VitalsFrame()
         self.health = NeighborHealthView(
-            expected_interval=cfg.heartbeat_interval,
+            expected_interval=HEARTBEAT_INTERVAL,
             owner=self.address,
             scorer=HealthScorer(
                 seed=zlib.crc32(str(self.address).encode("utf-8"))
@@ -625,10 +559,9 @@ class ProtocolNode:
         self._slo_pending: Dict[int, Tuple[str, float]] = {}
         #: Client-edge SLO reservoir histograms, keyed by SLO name.
         self._slo: Dict[str, Histogram] = {}
-        if self._telemetry:
-            self.reliable.on_retry_observed = self._note_retry
-            self.reliable.on_dead_letter_observed = self._note_dead_letter
-            self.reliable.on_ack_observed = self._note_ack_latency
+        self.reliable.on_retry_observed = self._note_retry
+        self.reliable.on_dead_letter_observed = self._note_dead_letter
+        self.reliable.on_ack_observed = self._note_ack_latency
 
         self._join_attempt = 0
         #: The routed kinds (Section 2.2): each is served by the region
@@ -645,8 +578,7 @@ class ProtocolNode:
             ),
             m.QUERY: _Routed(attrgetter("rect.center"), self._serve_query),
             m.SUBSCRIBE: _Routed(
-                attrgetter("record.rect.center"), self._serve_subscribe,
-                enabled=self._sub,
+                attrgetter("record.rect.center"), self._serve_subscribe
             ),
             m.STORE_UPDATE: _Routed(
                 attrgetter("record.point"), self._store_accept_update
@@ -764,15 +696,14 @@ class ProtocolNode:
         """The next join-retry delay, with seeded anti-herd jitter.
 
         Joiners orphaned together (a healed partition, a regional outage)
-        would otherwise all retry exactly ``join_retry_interval`` apart
-        forever, stampeding the bootstrap and the entry nodes in lockstep
-        waves; each node's seeded rng desynchronizes them.
+        would otherwise all retry exactly :data:`JOIN_RETRY_INTERVAL`
+        apart forever, stampeding the bootstrap and the entry nodes in
+        lockstep waves; each node's seeded rng desynchronizes them.
         """
-        base = self.config.join_retry_interval
         jitter = self.config.join_retry_jitter
         if jitter <= 0.0:
-            return base
-        return base * (1.0 + self.rng.uniform(-jitter, jitter))
+            return JOIN_RETRY_INTERVAL
+        return JOIN_RETRY_INTERVAL * (1.0 + self.rng.uniform(-jitter, jitter))
 
     def _retry_join(self) -> None:
         """Re-issue the join through a fresh entry if still unjoined."""
@@ -855,8 +786,7 @@ class ProtocolNode:
     def _attach(self) -> None:
         self._draining = False
         self.network.register(self.address, self.node.coord, self._receive)
-        if self._telemetry:
-            self.network.set_send_frame(self.address, self.vitals)
+        self.network.set_send_frame(self.address, self.vitals)
         self.bootstrap.register(self.address)
         self.alive = True
 
@@ -881,21 +811,19 @@ class ProtocolNode:
         cfg = self.config
         self._timers.append(
             self.scheduler.every(
-                cfg.heartbeat_interval, self._send_neighbor_heartbeats,
-                jitter=cfg.heartbeat_interval * 0.1, rng=self.rng,
+                HEARTBEAT_INTERVAL, self._send_neighbor_heartbeats,
+                jitter=HEARTBEAT_INTERVAL * 0.1, rng=self.rng,
             )
         )
         self._timers.append(
             self.scheduler.every(
-                cfg.peer_heartbeat_interval, self._send_peer_heartbeat,
-                jitter=cfg.peer_heartbeat_interval * 0.1, rng=self.rng,
+                PEER_HEARTBEAT_INTERVAL, self._send_peer_heartbeat,
+                jitter=PEER_HEARTBEAT_INTERVAL * 0.1, rng=self.rng,
             )
         )
+        self._timers.append(self.scheduler.every(SYNC_INTERVAL, self._send_sync))
         self._timers.append(
-            self.scheduler.every(cfg.sync_interval, self._send_sync)
-        )
-        self._timers.append(
-            self.scheduler.every(cfg.check_interval, self._check_failures)
+            self.scheduler.every(CHECK_INTERVAL, self._check_failures)
         )
         self._timers.append(
             self.scheduler.every(cfg.stat_interval, self._roll_stat_window)
@@ -923,7 +851,7 @@ class ProtocolNode:
         self._window_served = 0
         if self._overload:
             # Escalation: shedding buys time, adaptation fixes the
-            # cause.  A primary that shed in ``overload_escalate_windows``
+            # cause.  A primary that shed in ``overload.ESCALATE_WINDOWS``
             # consecutive stat windows is persistently over budget --
             # bring the sqrt(2) switch check forward instead of waiting
             # out the adaptation timer.  _consider_switch re-applies its
@@ -934,8 +862,7 @@ class ProtocolNode:
                 self._shed_streak += 1
                 if (
                     self.config.adaptation_enabled
-                    and self._shed_streak
-                    >= self.config.overload_escalate_windows
+                    and self._shed_streak >= overload.ESCALATE_WINDOWS
                 ):
                     obs.inc("overload.escalated")
                     causal.annotate(
@@ -984,8 +911,6 @@ class ProtocolNode:
 
     def _slo_start(self, request_id: int, name: str) -> None:
         """Mark the client-edge start of operation ``request_id``."""
-        if not self._telemetry:
-            return
         # scheduler._now read directly: this and _slo_finish run on every
         # client operation, and the ``now`` property is pure overhead here.
         self._slo_pending[request_id] = (name, self.scheduler._now)
@@ -1000,8 +925,6 @@ class ProtocolNode:
         -- completions of operations issued elsewhere, or pushed off the
         pending LRU -- are ignored.
         """
-        if not self._telemetry:
-            return
         entry = self._slo_pending.pop(request_id, None)
         if entry is None:
             return
@@ -1029,7 +952,7 @@ class ProtocolNode:
         diagnosis of gray (alive but quietly degraded), and routing
         already avoids it.
         """
-        if not self._telemetry or not self.alive:
+        if not self.alive:
             return []
         return [
             address
@@ -1148,12 +1071,8 @@ class ProtocolNode:
         region), notifications in :attr:`notifications`.  Returns
         ``(request_id, sub_id)``.
         """
-        if not self._sub:
-            raise RuntimeError(
-                "the subscription plane is disabled (NodeConfig.sub_enabled)"
-            )
         if duration is None:
-            duration = self.config.sub_lease_duration
+            duration = SUB_LEASE_DURATION
         if sub_id is None:
             sub_id = f"{self.node.node_id}/{next(self._sub_seq)}"
         request_id = next(_request_ids)
@@ -1202,34 +1121,30 @@ class ProtocolNode:
         handler = self._handlers.get(message.kind)
         if handler is None:
             return
-        if self._telemetry:
-            # Ingress accounting, inlining VitalsFrame.on_recv: this is
-            # the hottest telemetry touchpoint (every delivered
-            # message), so the common path is a bare countdown tick --
-            # exact receive totals are recovered from the countdown (see
-            # EVENT_SAMPLE), while per-kind attribution, the accounting
-            # bookkeeping and the two perf_counter handler-timing calls
-            # are all paid only on the sampled 1-in-N dispatch.
-            # Wall-clock values are display-only (digests, dashboards);
-            # the protocol never branches on them, so determinism of
-            # seeded runs is unaffected.
-            vitals = self.vitals
-            n = vitals.profile_countdown - 1
-            if n:
-                vitals.profile_countdown = n
-                handler(message)
-            else:
-                vitals.profile_countdown = EVENT_SAMPLE
-                vitals._recv_accounted += EVENT_SAMPLE
-                kind = message.kind
-                vitals.recv_by_kind[kind] += EVENT_SAMPLE
-                started = time.perf_counter()
-                try:
-                    handler(message)
-                finally:
-                    vitals.on_handler(kind, time.perf_counter() - started)
-        else:
+        # Ingress accounting, inlining VitalsFrame.on_recv: this is the
+        # hottest telemetry touchpoint (every delivered message), so the
+        # common path is a bare countdown tick -- exact receive totals
+        # are recovered from the countdown (see EVENT_SAMPLE), while
+        # per-kind attribution, the accounting bookkeeping and the two
+        # perf_counter handler-timing calls are all paid only on the
+        # sampled 1-in-N dispatch.  Wall-clock values are display-only
+        # (digests, dashboards); the protocol never branches on them, so
+        # determinism of seeded runs is unaffected.
+        vitals = self.vitals
+        n = vitals.profile_countdown - 1
+        if n:
+            vitals.profile_countdown = n
             handler(message)
+        else:
+            vitals.profile_countdown = EVENT_SAMPLE
+            vitals._recv_accounted += EVENT_SAMPLE
+            kind = message.kind
+            vitals.recv_by_kind[kind] += EVENT_SAMPLE
+            started = time.perf_counter()
+            try:
+                handler(message)
+            finally:
+                vitals.on_handler(kind, time.perf_counter() - started)
 
     def _on_reliable(self, message: Message) -> None:
         """Receiver side of a reliable envelope: ack, dedup, dispatch."""
@@ -1281,15 +1196,7 @@ class ProtocolNode:
         is still data.  Deterministic: depends only on queue depth and
         kind, never on ``self.rng``.
         """
-        kind = message.kind
-        body = message.body
-        if kind == m.RELIABLE:
-            kind = body.kind
-            body = body.body
-        if kind in (m.SHORTCUT_HOP, m.MISROUTE):
-            inner = getattr(body, "kind", None)
-            if inner is not None:
-                kind = inner
+        kind, body = overload.unwrap(message.kind, message.body)
         limit = self._admit_limits.get(kind)
         if limit is None:
             return True
@@ -1306,9 +1213,10 @@ class ProtocolNode:
 
         ``kind``/``body`` are the unwrapped payload (see
         :meth:`_overload_admit`).  Only raw requests naming an origin
-        get a SHED NACK; reliable-wrapped payloads are shed silently --
-        not acking the envelope leaves the sender's retry/backoff
-        schedule in charge, which *is* their retry-after mechanism.
+        get a SHED NACK; wrapped payloads are shed silently -- not acking
+        a reliable envelope leaves the sender's retry/backoff schedule in
+        charge, which *is* their retry-after mechanism, and a shortcut
+        hop or misroute bounce comes from a forwarder, not the origin.
         """
         self.sheds += 1
         self._shed_window += 1
@@ -1318,7 +1226,7 @@ class ProtocolNode:
         causal.annotate(
             "overload_shed", node=str(self.address), kind=kind, depth=depth
         )
-        if message.kind == m.RELIABLE:
+        if kind != message.kind:
             return
         origin = getattr(body, "origin", None)
         request_id = getattr(body, "request_id", None)
@@ -1328,7 +1236,7 @@ class ProtocolNode:
             or origin == self.address
         ):
             return
-        retry_after = self.config.overload_retry_after * (
+        retry_after = overload.RETRY_AFTER * (
             1.0 + depth / self._overload_budget
         )
         self.network.send(
@@ -1424,7 +1332,7 @@ class ProtocolNode:
         """
         row = self._routed[kind]
         owned = self.owned
-        if owned is None or not row.enabled:
+        if owned is None:
             return
         target = row.target(body)
         if owned.role == "secondary":
@@ -1490,7 +1398,7 @@ class ProtocolNode:
         deflect = self._overload
         calm_address: Optional[NodeAddress] = None
         calm_distance = own_distance
-        threshold = self.config.overload_deflect_threshold
+        threshold = overload.DEFLECT_THRESHOLD
         for info in self.neighbor_table.values():
             endpoint = self._live_endpoint(info)
             if endpoint is None or endpoint in (self.address, self.owned.peer):
@@ -1517,12 +1425,11 @@ class ProtocolNode:
                 ):
                     self.shortcuts.touch(shortcut.rect)
                     self.shortcuts.hits += 1
-                    if self._telemetry:
-                        # Inlined VitalsFrame.on_shortcut(True): runs on
-                        # every shortcut routing decision.
-                        vitals = self.vitals
-                        vitals.shortcut_hits += 1
-                        vitals._win_shortcut_hits += 1
+                    # Inlined VitalsFrame.on_shortcut(True): runs on
+                    # every shortcut routing decision.
+                    vitals = self.vitals
+                    vitals.shortcut_hits += 1
+                    vitals._win_shortcut_hits += 1
                     obs.inc("routing.shortcut.hit")
                     causal.annotate(
                         "shortcut_hop",
@@ -1564,11 +1471,10 @@ class ProtocolNode:
             obs.inc("overload.deflect")
         if self.shortcuts.enabled:
             self.shortcuts.misses += 1
-            if self._telemetry:
-                # Inlined VitalsFrame.on_shortcut(False).
-                vitals = self.vitals
-                vitals.shortcut_misses += 1
-                vitals._win_shortcut_misses += 1
+            # Inlined VitalsFrame.on_shortcut(False).
+            vitals = self.vitals
+            vitals.shortcut_misses += 1
+            vitals._win_shortcut_misses += 1
             obs.inc("routing.shortcut.miss")
         self._send_hop(best_address, kind, body.forwarded(), inner_kind=kind)
         return True
@@ -1728,7 +1634,7 @@ class ProtocolNode:
         # A lost replica grant costs no data (we keep the records), but
         # the region would sit half-full until the peer timeout; the
         # reliable channel retransmits until the joiner confirms.
-        self._send_grant(body.joiner, grant)
+        self._send_critical(body.joiner, m.JOIN_GRANT, grant)
         self._announce_self()
 
     def _grant_split(self, body: m.JoinRequestBody) -> None:
@@ -1777,7 +1683,7 @@ class ProtocolNode:
         # lossy: the reliable channel retransmits until the joiner
         # confirms receipt, else the records die with the one dropped
         # message.
-        self._send_grant(body.joiner, grant)
+        self._send_critical(body.joiner, m.JOIN_GRANT, grant)
 
         joiner_info = m.NeighborInfo(rect=handed, primary=body.joiner)
         stale = [
@@ -1788,14 +1694,10 @@ class ProtocolNode:
             info.primary for info in self.neighbor_table.values()
         }
         now = self.scheduler.now
-        horizon = (
-            self.config.heartbeat_interval
-            * self.config.failure_timeout_multiplier
-        )
         self._split_announced = {
             rect: (audience, at)
             for rect, (audience, at) in self._split_announced.items()
-            if now - at <= horizon
+            if now - at <= FAILURE_HORIZON
         }
         self._split_announced[handed] = (set(recipients), now)
         for rect in stale:
@@ -1811,24 +1713,6 @@ class ProtocolNode:
                 m.NeighborUpdateBody(info=joiner_info),
             )
         self._send_sync()
-
-    def _send_grant(
-        self, joiner: NodeAddress, grant: m.JoinGrantBody
-    ) -> None:
-        """Ship a join grant over the reliable channel.
-
-        Retransmitting is safe: a joiner that did install the region (its
-        ack was the lost message) deduplicates the envelope and only acks
-        again.  ``grant_resend_attempts <= 0`` reverts to a raw one-shot
-        send -- the fault-injection knob the forensic replays use to
-        re-open the historical lost-grant failure modes.  Once the
-        attempts run out the usual hole/caretaker machinery deals with
-        the (actually dead) joiner.
-        """
-        if self.config.grant_resend_attempts <= 0:
-            self.network.send(self.address, joiner, m.JOIN_GRANT, grant)
-            return
-        self._send_critical(joiner, m.JOIN_GRANT, grant)
 
     def _grant_hole(self, body: m.JoinRequestBody, hole: Rect) -> None:
         """Fill an orphaned region (all owners dead) with the joiner."""
@@ -2148,16 +2032,12 @@ class ProtocolNode:
         if info.primary == self.address:
             return False
         now = self.scheduler.now
-        horizon = (
-            self.config.heartbeat_interval
-            * self.config.failure_timeout_multiplier
-        )
         # Claims older than the horizon are ignored here and expired by
         # the failure sweep (_check_failures), not scanned per claim.
         cached = self._claims_heard.get(info.rect)
         if (
             cached is not None
-            and now - cached[1] <= horizon
+            and now - cached[1] <= FAILURE_HORIZON
             and cached[0].primary != info.primary
             and cached[0].primary != self.address
             and cached[0].primary not in self.suspected
@@ -2167,11 +2047,11 @@ class ProtocolNode:
             first, second = sorted((other.primary, info.primary))
             pair = (info.rect, first, second)
             last = self._claims_confronted.get(pair)
-            if last is None or now - last >= self.config.heartbeat_interval:
+            if last is None or now - last >= HEARTBEAT_INTERVAL:
                 self._claims_confronted = {
                     key: at
                     for key, at in self._claims_confronted.items()
-                    if now - at <= horizon
+                    if now - at <= FAILURE_HORIZON
                 }
                 self._claims_confronted[pair] = now
                 causal.annotate(
@@ -2234,21 +2114,19 @@ class ProtocolNode:
                 self.network.in_flight_to(self.address)
                 / self._overload_budget,
             )
-        vitals = None
-        if self._telemetry:
-            # One roll per heartbeat tick: the digest version advances
-            # monotonically and every neighbor receives the same frame.
-            now = self.scheduler.now
-            vitals = self.vitals.roll(
-                now=now,
-                store_size=len(self.owned.store),
-                anti_entropy_debt=self._anti_entropy_debt,
-                queue_depth=self.network.in_flight_to(self.address),
-                suspects=self.health.suspects(now),
-                sub_registered=len(self.owned.subs),
-                pressure=pressure,
-                sheds=self.sheds,
-            )
+        # One roll per heartbeat tick: the digest version advances
+        # monotonically and every neighbor receives the same frame.
+        now = self.scheduler.now
+        vitals = self.vitals.roll(
+            now=now,
+            store_size=len(self.owned.store),
+            anti_entropy_debt=self._anti_entropy_debt,
+            queue_depth=self.network.in_flight_to(self.address),
+            suspects=self.health.suspects(now),
+            sub_registered=len(self.owned.subs),
+            pressure=pressure,
+            sheds=self.sheds,
+        )
         neighbors = tuple(self.neighbor_table.values())
         gossip = neighbors
         if self.suspected:
@@ -2272,26 +2150,23 @@ class ProtocolNode:
             pressure=pressure,
             epoch=self.table_epoch,
         )
+        # Attest per-destination send streaks: a destination dropped from
+        # the neighbor set restarts at 1, telling its health view that the
+        # silence was churn, not loss.
         streaks: Dict[NodeAddress, int] = {}
-        if vitals is not None:
-            # Attest per-destination send streaks: a destination dropped
-            # from the neighbor set restarts at 1, telling its health
-            # view that the silence was churn, not loss.
-            for info in neighbors:
-                dest = info.primary
-                streaks[dest] = self._hb_streak.get(dest, 0) + 1
-            self._hb_streak = streaks
+        for info in neighbors:
+            dest = info.primary
+            streaks[dest] = self._hb_streak.get(dest, 0) + 1
+        self._hb_streak = streaks
         # Destinations that entered the neighbor set together carry the
         # same streak, so one stamped clone usually serves most of them.
         clones: Dict[int, m.HeartbeatBody] = {}
         for info in neighbors:
-            body = beat
-            if vitals is not None:
-                streak = streaks[info.primary]
-                body = clones.get(streak)
-                if body is None:
-                    body = m.heartbeat_with_streak(beat, streak)
-                    clones[streak] = body
+            streak = streaks[info.primary]
+            body = clones.get(streak)
+            if body is None:
+                body = m.heartbeat_with_streak(beat, streak)
+                clones[streak] = body
             self.network.send(self.address, info.primary, m.HEARTBEAT, body)
         self._probe_perimeter_gap()
 
@@ -2421,7 +2296,7 @@ class ProtocolNode:
             m.PerimeterProbeBody(
                 info=self._my_info(),
                 point=point,
-                ttl=self.config.perimeter_probe_ttl,
+                ttl=PERIMETER_PROBE_TTL,
                 visited=(self.address,),
             )
         )
@@ -2537,11 +2412,11 @@ class ProtocolNode:
                     m.SecondaryReleasedBody(rect=body.rect),
                 )
             return
-        # Fold the piggybacked vitals digest (when the sender runs the
-        # telemetry plane) before any early return below: health evidence
+        # Fold the piggybacked vitals digest (absent on probe answers and
+        # confrontations) before any early return below: health evidence
         # is observational and must not depend on how the ownership
         # claims shake out.
-        if self._telemetry and body.vitals is not None:
+        if body.vitals is not None:
             self.health.observe(
                 message.source,
                 body.vitals,
@@ -2778,16 +2653,14 @@ class ProtocolNode:
         if not self.alive or self.owned is None:
             return
         now = self.scheduler.now
-        cfg = self.config
         # Expire witnessed claims older than the failure horizon (the
         # witness itself ignores them; this only bounds the ledger).
         # Every stamp is >= _claims_oldest, so while that bound is inside
         # the horizon nothing can expire and the rebuild is skipped.
-        horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
-        if now - self._claims_oldest > horizon:
+        if now - self._claims_oldest > FAILURE_HORIZON:
             self._claims_heard = {
                 rect: claim for rect, claim in self._claims_heard.items()
-                if now - claim[1] <= horizon
+                if now - claim[1] <= FAILURE_HORIZON
             }
             self._claims_oldest = min(
                 (claim[1] for claim in self._claims_heard.values()),
@@ -2800,11 +2673,8 @@ class ProtocolNode:
             self.owned.role == "primary"
             and self.owned.peer is not None
         ):
-            timeout = (
-                cfg.peer_heartbeat_interval * cfg.failure_timeout_multiplier
-            )
             seen = self.last_seen.get(self.owned.peer)
-            if seen is not None and now - seen > timeout:
+            if seen is not None and now - seen > PEER_TIMEOUT:
                 causal.annotate(
                     "peer_evicted",
                     primary=str(self.address),
@@ -2817,27 +2687,22 @@ class ProtocolNode:
         # 0b. Drop the shortcuts whose delivery ack did not come back
         #     within the failure timeout (see _route_forward).
         if self._shortcut_unacked:
-            timeout = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
             for request_id, (rect, sent) in list(
                 self._shortcut_unacked.items()
             ):
-                if now - sent > timeout:
+                if now - sent > FAILURE_HORIZON:
                     del self._shortcut_unacked[request_id]
                     self.shortcuts.invalidate_rect(rect)
         # 1. Dual-peer failover: the secondary watches its primary at the
         #    fast heartbeat frequency.
         if self.owned.role == "secondary" and self.owned.peer is not None:
-            timeout = (
-                cfg.peer_heartbeat_interval * cfg.failure_timeout_multiplier
-            )
             seen = self.last_seen.get(self.owned.peer)
-            if seen is not None and now - seen > timeout:
+            if seen is not None and now - seen > PEER_TIMEOUT:
                 self._take_over_primary()
                 return
         # 2. Neighbor failure detection at the slow frequency.
         if self.owned.role != "primary":
             return
-        timeout = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
         for rect, info in list(self.neighbor_table.items()):
             # Our secondary serves our region only, so a claim naming it
             # as another region's primary is stale whatever its clock says.
@@ -2848,7 +2713,7 @@ class ProtocolNode:
                     # neighbor that never speaks still times out eventually.
                     self.last_seen[info.primary] = now
                     continue
-                if now - seen <= timeout:
+                if now - seen <= FAILURE_HORIZON:
                     continue
                 # Only the transition matters: an entry whose secondary
                 # keeps it (below) stays in the table, and re-suspecting
@@ -2883,7 +2748,7 @@ class ProtocolNode:
                 # by state transfer): start its clock now.
                 self._neighbor_stats_at[rect] = now
                 continue
-            if now - heard <= timeout:
+            if now - heard <= FAILURE_HORIZON:
                 continue
             del self.neighbor_stats[rect]
             self._neighbor_stats_at.pop(rect, None)
@@ -3025,8 +2890,7 @@ class ProtocolNode:
         sweeps: List[Tuple[str, GridIndex]] = []
         if self.owned.role == "primary":
             sweeps.append((m.STORE_UPDATE, self.owned.store))
-        if self._sub:
-            sweeps.append((m.SUBSCRIBE, self.owned.subs))
+        sweeps.append((m.SUBSCRIBE, self.owned.subs))
         now = self.scheduler.now
         for kind, index in sweeps:
             for record in index.records():
@@ -3136,9 +3000,7 @@ class ProtocolNode:
         self._switch_handoff = (
             counterpart,
             state.rect,
-            self.scheduler.now
-            + self.config.heartbeat_interval
-            * self.config.failure_timeout_multiplier,
+            self.scheduler.now + FAILURE_HORIZON,
         )
         self.switches_completed += 1
         causal.annotate(
@@ -3169,7 +3031,7 @@ class ProtocolNode:
         if not stats:
             return
         lowest = min(index for _, index, _ in stats)
-        if my_index <= self.config.adaptation_trigger_ratio * lowest:
+        if my_index <= ADAPTATION_TRIGGER_RATIO * lowest:
             return
         candidates = [
             (rect, index, capacity)
@@ -3431,14 +3293,12 @@ class ProtocolNode:
         entry = (body.point, body.item)
         self.owned.items.append(entry)
         self._replicate(m.RegionData(items=(entry,)))
-        if self._sub:
-            self._sub_match_publish(body)
+        self._sub_match_publish(body)
 
     def _keep_item(self, body: m.PublishBody) -> None:
         """A dead end keeps a published item, unreplicated."""
         self.owned.items.append((body.point, body.item))
-        if self._sub:
-            self._sub_match_publish(body)
+        self._sub_match_publish(body)
 
     # ------------------------------------------------------------------
     # Fan-out over the regions a request rectangle touches
@@ -3506,8 +3366,6 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     def _on_sub_fanout(self, message: Message) -> None:
         body: m.SubscribeBody = message.body
-        if not self._sub:
-            return
         if self.owned is None or self.owned.role != "primary":
             return
         if self.owned.rect.touches(body.record.rect):
@@ -3616,11 +3474,9 @@ class ProtocolNode:
         self._notify_seen.add(key)
         obs.inc("sub.node.notified")
         self.notifications.append(body)
-        if self._telemetry:
-            self._slo_observe(
-                "slo.sub.notify_latency",
-                self.scheduler._now - body.matched_at,
-            )
+        self._slo_observe(
+            "slo.sub.notify_latency", self.scheduler._now - body.matched_at
+        )
 
     def _on_sub_sync(self, message: Message) -> None:
         """Anti-entropy receive: merge live registrations for my ground.
@@ -3630,9 +3486,7 @@ class ProtocolNode:
         phantom re-registration the lease-sweep regression pins).
         """
         body: m.SubSyncBody = message.body
-        if not self._sub or self.owned is None:
-            return
-        if self.owned.role != "primary":
+        if self.owned is None or self.owned.role != "primary":
             return
         if not self.owned.rect.touches(body.rect) and not any(
             rect.touches(body.rect) for rect in self.caretaker_rects
@@ -3706,7 +3560,7 @@ class ProtocolNode:
         spread = zlib.crc32(
             f"{record.sub_id}|{self.address}".encode("utf-8")
         ) / 2**32
-        return self.config.sub_lease_jitter * record.duration * spread
+        return SUB_LEASE_JITTER * record.duration * spread
 
     def _sub_maintenance(self) -> None:
         """Lease sweep + neighbor anti-entropy, on the sync timer.
@@ -3719,8 +3573,6 @@ class ProtocolNode:
         the index is empty, so runs without subscriptions stay
         byte-identical to a build without the plane.
         """
-        if not self._sub:
-            return
         self._sub_renewals()
         if self.owned is None:
             return
@@ -3768,8 +3620,7 @@ class ProtocolNode:
         obs.inc("store.node.updates")
         if fresh:
             self._replicate(m.RegionData(objects=(record,)))
-            if self._sub:
-                self._sub_match_store(record)
+            self._sub_match_store(record)
             if body.prev_point is not None and not self._covers(
                 self.owned.rect, body.prev_point
             ):
@@ -3889,7 +3740,7 @@ class ProtocolNode:
         self._anti_entropy_debt = len(divergent)
         if not divergent:
             return
-        bounded = tuple(divergent[: self.config.store_repair_max_buckets])
+        bounded = tuple(divergent[:STORE_REPAIR_MAX_BUCKETS])
         obs.inc("store.node.repair_pulls")
         causal.annotate(
             "store_antientropy_pull",

@@ -36,7 +36,7 @@ mechanisms.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from repro.protocol import messages as m
 
@@ -48,10 +48,37 @@ __all__ = [
     "PRIORITY_GOSSIP",
     "PRIORITY_OF",
     "CLASS_HEADROOM",
+    "INBOX_FLOOR",
+    "INBOX_SCALE",
+    "RETRY_AFTER",
+    "DEFLECT_THRESHOLD",
+    "ESCALATE_WINDOWS",
     "admission_budget",
     "admission_limits",
+    "unwrap",
     "wire_priority",
 ]
+
+#: Minimum ingress admission budget regardless of capacity.  Even a
+#: capacity-1 node must absorb its own control fan-in (heartbeats from
+#: every neighbor, sync traffic from its peer).
+INBOX_FLOOR = 16
+#: Ingress budget per unit of node capacity; the effective budget is
+#: ``max(INBOX_FLOOR, INBOX_SCALE * capacity)``, so strong servers absorb
+#: the bursts weak nodes shed.
+INBOX_SCALE = 4.0
+#: Base back-off carried in SHED NACKs; the hint scales up with how far
+#: past its budget the shedder is.
+RETRY_AFTER = 2.0
+#: A neighbor whose advertised backpressure reaches this fraction of its
+#: budget is considered saturated: greedy forwarding prefers a calmer
+#: strictly-closer neighbor when one exists (never giving up strict
+#: progress toward the target).
+DEFLECT_THRESHOLD = 0.75
+#: Consecutive stat windows with shedding before an overloaded primary
+#: escalates to the sqrt(2) switch proposal out of schedule.  Shedding
+#: buys time; adaptation fixes the cause.
+ESCALATE_WINDOWS = 2
 
 #: Membership, failover, and adaptation traffic.  Never shed: these
 #: messages are either the sole copy of transferred state (JOIN_GRANT
@@ -126,34 +153,43 @@ for _kind in (m.MISROUTE, m.PERIMETER_PROBE):
     PRIORITY_OF[_kind] = PRIORITY_GOSSIP
 del _kind
 
+#: Kinds whose body carries another message as ``(kind, body)``.
+_ENVELOPES = frozenset({m.RELIABLE, m.SHORTCUT_HOP, m.MISROUTE})
+
+
+def unwrap(kind: str, body: Any) -> Tuple[str, Any]:
+    """The ``(kind, body)`` inside a wire message's envelopes.
+
+    A RELIABLE envelope carries its payload, which may itself be a
+    shortcut hop or misroute bounce carrying a routed request.  Admission
+    classes a message by what it carries: a reliable-wrapped JOIN_GRANT
+    is still control traffic, a shortcut-hopped STORE_UPDATE still data.
+    A message without an envelope comes back unchanged.
+    """
+    while kind in _ENVELOPES and body is not None:
+        kind, body = body.kind, body.body
+    return kind, body
+
 
 def wire_priority(kind: str, body: Any = None) -> int:
-    """Priority class of a wire message, unwrapping envelopes.
+    """Priority class of a wire message, classed by what it carries.
 
-    A RELIABLE envelope is classed by its payload (a reliable-wrapped
-    JOIN_GRANT is still control traffic), and a shortcut hop or
-    misroute bounce by the routed request it carries (a shortcut-hopped
-    STORE_UPDATE is still data).  Unknown kinds default to the data
-    class: sheddable, but only at full budget.
+    Unknown kinds default to the data class: sheddable, but only at
+    full budget.
     """
-    if kind == m.RELIABLE and body is not None:
-        kind, body = body.kind, body.body
-    if kind in (m.SHORTCUT_HOP, m.MISROUTE) and body is not None:
-        inner = getattr(body, "kind", None)
-        if inner is not None:
-            kind = inner
+    kind, _ = unwrap(kind, body)
     return PRIORITY_OF.get(kind, PRIORITY_DATA)
 
 
-def admission_budget(capacity: float, floor: int, scale: float) -> int:
-    """Ingress budget for a node: ``max(floor, scale * capacity)``.
+def admission_budget(capacity: float) -> int:
+    """Ingress budget for a node: ``max(INBOX_FLOOR, INBOX_SCALE * capacity)``.
 
     The floor keeps tiny nodes functional (a capacity-1 node must still
     absorb its own control fan-in); the scale term gives strong servers
     proportionally deeper inboxes, mirroring how the workload index
     already normalises served load by capacity.
     """
-    return max(int(floor), int(scale * capacity))
+    return max(INBOX_FLOOR, int(INBOX_SCALE * capacity))
 
 
 def admission_limits(budget: int) -> Dict[str, int]:
@@ -163,7 +199,7 @@ def admission_limits(budget: int) -> Dict[str, int]:
     sheddable kinds; control kinds and acks are deliberately absent so
     a plain ``dict.get`` miss means "always admit".  Envelope kinds
     (RELIABLE, SHORTCUT_HOP, MISROUTE) are also absent -- callers must
-    classify those by their unwrapped payload via :func:`wire_priority`.
+    look up the kind :func:`unwrap` returns.
     """
     limits: Dict[str, int] = {}
     for kind, priority in PRIORITY_OF.items():

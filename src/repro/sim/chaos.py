@@ -382,6 +382,7 @@ class _Arena:
 
     # -- verdict -------------------------------------------------------
     def verdict(self, name: str, detail: str) -> ScenarioResult:
+        from repro.protocol.node import HEARTBEAT_INTERVAL
         from repro.protocol.reliable import tally_stats
 
         config = self.config
@@ -421,13 +422,14 @@ class _Arena:
         # In-band detection verdict: the gray scenario must have flagged
         # its victim within the tick budget; nobody, in any scenario,
         # may have flagged anyone else.
-        heartbeat = self.cluster.config.heartbeat_interval
         detect_ticks: Optional[float] = None
         detected_in_budget = True
         if self.gray_expected is not None:
             if self.detect_time is not None and self.fault_start is not None:
                 detect_ticks = round(
-                    (self.detect_time - self.fault_start) / heartbeat, 2
+                    (self.detect_time - self.fault_start)
+                    / HEARTBEAT_INTERVAL,
+                    2,
                 )
                 detected_in_budget = (
                     detect_ticks <= config.detection_budget_ticks

@@ -247,15 +247,6 @@ class SimNetwork:
         """
         return self._in_flight.get(address, 0)
 
-    def peak_in_flight_to(self, address: NodeAddress) -> int:
-        """High-water mark of :meth:`in_flight_to` since the last reset.
-
-        The overload plane's bounded-queue evidence: admission control
-        keeps this below the node's budget plus the burst that was
-        already committed when the budget filled.
-        """
-        return self._peak_in_flight.get(address, 0)
-
     def max_peak_in_flight(self) -> int:
         """The largest per-endpoint queue-depth peak since the last reset."""
         return max(self._peak_in_flight.values(), default=0)

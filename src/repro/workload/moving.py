@@ -95,14 +95,6 @@ class MovingObjectWorkload:
         """Number of objects in the workload."""
         return len(self._positions)
 
-    def position_of(self, object_id: str) -> Point:
-        """The object's current (last reported) position."""
-        return self._positions[object_id]
-
-    def version_of(self, object_id: str) -> int:
-        """The object's current report version."""
-        return self._versions[object_id]
-
     def object_ids(self) -> List[str]:
         """All object identifiers, in stable order."""
         return list(self._positions)
@@ -150,19 +142,6 @@ class MovingObjectWorkload:
             prev_point=prev,
             version=self._versions[object_id],
         )
-
-    def lookup_rect(self, radius: float = 2.0) -> Rect:
-        """A range-lookup rectangle around a random object's position.
-
-        Lookups follow the population (asking where the objects are), so
-        the update:lookup mix concentrates on occupied territory.
-        """
-        anchor = self._positions[self.rng.choice(list(self._positions))]
-        west = max(self.bounds.x, anchor.x - radius)
-        south = max(self.bounds.y, anchor.y - radius)
-        east = min(self.bounds.x2, anchor.x + radius)
-        north = min(self.bounds.y2, anchor.y + radius)
-        return Rect(west, south, east - west, north - south)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,6 +14,7 @@ from repro.core.node import synthetic_address
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.protocol.node import FAILURE_HORIZON, HEARTBEAT_INTERVAL
 from repro.sim.transport import Message
 from tests.protocol.test_shortcuts import sends_during
 
@@ -162,8 +163,6 @@ class TestReplay:
             )
 
         beat_a, beat_b = stream(a, p1, 10_001), stream(b, p2, 20_001)
-        cfg = witness.config
-        horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
         start = cluster.scheduler.now
         confronts = []
 
@@ -178,11 +177,11 @@ class TestReplay:
             )
 
         for k in range(12):
-            at = start + 1.0 + k * cfg.heartbeat_interval
+            at = start + 1.0 + k * HEARTBEAT_INTERVAL
             cluster.scheduler.at(at, lambda: feed(a, beat_a))
             cluster.scheduler.at(at + 0.5, lambda: feed(b, beat_b))
         cluster.scheduler.run_all()
-        late = [dest for at, dest in confronts if at > start + 2 * horizon]
+        late = [dest for at, dest in confronts if at > start + 2 * FAILURE_HORIZON]
         assert {p1, p2} <= set(late)
 
     def test_probing_fold_repeats(self):

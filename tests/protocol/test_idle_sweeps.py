@@ -19,7 +19,9 @@ import random
 
 from repro.geometry import Point, Rect
 from repro.protocol import ProtocolCluster
-from repro.protocol.node import ProtocolNode
+from repro.protocol.node import (
+    FAILURE_HORIZON, HEARTBEAT_INTERVAL, ProtocolNode,
+)
 from tests.protocol.test_heartbeat_memo import (
     beat_from,
     deliver,
@@ -98,7 +100,7 @@ def test_perimeter_memo_matches_full_scan(monkeypatch):
     a, b = adjacent_primaries(cluster)
     blind(a, b.owned.rect, b.address)
     blind(b, a.owned.rect, a.address)
-    cluster.settle(6 * a.config.heartbeat_interval)
+    cluster.settle(6 * HEARTBEAT_INTERVAL)
     assert tally["gaps"] > 0
     assert b.owned.rect in a.neighbor_table
 
@@ -109,14 +111,12 @@ def test_claim_ledger_expiry_matches_per_tick_rebuild(monkeypatch):
 
     def checked(self):
         now = self.scheduler.now
-        cfg = self.config
-        horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
         before = self._claims_heard
         expected = before
         if self.alive and self.owned is not None:
             expected = {
                 rect: claim for rect, claim in before.items()
-                if now - claim[1] <= horizon
+                if now - claim[1] <= FAILURE_HORIZON
             }
         original(self)
         tally["checks"] += 1
@@ -139,8 +139,6 @@ def test_replayed_stamps_keep_the_bound_valid(monkeypatch):
     bound again, or its claims would never expire."""
     cluster = quiet_cluster()
     node, sender = neighbor_pair(cluster)
-    cfg = node.config
-    horizon = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
     body = beat_from(cluster, sender, node)
     deliver(cluster, sender, node, body)  # full fold, memo stored
     replays = []
@@ -154,7 +152,7 @@ def test_replayed_stamps_keep_the_bound_valid(monkeypatch):
 
     def age_out():
         cluster.scheduler.run_all()
-        cluster.scheduler.run_until(cluster.scheduler.now + horizon + 1.0)
+        cluster.scheduler.run_until(cluster.scheduler.now + FAILURE_HORIZON + 1.0)
         for address in node.last_seen:
             node.last_seen[address] = cluster.scheduler.now
         node._check_failures()

@@ -6,6 +6,7 @@ from repro import obs
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.protocol.node import JOIN_RETRY_INTERVAL
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -196,7 +197,7 @@ class TestJoinRetryJitter:
         cluster.join_node(Point(10, 10))
         nodes = [cluster.spawn_node(Point(20 + i, 20)) for i in range(6)]
         delays = [node._jittered_join_delay() for node in nodes]
-        base = nodes[0].config.join_retry_interval
+        base = JOIN_RETRY_INTERVAL
         jitter = nodes[0].config.join_retry_jitter
         assert len(set(delays)) > 1  # desynchronized
         for delay in delays:
@@ -208,7 +209,7 @@ class TestJoinRetryJitter:
         )
         cluster.join_node(Point(10, 10))
         node = cluster.spawn_node(Point(20, 20))
-        assert node._jittered_join_delay() == node.config.join_retry_interval
+        assert node._jittered_join_delay() == JOIN_RETRY_INTERVAL
 
     def test_jittered_delay_is_reproducible(self):
         """Same seeds, same schedule: the jitter draws come from the

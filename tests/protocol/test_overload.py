@@ -15,7 +15,7 @@ from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
 from repro.protocol import overload
-from repro.protocol.node import ProtocolNode
+from repro.protocol.node import FAILURE_HORIZON
 from repro.sim.transport import Message
 
 BOUNDS = Rect(0, 0, 64, 64)
@@ -82,8 +82,8 @@ class TestClassification:
         assert overload.wire_priority("no-such-kind") == overload.PRIORITY_DATA
 
     def test_budget_floor_and_scale(self):
-        assert overload.admission_budget(1, floor=16, scale=4.0) == 16
-        assert overload.admission_budget(100, floor=16, scale=4.0) == 400
+        assert overload.admission_budget(1) == 16
+        assert overload.admission_budget(100) == 400
 
     def test_limits_cover_only_sheddable_kinds(self):
         limits = overload.admission_limits(100)
@@ -179,7 +179,7 @@ class TestAdmission:
         kind, retry_after, depth = peer.shed_notices[-1]
         assert kind == m.ROUTE
         # The hint is depth-scaled: at full budget it exceeds the base.
-        assert retry_after > hot.config.overload_retry_after
+        assert retry_after > overload.RETRY_AFTER
         assert depth >= hot._overload_budget
 
     def test_reliable_payload_shed_silently(self):
@@ -291,7 +291,6 @@ class TestEscalation:
         overload_enabled=True,
         adaptation_enabled=True,
         adaptation_interval=10_000.0,
-        overload_escalate_windows=2,
     )
 
     def test_sustained_shedding_calls_consider_switch(self):
@@ -342,9 +341,7 @@ class TestStatExpiry:
         ]
         assert watchers, "heartbeats never populated neighbor stats"
         cluster.crash_node(victim.node.node_id)
-        cfg = watchers[0].config
-        timeout = cfg.heartbeat_interval * cfg.failure_timeout_multiplier
-        cluster.settle(3 * timeout)
+        cluster.settle(3 * FAILURE_HORIZON)
         for node in watchers:
             if not node.alive:
                 continue

@@ -15,6 +15,7 @@ import random
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.protocol.node import HEARTBEAT_INTERVAL
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -60,7 +61,7 @@ class TestHeal:
         assert b.owned.rect not in a.neighbor_table
         assert a.owned.rect not in b.neighbor_table
         # Two heartbeat ticks of damping plus the probe round trip.
-        cluster.settle(6 * a.config.heartbeat_interval)
+        cluster.settle(6 * HEARTBEAT_INTERVAL)
         assert b.owned.rect in a.neighbor_table
         assert a.owned.rect in b.neighbor_table
         assert cluster.network.stats.by_kind.get(m.PERIMETER_PROBE, 0) > 0
@@ -73,7 +74,7 @@ class TestHeal:
         a, b = adjacent_primaries(cluster)
         blind(a, b.owned.rect, b.address)
         blind(b, a.owned.rect, a.address)
-        cluster.settle(8 * a.config.heartbeat_interval)
+        cluster.settle(8 * HEARTBEAT_INTERVAL)
         cluster.check_partition()
         assert b.owned.rect in a.neighbor_table
 
@@ -100,5 +101,5 @@ class TestQuiescence:
         a, b = adjacent_primaries(cluster)
         blind(a, b.owned.rect, b.address)
         blind(b, a.owned.rect, a.address)
-        cluster.settle(8 * a.config.heartbeat_interval)
+        cluster.settle(8 * HEARTBEAT_INTERVAL)
         assert cluster.network.stats.by_kind.get(m.PERIMETER_PROBE, 0) == 0

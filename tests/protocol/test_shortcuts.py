@@ -17,6 +17,7 @@ from repro.core.node import synthetic_address
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.protocol.node import CHECK_INTERVAL, FAILURE_HORIZON
 from repro.protocol.shortcuts import ShortcutCache
 from repro.sim.latency import DistanceLatency
 from repro.sim.transport import Message
@@ -514,11 +515,7 @@ class TestUnansweredShortcut:
         origin.shortcuts.clear()
         origin.shortcuts.learn(entry)
         origin.send_to_point(entry.rect.center, None)
-        config = origin.config
-        cluster.run_for(
-            config.heartbeat_interval * config.failure_timeout_multiplier
-            + 2 * config.check_interval
-        )
+        cluster.run_for(FAILURE_HORIZON + 2 * CHECK_INTERVAL)
 
     def test_unanswered_first_hop_drops_the_entry(self):
         cluster, origin, far = self.far_pair()

@@ -11,11 +11,10 @@ once -- no phantom re-registration).
 
 import random
 
-import pytest
-
 from repro import obs
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
+from repro.protocol import messages as m
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -358,48 +357,26 @@ class TestLease:
 
 
 class TestDisabledPlane:
-    def test_subscribe_raises_when_disabled(self):
-        config = NodeConfig(sub_enabled=False)
-        cluster, nodes, rng = build_cluster(count=4, config=config)
-        with pytest.raises(RuntimeError, match="sub_enabled"):
-            cluster.subscribe(nodes[0].node.node_id, Rect(20, 20, 8, 8))
-
-    def test_disabled_plane_emits_no_sub_traffic(self):
-        config = NodeConfig(sub_enabled=False)
-        with obs.capture() as registry:
-            cluster, nodes, rng = build_cluster(count=6, config=config)
-            cluster.store_update(
-                nodes[0].node.node_id, "car1", Point(24, 24), version=1
-            )
-            cluster.publish(nodes[1].node.node_id, Point(30, 30), "x")
-            cluster.run_for(60.0)
-        snapshot = registry.snapshot()
-        assert not any(name.startswith("sub.") for name in snapshot)
-
     def test_idle_plane_is_byte_invisible(self):
         """Without subscriptions the plane must not perturb the run.
 
-        Same seed, same workload, plane on vs off: identical region
-        tiling, identical store contents, identical message totals --
-        the enabled-but-unused plane emits nothing.
+        A default-config run that stores and publishes but never
+        subscribes sends no subscription message and records no ``sub.``
+        metric: the unused plane emits nothing.
         """
-
-        def run(sub_enabled):
-            with obs.capture() as registry:
-                cluster, nodes, rng = build_cluster(
-                    count=6, seed=3,
-                    config=NodeConfig(sub_enabled=sub_enabled),
+        with obs.capture() as registry:
+            cluster, nodes, rng = build_cluster(count=6, seed=3)
+            for i in range(6):
+                cluster.store_update(
+                    nodes[i % len(nodes)].node.node_id,
+                    f"obj{i}",
+                    Point(rng.uniform(1, 63), rng.uniform(1, 63)),
+                    version=1,
                 )
-                for i in range(6):
-                    cluster.store_update(
-                        nodes[i % len(nodes)].node.node_id,
-                        f"obj{i}",
-                        Point(rng.uniform(1, 63), rng.uniform(1, 63)),
-                        version=1,
-                    )
-                cluster.run_for(60.0)
-                rects = sorted(repr(r) for r in cluster.primary_rects())
-                sent = registry.snapshot()["sim.transport.sent"]["total"]
-            return rects, sent
-
-        assert run(True) == run(False)
+            cluster.publish(nodes[1].node.node_id, Point(30, 30), "x")
+            cluster.run_for(60.0)
+        sent = cluster.network.stats.by_kind
+        assert sent.get(m.STORE_ACK)
+        sub_kinds = (m.SUBSCRIBE, m.SUB_FANOUT, m.SUB_ACK, m.SUB_SYNC, m.NOTIFY)
+        assert not any(kind in sent for kind in sub_kinds)
+        assert not any(name.startswith("sub.") for name in registry.snapshot())
