@@ -23,8 +23,8 @@ it as JSON afterwards.
 ``flightrec`` is the flight-recorder inspector: it filters and
 pretty-prints a journal written by
 :meth:`repro.obs.flightrec.FlightRecorder.dump_jsonl` (or, with
-``--demo``, replays the double hole-grant split brain under fault injection and
-prints the auditor's forensics dump).  It takes its own options, so it is
+``--demo``, injects a double hole grant under the default configuration
+and prints the auditor's forensics dump).  It takes its own options, so it is
 parsed separately from the figure commands.
 
 ``chaos`` runs the seeded fault campaign of :mod:`repro.sim.chaos`
@@ -587,7 +587,7 @@ def build_flightrec_parser() -> argparse.ArgumentParser:
         prog="python -m repro flightrec",
         description=(
             "Dump/filter/pretty-print a flight-recorder journal, or "
-            "replay the fault-injected split brain with --demo."
+            "inject a double hole grant with --demo."
         ),
     )
     parser.add_argument(
@@ -596,11 +596,11 @@ def build_flightrec_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--demo", action="store_true",
-        help="replay the double hole-grant split brain under fault "
-             "injection and print the forensics dump",
+        help="orphan a region, let two partitioned caretakers each grant "
+             "it, heal, and print the forensics dump",
     )
     parser.add_argument(
-        "--seed", type=int, default=14, help="demo scenario seed"
+        "--seed", type=int, default=14, help="demo node-placement seed"
     )
     parser.add_argument(
         "--around", type=float, default=None,

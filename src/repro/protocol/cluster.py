@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.errors import MembershipError, SimulationError
 from repro.geometry import Point, Rect
@@ -24,6 +24,8 @@ from repro.sim.transport import SimNetwork
 from repro.store.spatial import ObjectRecord
 from repro.protocol import messages as m
 from repro.protocol.node import NodeConfig, ProtocolNode
+
+_Ack = TypeVar("_Ack")
 
 
 class ProtocolCluster:
@@ -151,42 +153,60 @@ class ProtocolCluster:
         ``attempts`` times, each with a ``timeout / attempts`` budget --
         the application-level retry a real client library would do.
         """
+        origin = self._protocol_node(from_node_id)
+        return self._await_ack(
+            lambda: origin.send_to_point(target, payload),
+            lambda request_id: next(
+                (a for a in origin.delivered if a.request_id == request_id),
+                None,
+            ),
+            timeout,
+            attempts,
+            f"lookup from node {from_node_id} to {target} was not delivered",
+        )
+
+    def _await_ack(
+        self,
+        issue: Callable[[], int],
+        ack_of: Callable[[int], Optional[_Ack]],
+        timeout: float,
+        attempts: int,
+        failure: str,
+    ) -> _Ack:
+        """Issue a request up to ``attempts`` times until one is answered.
+
+        Each attempt gets ``timeout / attempts`` of virtual time, polled
+        every time unit; any earlier attempt's answer counts.  Raises
+        :class:`SimulationError` (``failure`` plus the budget) when none
+        arrives.
+        """
         if attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {attempts}")
-        origin = self._protocol_node(from_node_id)
         per_attempt = timeout / attempts
-        request_ids = []
+        request_ids: List[int] = []
+
+        def answered() -> Optional[_Ack]:
+            acks = (ack_of(request_id) for request_id in request_ids)
+            return next((ack for ack in acks if ack is not None), None)
+
         for _ in range(attempts):
-            request_id = origin.send_to_point(target, payload)
-            request_ids.append(request_id)
+            request_ids.append(issue())
             deadline = self.scheduler.now + per_attempt
             while self.scheduler.now < deadline:
-                for rid in request_ids:
-                    ack = self._find_ack(origin, rid)
-                    if ack is not None:
-                        return ack
+                ack = answered()
+                if ack is not None:
+                    return ack
                 if self.scheduler.pending() == 0:
                     break
                 self.scheduler.run_until(
                     min(deadline, self.scheduler.now + 1.0)
                 )
-        for rid in request_ids:
-            ack = self._find_ack(origin, rid)
-            if ack is not None:
-                return ack
+        ack = answered()
+        if ack is not None:
+            return ack
         raise SimulationError(
-            f"lookup from node {from_node_id} to {target} was not "
-            f"delivered within {timeout} time units ({attempts} attempts)"
+            f"{failure} within {timeout} time units ({attempts} attempts)"
         )
-
-    @staticmethod
-    def _find_ack(
-        origin: ProtocolNode, request_id: int
-    ) -> Optional[m.RouteDeliveredBody]:
-        for ack in origin.delivered:
-            if ack.request_id == request_id:
-                return ack
-        return None
 
     def publish(self, from_node_id: int, point: Point, item: Any) -> None:
         """Publish a geo-tagged item and let it propagate."""
@@ -225,36 +245,17 @@ class ProtocolCluster:
         ``attempts`` times on a lossy network -- updates are idempotent
         (last-writer-wins by version), so retries are safe.
         """
-        if attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {attempts}")
         origin = self._protocol_node(from_node_id)
-        per_attempt = timeout / attempts
-        request_ids: List[int] = []
-        for _ in range(attempts):
-            request_id = origin.store_update(
+        return self._await_ack(
+            lambda: origin.store_update(
                 object_id, point, payload=payload, version=version,
                 prev_point=prev_point,
-            )
-            request_ids.append(request_id)
-            deadline = self.scheduler.now + per_attempt
-            while self.scheduler.now < deadline:
-                for rid in request_ids:
-                    ack = origin.store_acks.get(rid)
-                    if ack is not None:
-                        return ack
-                if self.scheduler.pending() == 0:
-                    break
-                self.scheduler.run_until(
-                    min(deadline, self.scheduler.now + 1.0)
-                )
-        for rid in request_ids:
-            ack = origin.store_acks.get(rid)
-            if ack is not None:
-                return ack
-        raise SimulationError(
+            ),
+            origin.store_acks.get,
+            timeout,
+            attempts,
             f"store update of {object_id!r} from node {from_node_id} was "
-            f"not acknowledged within {timeout} time units "
-            f"({attempts} attempts)"
+            f"not acknowledged",
         )
 
     def store_lookup(
@@ -295,36 +296,26 @@ class ProtocolCluster:
         id and the first executor's ack; notifications then accumulate
         on the origin node's ``notifications`` list.
         """
-        if attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {attempts}")
         origin = self._protocol_node(from_node_id)
-        per_attempt = timeout / attempts
-        request_ids: List[int] = []
         sub_id: Optional[str] = None
-        for _ in range(attempts):
+
+        def issue() -> int:
+            nonlocal sub_id
             request_id, sub_id = origin.subscribe(
                 rect, duration=duration, sub_id=sub_id
             )
-            request_ids.append(request_id)
-            deadline = self.scheduler.now + per_attempt
-            while self.scheduler.now < deadline:
-                for rid in request_ids:
-                    ack = origin.sub_acks.get(rid)
-                    if ack is not None:
-                        return sub_id, ack
-                if self.scheduler.pending() == 0:
-                    break
-                self.scheduler.run_until(
-                    min(deadline, self.scheduler.now + 1.0)
-                )
-        for rid in request_ids:
-            ack = origin.sub_acks.get(rid)
-            if ack is not None:
-                return sub_id, ack
-        raise SimulationError(
+            return request_id
+
+        ack = self._await_ack(
+            issue,
+            origin.sub_acks.get,
+            timeout,
+            attempts,
             f"subscription to {rect} from node {from_node_id} was not "
-            f"acknowledged within {timeout} time units ({attempts} attempts)"
+            f"acknowledged",
         )
+        assert sub_id is not None
+        return sub_id, ack
 
     def subscription_count(self) -> int:
         """Distinct subscriptions held by live primaries (test view)."""

@@ -1,15 +1,15 @@
-"""One-command replay of the PR-2 double hole-grant split brain.
+"""One-command replay of a double hole-grant split brain.
 
 This module is the "turning manual hunts into a repro" payoff of the
-observability stack: it re-runs the historical double hole-grant stress
-scenario (originally seed 492; re-pinned to seed 14 when the shortcut-
-cache PR's fan-out fix shifted the message sequence) with the
-split-brain witness *disabled* (the
-``NodeConfig.claim_witness_enabled`` fault-injection knob), so the double
-hole-grant happens again -- and this time the continuous invariant
-auditor catches the overlap the moment it appears, the flight recorder
-journal names the two grants that created it, and the causal tracer
-renders the hop-by-hop join traces those grants belong to.
+observability stack.  It injects the split brain under the default
+configuration, with every protection on: a region's owners die, two of
+its caretakers are cut off from each other by a partition, and each
+admits its own joiner into the hole (Section 2.3's failure story with
+the caretakers unable to coordinate).  The continuous invariant auditor
+catches the overlap the moment it appears, the flight recorder journal
+names the two grants that created it, the causal tracer renders the
+hop-by-hop join traces those grants belong to, and after the heal the
+ownership-conflict resolver leaves a clean partition again.
 
 Used by the ``python -m repro flightrec --demo`` CLI and by the
 integration test that pins the whole pipeline down.
@@ -19,15 +19,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.errors import SimulationError
 from repro.geometry import Point, Rect
 from repro.obs import causal
 from repro.obs.audit import AuditViolation, InvariantAuditor
 from repro.obs.flightrec import FlightRecorder, render_events
 from repro.protocol.cluster import ProtocolCluster
-from repro.protocol.node import NodeConfig
+from repro.protocol.node import (
+    FAILURE_HORIZON,
+    HEARTBEAT_INTERVAL,
+    PEER_TIMEOUT,
+    ProtocolNode,
+)
 from repro.sim.latency import DistanceLatency
 
 __all__ = ["ForensicsReport", "run_split_brain_repro"]
@@ -41,6 +47,15 @@ class ForensicsReport:
     """Everything the split-brain replay uncovered."""
 
     seed: int
+    #: The orphaned region both caretakers granted.
+    hole: Rect
+    #: The caretakers in partition groups ``A`` and ``B``, in that order.
+    caretakers: Tuple[ProtocolNode, ProtocolNode]
+    #: The joiner each caretaker admitted, in the same order.
+    joiners: Tuple[ProtocolNode, ProtocolNode]
+    #: ``check_partition()`` after the heal: ``None`` when it passed,
+    #: else its error.
+    partition_error: Optional[str]
     violations: List[AuditViolation]
     #: The journal events of the grants that created the contested ground
     #: (two grants of one rect by different granters = the split brain).
@@ -56,8 +71,17 @@ class ForensicsReport:
 
     def render(self) -> str:
         """The full human-readable forensics dump."""
+        groups = ", ".join(
+            f"{caretaker.address} -> {joiner.address} (group {group})"
+            for group, caretaker, joiner in zip(
+                "AB", self.caretakers, self.joiners
+            )
+        )
         lines = [
-            f"=== split-brain replay (seed {self.seed}, witness disabled) ==="
+            f"=== split-brain replay (seed {self.seed}) ===",
+            f"orphaned {self.hole}; partitioned grants: {groups}",
+            "partition check after heal: "
+            + (self.partition_error or "passed"),
         ]
         if not self.violations:
             lines.append("no invariant violations (nothing to explain)")
@@ -92,43 +116,23 @@ class ForensicsReport:
 def run_split_brain_repro(
     seed: int = 14,
     count: int = 14,
-    drop: float = 0.01,
-    settle: float = 120.0,
+    settle: float = 30.0,
     audit_interval: float = 5.0,
     capacity: int = 200_000,
 ) -> ForensicsReport:
-    """Replay the double hole-grant split brain under full observability.
+    """Inject a double hole grant under full observability.
 
-    Mirrors ``test_double_hole_grant_split_brain_resolves`` -- same
-    bounds, growth pattern, and settle time -- but with
-    ``claim_witness_enabled=False`` so the PR-2 fix is out of the way and
-    the split brain forms (and persists, giving the auditor something to
-    catch).  The default seed is whichever one reproduces the double
-    grant under the *current* message sequence (the corner fan-out fix
-    shifted it off the historical 492).  Runs with its own
-    recorder/auditor installed and restores the previous observability
-    state on exit.
+    ``count`` nodes join at places drawn from ``seed``, one region is
+    orphaned (:func:`_orphan_a_region`), and two of its caretakers, each
+    with a fresh joiner inside the hole, go into partition groups ``A``
+    and ``B``; every other node still reaches everyone.  Both joins enter
+    through their own caretaker in the same tick, so each caretaker
+    grants the hole.  Each phase settles for ``settle``; the partition
+    then heals.  Runs with its own recorder/auditor installed and
+    restores the previous observability state on exit.
     """
     cluster = ProtocolCluster(
-        Rect(0, 0, 64, 64),
-        seed=seed,
-        latency=DistanceLatency(),
-        drop_probability=drop,
-        # All reliability layers off: the witness (PR-2) would resolve
-        # the split brain, and the reliable channel's ack/retransmit
-        # exchange (grant resends included) would repair the lost grants
-        # that set it up in the first place.
-        # The shortcut cache is also off so the replayed message sequence
-        # matches the historical (pre-shortcut) journal hop for hop.
-        config=NodeConfig(
-            claim_witness_enabled=False,
-            shortcut_cache_size=0,
-            reliable_enabled=False,
-            join_retry_jitter=0.0,
-            # Probes would heal tables the historical run left blind,
-            # shifting the replayed message sequence off the journal.
-            perimeter_probe_enabled=False,
-        ),
+        Rect(0, 0, 64, 64), seed=seed, latency=DistanceLatency()
     )
     with obs.flight_capture(
         capacity=capacity, clock=lambda: cluster.scheduler.now
@@ -141,7 +145,25 @@ def run_split_brain_repro(
                 capacity=rng.choice([1, 10, 100]),
             )
         cluster.settle(settle)
+        hole, caretakers = _orphan_a_region(cluster)
+        joiners = (
+            cluster.spawn_node(hole.sample_interior_point(2 / 3, 2 / 3)),
+            cluster.spawn_node(hole.sample_interior_point(1 / 3, 1 / 3)),
+        )
+        for group, caretaker, joiner in zip("AB", caretakers, joiners):
+            cluster.network.set_partition(caretaker.address, group)
+            cluster.network.set_partition(joiner.address, group)
+        for caretaker, joiner in zip(caretakers, joiners):
+            joiner.start_join(entry=caretaker.address)
+        cluster.settle(settle)
+        cluster.network.heal_partitions()
+        cluster.settle(settle)
         events = recorder.events()
+    try:
+        cluster.check_partition()
+        partition_error = None
+    except SimulationError as error:
+        partition_error = str(error)
 
     violations = list(auditor.violations)
     offending: List[dict] = []
@@ -152,22 +174,21 @@ def run_split_brain_repro(
     )
     if overlap is not None:
         contested = set(overlap.data.get("rects", ()))
-        grants = [
-            event
-            for event in events
-            if event.get("kind") in GRANT_KINDS
-            and event.get("rect") in contested
-        ]
-        # The split brain is the *last* two grants of the contested ground
-        # by different granters to different joiners; earlier same-rect
-        # grants (lost, declined) are context, not the conflict.
-        by_pair: Dict[Tuple[str, str], dict] = {}
-        for event in grants:
-            by_pair[(str(event.get("granter")), str(event.get("joiner")))] = (
-                event
-            )
+        # The split brain is each overlapping owner's last grant of the
+        # contested ground before the auditor saw it; earlier grants of
+        # the same rect (the region's history) and later ones (the heal)
+        # are context, not the conflict.
+        latest: Dict[str, dict] = {}
+        for event in events:
+            if (
+                event.get("kind") in GRANT_KINDS
+                and event.get("rect") in contested
+                and event.get("joiner") in overlap.data.get("owners", ())
+                and event["t"] <= overlap.time
+            ):
+                latest[event["joiner"]] = event
         offending = sorted(
-            by_pair.values(), key=lambda e: (e["t"], e["seq"])
+            latest.values(), key=lambda e: (e["t"], e["seq"])
         )
         for event in offending:
             trace = event.get("trace_id")
@@ -179,6 +200,10 @@ def run_split_brain_repro(
 
     return ForensicsReport(
         seed=seed,
+        hole=hole,
+        caretakers=caretakers,
+        joiners=joiners,
+        partition_error=partition_error,
         violations=violations,
         offending_grants=offending,
         journal_slice=slice_,
@@ -186,3 +211,32 @@ def run_split_brain_repro(
         recorder=recorder,
         auditor=auditor,
     )
+
+
+def _orphan_a_region(
+    cluster: ProtocolCluster,
+) -> Tuple[Rect, Tuple[ProtocolNode, ProtocolNode]]:
+    """Crash both owners of one region; return it and two caretakers.
+
+    The secondary dies first and the primary evicts it before dying
+    itself, so the neighbors see a region with no standing secondary and
+    caretake it.
+    """
+    alive = [pnode for pnode in cluster.nodes.values() if pnode.alive]
+    victim = max(
+        (p for p in alive if p.is_primary() and p.owned.peer is not None),
+        key=lambda pnode: len(pnode.neighbor_table),
+    )
+    hole = victim.owned.rect
+    next(p for p in alive if p.address == victim.owned.peer).crash()
+    cluster.run_for(PEER_TIMEOUT + 2 * HEARTBEAT_INTERVAL)
+    if victim.owned.peer is not None:
+        raise SimulationError(f"{victim.address} kept its dead secondary")
+    victim.crash()
+    deadline = cluster.scheduler.now + 3 * FAILURE_HORIZON
+    while cluster.scheduler.now < deadline:
+        cluster.run_for(1.0)
+        caretakers = [p for p in alive if p.alive and hole in p.caretaker_rects]
+        if len(caretakers) >= 2:
+            return hole, (caretakers[0], caretakers[1])
+    raise SimulationError(f"fewer than two neighbors caretake {hole}")

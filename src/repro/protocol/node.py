@@ -79,6 +79,9 @@ CHECK_INTERVAL = 1.0
 #: through a fresh entry node (join messages are best-effort like
 #: everything else and can be lost).
 JOIN_RETRY_INTERVAL = 10.0
+#: Seeded fractional jitter on :data:`JOIN_RETRY_INTERVAL` (each retry
+#: waits ``interval * (1 +- jitter)``), so orphaned joiners desynchronize.
+JOIN_RETRY_JITTER = 0.25
 #: Trigger ratio over the lowest neighbor index (paper: sqrt(2)).
 ADAPTATION_TRIGGER_RATIO = math.sqrt(2.0)
 #: How many divergent store buckets one anti-entropy round may pull.
@@ -157,15 +160,10 @@ def reset_request_ids() -> None:
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """The protocol settings a deployment, a scenario or a replay turns."""
+    """The protocol settings a deployment or a scenario turns."""
 
     #: Whether joins fill empty secondary slots (dual peer) or always split.
     dual_peer: bool = True
-    #: Seeded fractional jitter on :data:`JOIN_RETRY_INTERVAL`: each retry
-    #: is scheduled after ``interval * (1 +- jitter)``.  Keeps a crowd of
-    #: joiners orphaned by the same heal/outage from retrying (and
-    #: hammering the bootstrap) in lockstep.
-    join_retry_jitter: float = 0.25
     #: Length of the sliding window over which served requests are counted
     #: toward the node's workload index.
     stat_interval: float = 10.0
@@ -175,39 +173,6 @@ class NodeConfig:
     adaptation_enabled: bool = False
     #: How often an overloaded primary considers proposing a switch.
     adaptation_interval: float = 15.0
-    #: Whether bystanders arbitrate third-party ownership claims heard in
-    #: heartbeat gossip (the PR-2 split-brain witness).  Disabling this is
-    #: a *fault-injection knob*: it re-opens the double hole-grant split
-    #: brain so the invariant auditor and flight recorder can be exercised
-    #: against a real historical failure (see repro.protocol.forensics).
-    claim_witness_enabled: bool = True
-    #: Capacity of the adaptive routing shortcut cache: learned
-    #: ``(rect, primary, secondary)`` entries for non-neighbor regions,
-    #: consulted by the forwarding path under the same strict-progress
-    #: rule as plain neighbors.  ``0`` disables the cache entirely --
-    #: routing then degenerates to the pure neighbor walk, which forensic
-    #: replays rely on for bit-for-bit reproducibility against a journal
-    #: recorded without shortcuts.
-    shortcut_cache_size: int = 32
-    #: Whether critical exchanges (grants, replication deltas, merge-back
-    #: retractions, departure handoffs, store-update hops) ride the
-    #: reliable request/ack channel.  Disabling it reverts every exchange
-    #: to raw fire-and-forget sends -- the ablation/fault-injection knob
-    #: the chaos harness and forensic replays use (it also re-opens the
-    #: historical lost-grant failure modes).
-    reliable_enabled: bool = True
-    #: Whether a primary that sees a persistently uncovered stretch of
-    #: its own perimeter probes it.  Grants born inside an incomplete
-    #: neighborhood can leave two adjacent primaries mutually blind --
-    #: neither heartbeats the other, so heartbeat gossip (which needs a
-    #: third node adjacent to both) can never bridge the gap.  The probe
-    #: is routed greedily to a point just outside the gap; whoever
-    #: serves that ground installs the prober and answers with a direct
-    #: heartbeat, healing both tables.  Needs :attr:`ProtocolNode.bounds`
-    #: to tell real gaps from the world edge; disabled (like the other
-    #: fault-injection knobs) by forensic replays pinned to historical
-    #: message sequences.
-    perimeter_probe_enabled: bool = True
     #: Interval at which a subscriber re-asserts each live lease it
     #: originated.  Registrations are soft state like store records: a
     #: region can lose every copy at once (a primary with no standing
@@ -361,7 +326,7 @@ class ProtocolNode:
         self.owned: Optional[OwnedRegion] = None
         self.neighbor_table: Dict[Rect, m.NeighborInfo] = {}
         #: Learned long-range routing entries for non-neighbor regions.
-        self.shortcuts = ShortcutCache(self.config.shortcut_cache_size)
+        self.shortcuts = ShortcutCache()
         #: Routed requests whose first hop -- ours, or one our secondary
         #: relayed to us -- took a shortcut and whose delivery ack has not
         #: reached us: request id -> (rect, sent at).
@@ -512,7 +477,6 @@ class ProtocolNode:
             scheduler=scheduler,
             rng=rng,
             policies={m.JOIN_GRANT: JOIN_GRANT_POLICY},
-            enabled=self.config.reliable_enabled,
             is_alive=lambda: self.alive or self._draining,
         )
 
@@ -700,10 +664,9 @@ class ProtocolNode:
         apart forever, stampeding the bootstrap and the entry nodes in
         lockstep waves; each node's seeded rng desynchronizes them.
         """
-        jitter = self.config.join_retry_jitter
-        if jitter <= 0.0:
-            return JOIN_RETRY_INTERVAL
-        return JOIN_RETRY_INTERVAL * (1.0 + self.rng.uniform(-jitter, jitter))
+        return JOIN_RETRY_INTERVAL * (
+            1.0 + self.rng.uniform(-JOIN_RETRY_JITTER, JOIN_RETRY_JITTER)
+        )
 
     def _retry_join(self) -> None:
         """Re-issue the join through a fresh entry if still unjoined."""
@@ -745,11 +708,7 @@ class ProtocolNode:
                 self.owned.peer,
                 m.DepartBody(rect=self.owned.rect, data=data),
             )
-        if handoff is None or not self.config.reliable_enabled:
-            if handoff is not None:
-                self.network.send(
-                    self.address, handoff[0], m.DEPART, handoff[1]
-                )
+        if handoff is None:
             self._detach(graceful=True)
             return
         peer, body = handoff
@@ -1173,14 +1132,6 @@ class ProtocolNode:
         body: m.ReliableAckBody = message.body
         self.reliable.on_ack(message.source, body.nonce)
 
-    def _send_critical(self, destination: NodeAddress, kind: str, body: Any,
-                       on_ack: Optional[Callable[[], None]] = None,
-                       on_give_up: Optional[Callable[[], None]] = None) -> None:
-        """Ship one critical exchange over the reliable channel."""
-        self.reliable.send(
-            destination, kind, body, on_ack=on_ack, on_give_up=on_give_up
-        )
-
     # ------------------------------------------------------------------
     # Ingress admission (overload control plane)
     # ------------------------------------------------------------------
@@ -1363,7 +1314,7 @@ class ProtocolNode:
         SHORTCUT_HOP envelope or a MISROUTE bounce.
         """
         if inner_kind in RELIABLE_ROUTED_KINDS:
-            self._send_critical(destination, kind, body)
+            self.reliable.send(destination, kind, body)
         else:
             self.network.send(self.address, destination, kind, body)
 
@@ -1416,48 +1367,47 @@ class ProtocolNode:
             ):
                 calm_distance = distance
                 calm_address = endpoint
-        if self.shortcuts.enabled:
-            shortcut = self.shortcuts.best(target, better_than=best_distance)
-            if shortcut is not None:
-                endpoint = self._live_endpoint(shortcut)
-                if endpoint is not None and endpoint not in (
-                    self.address, self.owned.peer
-                ):
-                    self.shortcuts.touch(shortcut.rect)
-                    self.shortcuts.hits += 1
-                    # Inlined VitalsFrame.on_shortcut(True): runs on
-                    # every shortcut routing decision.
-                    vitals = self.vitals
-                    vitals.shortcut_hits += 1
-                    vitals._win_shortcut_hits += 1
-                    obs.inc("routing.shortcut.hit")
-                    causal.annotate(
-                        "shortcut_hop",
-                        sender=str(self.address),
-                        kind=kind,
-                        rect=str(shortcut.rect),
-                        endpoint=str(endpoint),
+        shortcut = self.shortcuts.best(target, better_than=best_distance)
+        if shortcut is not None:
+            endpoint = self._live_endpoint(shortcut)
+            if endpoint is not None and endpoint not in (
+                self.address, self.owned.peer
+            ):
+                self.shortcuts.touch(shortcut.rect)
+                self.shortcuts.hits += 1
+                # Inlined VitalsFrame.on_shortcut(True): runs on
+                # every shortcut routing decision.
+                vitals = self.vitals
+                vitals.shortcut_hits += 1
+                vitals._win_shortcut_hits += 1
+                obs.inc("routing.shortcut.hit")
+                causal.annotate(
+                    "shortcut_hop",
+                    sender=str(self.address),
+                    kind=kind,
+                    rect=str(shortcut.rect),
+                    endpoint=str(endpoint),
+                )
+                envelope = m.ShortcutHopBody(
+                    kind=kind,
+                    body=body.forwarded(),
+                    target=target,
+                    claimed_rect=shortcut.rect,
+                    sender_distance=own_distance,
+                )
+                self._send_hop(
+                    endpoint, m.SHORTCUT_HOP, envelope, inner_kind=kind
+                )
+                if kind == m.ROUTE and body.hops == 0:
+                    # A departed or crashed endpoint drops the hop
+                    # without a NACK, and no neighbor of ours reports
+                    # a far node gone: only a missing delivery ack can
+                    # tell us.  (The ack for a request our secondary
+                    # relayed goes to it, so that entry is relearned.)
+                    self._shortcut_unacked[body.request_id] = (
+                        shortcut.rect, self.scheduler.now
                     )
-                    envelope = m.ShortcutHopBody(
-                        kind=kind,
-                        body=body.forwarded(),
-                        target=target,
-                        claimed_rect=shortcut.rect,
-                        sender_distance=own_distance,
-                    )
-                    self._send_hop(
-                        endpoint, m.SHORTCUT_HOP, envelope, inner_kind=kind
-                    )
-                    if kind == m.ROUTE and body.hops == 0:
-                        # A departed or crashed endpoint drops the hop
-                        # without a NACK, and no neighbor of ours reports
-                        # a far node gone: only a missing delivery ack can
-                        # tell us.  (The ack for a request our secondary
-                        # relayed goes to it, so that entry is relearned.)
-                        self._shortcut_unacked[body.request_id] = (
-                            shortcut.rect, self.scheduler.now
-                        )
-                    return True
+                return True
         if best_address is None:
             return False
         if deflect and calm_address is not None and calm_address != best_address:
@@ -1469,13 +1419,12 @@ class ProtocolNode:
             best_address = calm_address
             self.deflections += 1
             obs.inc("overload.deflect")
-        if self.shortcuts.enabled:
-            self.shortcuts.misses += 1
-            # Inlined VitalsFrame.on_shortcut(False).
-            vitals = self.vitals
-            vitals.shortcut_misses += 1
-            vitals._win_shortcut_misses += 1
-            obs.inc("routing.shortcut.miss")
+        self.shortcuts.misses += 1
+        # Inlined VitalsFrame.on_shortcut(False).
+        vitals = self.vitals
+        vitals.shortcut_misses += 1
+        vitals._win_shortcut_misses += 1
+        obs.inc("routing.shortcut.miss")
         self._send_hop(best_address, kind, body.forwarded(), inner_kind=kind)
         return True
 
@@ -1572,7 +1521,7 @@ class ProtocolNode:
         when the hole abuts our region (routing toward the hole must
         still find the live node serving it).
         """
-        if not self.shortcuts.enabled or self.owned is None:
+        if self.owned is None:
             return
         if info.primary == self.address or info.secondary == self.address:
             return
@@ -1634,7 +1583,7 @@ class ProtocolNode:
         # A lost replica grant costs no data (we keep the records), but
         # the region would sit half-full until the peer timeout; the
         # reliable channel retransmits until the joiner confirms.
-        self._send_critical(body.joiner, m.JOIN_GRANT, grant)
+        self.reliable.send(body.joiner, m.JOIN_GRANT, grant)
         self._announce_self()
 
     def _grant_split(self, body: m.JoinRequestBody) -> None:
@@ -1683,7 +1632,7 @@ class ProtocolNode:
         # lossy: the reliable channel retransmits until the joiner
         # confirms receipt, else the records die with the one dropped
         # message.
-        self._send_critical(body.joiner, m.JOIN_GRANT, grant)
+        self.reliable.send(body.joiner, m.JOIN_GRANT, grant)
 
         joiner_info = m.NeighborInfo(rect=handed, primary=body.joiner)
         stale = [
@@ -2027,8 +1976,6 @@ class ProtocolNode:
         cooldown bounds the witness to one notification per heartbeat
         interval.  Returns whether the claim was stamped into the ledger.
         """
-        if not self.config.claim_witness_enabled:
-            return False
         if info.primary == self.address:
             return False
         now = self.scheduler.now
@@ -2259,10 +2206,14 @@ class ProtocolNode:
         return None
 
     def _probe_perimeter_gap(self) -> None:
-        """Probe an uncovered perimeter stretch that survived damping."""
+        """Probe an uncovered perimeter stretch that survived damping.
+
+        Heals two adjacent primaries left mutually blind (gossip needs a
+        third node adjacent to both): whoever serves the ground just
+        outside the gap installs the prober and heartbeats it directly.
+        """
         if (
-            not self.config.perimeter_probe_enabled
-            or self.bounds is None
+            self.bounds is None
             or self.owned is None
             or self.owned.role != "primary"
         ):
@@ -2535,8 +2486,7 @@ class ProtocolNode:
             witnessed.append(sender_info)
         existing = self.neighbor_table.get(body.rect)
         if (
-            self.config.claim_witness_enabled
-            and existing is not None
+            existing is not None
             and existing.primary != source
             and existing.primary != self.address
             and existing.primary not in self.suspected
@@ -2853,7 +2803,7 @@ class ProtocolNode:
         owned = self.owned
         if owned.role != "primary" or owned.peer is None:
             return
-        self._send_critical(
+        self.reliable.send(
             owned.peer, m.REPLICATE, m.ReplicateBody(data=data, removed=removed)
         )
         if data.objects or removed:
@@ -3092,7 +3042,7 @@ class ProtocolNode:
         # strands the swap half-done (we install the initiator's region
         # below, it keeps believing it owns it).  Ride the reliable
         # channel so the handoff survives drops.
-        self._send_critical(
+        self.reliable.send(
             message.source, m.SWITCH_ACCEPT, m.SwitchAcceptBody(state=my_state)
         )
         self._install_state(
@@ -3193,13 +3143,13 @@ class ProtocolNode:
             # phantom entry for the declined region (then a bogus hole to
             # caretake and re-grant): ride the reliable channel.
             for recipient in sorted(audience):
-                self._send_critical(
+                self.reliable.send(
                     recipient, m.NEIGHBOR_UPDATE,
                     m.NeighborUpdateBody(
                         info=self._my_info(), removed_rect=old_rect
                     ),
                 )
-                self._send_critical(
+                self.reliable.send(
                     recipient, m.NEIGHBOR_UPDATE,
                     m.NeighborUpdateBody(
                         info=self._my_info(), removed_rect=body.rect
@@ -3220,7 +3170,7 @@ class ProtocolNode:
         )
         audience.discard(self.address)
         for recipient in sorted(audience):
-            self._send_critical(
+            self.reliable.send(
                 recipient, m.NEIGHBOR_UPDATE,
                 m.NeighborUpdateBody(
                     info=self._my_info(), removed_rect=body.rect
@@ -3461,7 +3411,7 @@ class ProtocolNode:
             matched_at=self.scheduler.now,
             executor=self.address,
         )
-        self._send_critical(sub.subscriber, m.NOTIFY, body)
+        self.reliable.send(sub.subscriber, m.NOTIFY, body)
 
     def _on_notify(self, message: Message) -> None:
         body: m.NotifyBody = message.body

@@ -111,7 +111,7 @@ class DeadLetter:
 class ReliableStats:
     """Counters describing everything one channel did."""
 
-    #: Reliable exchanges initiated (excludes raw passthrough sends).
+    #: Reliable exchanges initiated.
     sent: int = 0
     #: Exchanges confirmed by an ack.
     acked: int = 0
@@ -166,7 +166,6 @@ class ReliableChannel:
         rng: random.Random,
         policies: Optional[Dict[str, RetryPolicy]] = None,
         default_policy: Optional[RetryPolicy] = None,
-        enabled: bool = True,
         dedup_capacity: int = 1024,
         is_alive: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -182,7 +181,6 @@ class ReliableChannel:
         self.default_policy = (
             default_policy if default_policy is not None else RetryPolicy()
         )
-        self.enabled = enabled
         self.dedup_capacity = dedup_capacity
         self._is_alive = is_alive if is_alive is not None else (lambda: True)
         self.stats = ReliableStats()
@@ -225,16 +223,8 @@ class ReliableChannel:
         on_give_up: Optional[Callable[[], None]] = None,
         policy: Optional[RetryPolicy] = None,
     ) -> int:
-        """Send ``(kind, body)`` reliably; returns the exchange nonce.
-
-        With the channel disabled (or a one-attempt policy and no
-        callbacks to honor) this degenerates to a raw best-effort send
-        and returns ``0`` -- the fault-injection/ablation escape hatch.
-        """
+        """Send ``(kind, body)`` reliably; returns the exchange nonce."""
         policy = policy if policy is not None else self.policy_for(kind)
-        if not self.enabled:
-            self.network.send(self.address, destination, kind, body)
-            return 0
         nonce = next(self._nonces)
         pending = _Pending(
             nonce, destination, kind, body, policy, on_ack, on_give_up,

@@ -30,13 +30,11 @@ class ShortcutCache:
 
     Keys are region rectangles; values are :class:`~repro.protocol.
     messages.NeighborInfo` records naming the region's current owner(s).
-    Capacity zero disables the cache entirely (used by forensic replays,
-    where routing must be bit-for-bit reproducible against the journal).
     """
 
     def __init__(self, capacity: int = 32) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
         #: Forwarding decisions resolved through a cached entry.
         self.hits = 0
@@ -49,11 +47,6 @@ class ShortcutCache:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """Whether the cache stores anything (capacity zero disables)."""
-        return self.capacity > 0
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -83,8 +76,6 @@ class ShortcutCache:
         and are stale by construction).  Insertion past capacity evicts
         the least recently used entry.
         """
-        if not self.enabled:
-            return False
         existing = self._entries.get(info.rect)
         if existing is not None:
             self._entries[info.rect] = info

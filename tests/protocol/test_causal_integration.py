@@ -1,13 +1,12 @@
 """End-to-end causal tracing + auditing over real protocol runs.
 
-The headline acceptance test: re-break the PR-2 double hole-grant split
-brain (witness disabled via the fault-injection knob) and show the
+The headline acceptance test: inject a double hole grant with every
+protection on (a region's owners die, two of its caretakers are
+partitioned apart and each admits a joiner into the hole) and show the
 observability stack explains it -- the auditor catches the overlap, the
 journal names the two grants that created it, and the span trees trace
-each grant back through the join that caused it.  The pinned seed is
-whichever reproduces the double grant under the current message
-sequence (the corner fan-out fix of the shortcut-cache PR shifted it
-off the historical 492).
+each grant back through the join that caused it.  After the heal the
+ownership-conflict resolver must leave a clean partition.
 """
 
 import pytest
@@ -20,7 +19,7 @@ from repro.protocol.forensics import GRANT_KINDS, run_split_brain_repro
 from repro.sim.latency import ConstantLatency
 
 
-#: The seed that reproduces the double hole-grant with the witness off.
+#: The placement seed of the shared replay.
 REPRO_SEED = 14
 
 
@@ -33,7 +32,7 @@ def report():
 class TestSplitBrainForensics:
     def test_auditor_catches_the_overlap(self, report):
         overlaps = [v for v in report.violations if v.check == "overlap"]
-        assert overlaps, "witnessless repro-seed run must split-brain"
+        assert overlaps, "the injected double grant must split-brain"
         first = overlaps[0]
         assert first.severity == "hard"
         assert len(first.data["owners"]) == 2
@@ -89,6 +88,35 @@ class TestSplitBrainForensics:
     def test_observability_state_is_restored(self, report):
         # flight_capture restored whatever was installed before the run.
         assert obs.flightrec() is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_overlap_forms_and_is_caught_across_placements(seed):
+    report = run_split_brain_repro(seed=seed)
+    overlaps = [v for v in report.violations if v.check == "overlap"]
+    assert overlaps and overlaps[0].severity == "hard"
+    assert sorted(overlaps[0].data["owners"]) == sorted(
+        str(joiner.address) for joiner in report.joiners
+    )
+    grants = report.offending_grants
+    assert [g["kind"] for g in grants] == ["grant_hole", "grant_hole"]
+    assert {g["granter"] for g in grants} == {
+        str(caretaker.address) for caretaker in report.caretakers
+    }
+
+
+def test_heal_leaves_one_claimant_owning_the_hole(report):
+    assert report.partition_error is None
+    claimants = [
+        joiner
+        for joiner in report.joiners
+        if joiner.alive
+        and joiner.owned is not None
+        and joiner.owned.role == "primary"
+        and joiner.owned.rect == report.hole
+    ]
+    assert len(claimants) == 1
+    assert "partition check after heal: passed" in report.render()
 
 
 class TestHealthyRouteTracing:

@@ -6,7 +6,7 @@ from repro import obs
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
-from repro.protocol.node import JOIN_RETRY_INTERVAL
+from repro.protocol.node import JOIN_RETRY_INTERVAL, JOIN_RETRY_JITTER
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -198,18 +198,10 @@ class TestJoinRetryJitter:
         nodes = [cluster.spawn_node(Point(20 + i, 20)) for i in range(6)]
         delays = [node._jittered_join_delay() for node in nodes]
         base = JOIN_RETRY_INTERVAL
-        jitter = nodes[0].config.join_retry_jitter
+        jitter = JOIN_RETRY_JITTER
         assert len(set(delays)) > 1  # desynchronized
         for delay in delays:
             assert base * (1 - jitter) <= delay <= base * (1 + jitter)
-
-    def test_zero_jitter_is_exact_interval(self):
-        cluster = ProtocolCluster(
-            BOUNDS, seed=4, config=NodeConfig(join_retry_jitter=0.0)
-        )
-        cluster.join_node(Point(10, 10))
-        node = cluster.spawn_node(Point(20, 20))
-        assert node._jittered_join_delay() == JOIN_RETRY_INTERVAL
 
     def test_jittered_delay_is_reproducible(self):
         """Same seeds, same schedule: the jitter draws come from the

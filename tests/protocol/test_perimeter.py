@@ -13,15 +13,15 @@ both tables.
 import random
 
 from repro.geometry import Point, Rect
-from repro.protocol import NodeConfig, ProtocolCluster
+from repro.protocol import ProtocolCluster
 from repro.protocol import messages as m
 from repro.protocol.node import HEARTBEAT_INTERVAL
 
 BOUNDS = Rect(0, 0, 64, 64)
 
 
-def build_cluster(count=8, seed=13, config=None):
-    cluster = ProtocolCluster(BOUNDS, seed=seed, config=config)
+def build_cluster(count=8, seed=13):
+    cluster = ProtocolCluster(BOUNDS, seed=seed)
     rng = random.Random(seed)
     for _ in range(count):
         cluster.join_node(
@@ -93,13 +93,4 @@ class TestQuiescence:
         cluster = ProtocolCluster(BOUNDS, seed=2)
         cluster.join_node(Point(32, 32), capacity=10)
         cluster.settle(60)
-        assert cluster.network.stats.by_kind.get(m.PERIMETER_PROBE, 0) == 0
-
-    def test_disabled_by_config(self):
-        config = NodeConfig(perimeter_probe_enabled=False)
-        cluster = build_cluster(config=config)
-        a, b = adjacent_primaries(cluster)
-        blind(a, b.owned.rect, b.address)
-        blind(b, a.owned.rect, a.address)
-        cluster.settle(8 * HEARTBEAT_INTERVAL)
         assert cluster.network.stats.by_kind.get(m.PERIMETER_PROBE, 0) == 0

@@ -7,7 +7,7 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.core.node import NodeAddress
 from repro.protocol import messages as m
-from repro.protocol import NodeConfig, ProtocolCluster
+from repro.protocol import ProtocolCluster
 from repro.protocol.reliable import (
     ReliableChannel,
     RetryPolicy,
@@ -22,11 +22,10 @@ BOUNDS = Rect(0, 0, 64, 64)
 class Harness:
     """Two endpoints wired through real channels over the sim transport."""
 
-    def __init__(self, policy=None, enabled=True, dedup_capacity=1024):
+    def __init__(self, policy=None, dedup_capacity=1024):
         self.scheduler = EventScheduler()
         self.network = SimNetwork(self.scheduler, rng=random.Random(5))
         self.delivered = []
-        self.raw = []
         self.a = NodeAddress("10.0.0.1", 7000)
         self.b = NodeAddress("10.0.0.2", 7000)
         self.sender = ReliableChannel(
@@ -35,7 +34,6 @@ class Harness:
             scheduler=self.scheduler,
             rng=random.Random(7),
             default_policy=policy or RetryPolicy(jitter=0.0),
-            enabled=enabled,
         )
         self.receiver = ReliableChannel(
             address=self.b,
@@ -59,8 +57,6 @@ class Harness:
                     (kind, body)
                 ),
             )
-        else:
-            self.raw.append((message.kind, message.body))
 
 
 class TestRetryPolicy:
@@ -143,14 +139,6 @@ class TestExchange:
         h.sender.send(h.b, "ping", None, on_ack=lambda: acked.append(True))
         h.scheduler.run_until(5.0)
         assert acked == [True]
-
-    def test_disabled_channel_is_raw_passthrough(self):
-        h = Harness(enabled=False)
-        nonce = h.sender.send(h.b, "ping", "raw")
-        assert nonce == 0
-        h.scheduler.run_until(5.0)
-        assert h.raw == [("ping", "raw")]
-        assert h.sender.stats.sent == 0
 
     def test_stray_ack_counted(self):
         h = Harness()
@@ -255,20 +243,3 @@ class TestProtocolIntegration:
             node.reliable for node in cluster.nodes.values()
         )
         assert stats["acked"] > 0
-
-    def test_reliable_disabled_reverts_to_raw_sends(self):
-        cluster = ProtocolCluster(
-            BOUNDS, seed=3, config=NodeConfig(reliable_enabled=False)
-        )
-        rng = random.Random(3)
-        for _ in range(5):
-            cluster.join_node(
-                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
-                capacity=10,
-            )
-        cluster.settle(40)
-        stats = tally_stats(
-            node.reliable for node in cluster.nodes.values()
-        )
-        assert stats["sent"] == 0
-        assert cluster.network.stats.by_kind.get(m.RELIABLE, 0) == 0

@@ -65,10 +65,9 @@ class TestShortcutCacheUnit:
         assert a.rect in cache and c.rect in cache and b.rect not in cache
 
     def test_capacity_zero_disables(self):
-        cache = ShortcutCache(capacity=0)
-        assert not cache.enabled
-        assert cache.learn(info(Rect(0, 0, 8, 8), 1)) is False
-        assert len(cache) == 0
+        """There is no disabled cache: capacity zero is refused outright."""
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            ShortcutCache(capacity=0)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -137,13 +136,9 @@ class TestShortcutCacheUnit:
         assert cache.best(Point(10, 12), better_than=100.0) == right
 
 
-def build_cluster(count=10, seed=11, drop=0.0, config=None, latency=None):
+def build_cluster(count=10, seed=11, drop=0.0, latency=None):
     cluster = ProtocolCluster(
-        BOUNDS,
-        seed=seed,
-        latency=latency,
-        drop_probability=drop,
-        config=config,
+        BOUNDS, seed=seed, latency=latency, drop_probability=drop
     )
     rng = random.Random(seed)
     nodes = []
@@ -198,18 +193,6 @@ class TestPassiveLearning:
             origin.owned.rect
         ):
             assert origin.shortcuts.get(ack.region) is not None
-
-    def test_disabled_cache_stays_empty(self):
-        cluster, nodes, rng = build_cluster(
-            count=8, config=NodeConfig(shortcut_cache_size=0)
-        )
-        for _ in range(10):
-            origin = rng.choice(nodes)
-            cluster.lookup(
-                origin.node.node_id,
-                Point(rng.uniform(1, 63), rng.uniform(1, 63)),
-            )
-        assert all(len(n.shortcuts) == 0 for n in nodes)
 
 
 class TestMisrouteRepair:

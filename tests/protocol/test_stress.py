@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.sim.latency import DistanceLatency, UniformLatency
@@ -202,3 +203,41 @@ def test_crash_during_split_is_reclaimed():
     assert healer.is_primary()
     covered = sum(rect.area for rect in cluster.primary_rects())
     assert covered >= BOUNDS.area - 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, SimulationError),
+    reason=(
+        "known defect: _check_failures step 2 skips any neighbor entry "
+        "whose secondary is another address and never checks that the "
+        "secondary is alive, so when a region's primary and secondary "
+        "crash together no neighbor ever caretakes it"
+    ),
+)
+def test_region_losing_both_owners_at_once_is_caretaken():
+    for seed in range(8):
+        cluster = ProtocolCluster(BOUNDS, seed=seed)
+        rng = random.Random(seed)
+        for _ in range(14):
+            cluster.join_node(
+                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
+                capacity=rng.choice([1, 10, 100]),
+            )
+        cluster.settle(30)
+        victim = next(
+            n for n in cluster.nodes.values()
+            if n.is_primary() and n.owned.peer is not None
+        )
+        hole = victim.owned.rect
+        secondary = next(
+            n for n in cluster.nodes.values()
+            if n.address == victim.owned.peer
+        )
+        victim.crash()
+        secondary.crash()
+        cluster.settle(200)
+        assert hole in cluster.caretaker_rects(), f"seed {seed}: no caretaker"
+        origin = next(n for n in cluster.nodes.values() if n.alive)
+        cluster.lookup(origin.node.node_id, hole.center)
+        cluster.join_node(hole.center)
