@@ -27,7 +27,8 @@ from repro.loadbalance.base import (
     Mechanism,
 )
 from repro.loadbalance.config import AdaptationConfig
-from repro.loadbalance.engine import AdaptationEngine, RoundReport, default_mechanisms
+from repro.loadbalance.engine import AdaptationEngine, RoundReport
+from repro.loadbalance.mechanisms import default_mechanisms
 from repro.loadbalance.routing_load import RoutingLoadReport, RoutingLoadTracker
 
 __all__ = [

@@ -15,7 +15,7 @@ first plan it gets.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.overlay import BasicGeoGrid
@@ -39,33 +39,25 @@ class AdaptationContext:
     #: Message cost accrued by TTL searches this context has run.
     search_messages: int = 0
     #: The location store riding this overlay, when one is attached.
-    #: Mechanisms drain its pending-motion counter after executing so
+    #: The engine drains its pending-motion counter after each execute so
     #: migrated objects are attributed to the mechanism that moved them.
     store: Optional["OverlayStore"] = None
     #: Objects migrated per mechanism key, accumulated across rounds.
-    store_motion: Dict[str, int] = None  # type: ignore[assignment]
+    store_motion: Dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.store_motion is None:
-            self.store_motion = {}
-
-    def collect_store_motion(self, mechanism_key: str) -> int:
+    def collect_store_motion(self, mechanism_key: str) -> None:
         """Attribute store records moved by the adaptation just executed.
 
-        Each mechanism calls this at the end of ``execute``; the store's
-        structural listeners have already counted every record that
-        changed region or serving node, and this drains that counter
-        under the mechanism's key.  Returns the number collected (0 when
-        no store is attached).
+        The engine calls this right after a successful ``execute``; the
+        store's structural listeners have already counted every record
+        that changed region or serving node, and this drains that counter
+        under the mechanism's key.
         """
-        if self.store is None:
-            return 0
-        moved = self.store.take_pending_motion()
+        moved = self.store.take_pending_motion() if self.store is not None else 0
         if moved:
             self.store_motion[mechanism_key] = (
                 self.store_motion.get(mechanism_key, 0) + moved
             )
-        return moved
 
     def region_index(self, region: Region) -> float:
         """Convenience passthrough to the index calculator."""

@@ -8,6 +8,10 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 
+#: The paper's trigger ratio: a node adapts once its workload index is
+#: "higher than sqrt(2) times of the lowest one among its neighbors".
+TRIGGER_RATIO = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class AdaptationConfig:
@@ -42,7 +46,7 @@ class AdaptationConfig:
         convergence experiments, Figures 9/10).
     """
 
-    trigger_ratio: float = math.sqrt(2.0)
+    trigger_ratio: float = TRIGGER_RATIO
     min_index: float = 1e-9
     improvement_margin: float = 0.999
     split_capacity_ratio: float = 1.0
@@ -55,6 +59,10 @@ class AdaptationConfig:
         if self.trigger_ratio < 1.0:
             raise ConfigurationError(
                 f"trigger_ratio must be >= 1, got {self.trigger_ratio!r}"
+            )
+        if self.min_index < 0.0:
+            raise ConfigurationError(
+                f"min_index must be >= 0, got {self.min_index!r}"
             )
         if not (0.0 < self.improvement_margin <= 1.0):
             raise ConfigurationError(

@@ -29,18 +29,13 @@ from repro.loadbalance.base import (
     Mechanism,
 )
 from repro.loadbalance.config import AdaptationConfig
-from repro.loadbalance.mechanisms import ORDERED_MECHANISM_CLASSES
+from repro.loadbalance.mechanisms import default_mechanisms
 from repro.loadbalance.trigger import TriggerRule
 from repro.loadbalance.workload import WorkloadIndexCalculator
 
 #: Called after each executed adaptation with the running total count and
 #: the record; Figures 9/10 hook in here.
 AdaptationCallback = Callable[[int, AdaptationRecord], None]
-
-
-def default_mechanisms() -> List[Mechanism]:
-    """Fresh instances of all eight mechanisms in cost order."""
-    return [cls() for cls in ORDERED_MECHANISM_CLASSES]
 
 
 @dataclass
@@ -220,6 +215,7 @@ class AdaptationEngine:
                 self.failed_plans += 1
                 obs.inc("adapt.failed_plans")
                 continue
+            self.ctx.collect_store_motion(mechanism.key)
             messages = self._estimate_messages(plan)
             self.adaptation_messages += messages
             registry = obs.active()

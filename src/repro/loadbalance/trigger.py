@@ -14,14 +14,11 @@ triggering on measurement noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.node import Node
+from repro.loadbalance.config import TRIGGER_RATIO
 from repro.loadbalance.workload import WorkloadIndexCalculator
-
-#: The paper's trigger ratio.
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,7 @@ class TriggerRule:
         adapts, no matter how idle its neighbors are.
     """
 
-    ratio: float = SQRT2
+    ratio: float = TRIGGER_RATIO
     min_index: float = 1e-9
 
     def __post_init__(self) -> None:

@@ -26,6 +26,7 @@ from repro.errors import BootstrapError, MembershipError
 from repro.geometry import Point, Rect
 from repro.bootstrap import BootstrapServer, HostCache
 from repro.core.node import Node, NodeAddress
+from repro.loadbalance.config import TRIGGER_RATIO
 from repro import obs
 from repro.obs import causal
 from repro.obs.health import HealthScorer, NeighborHealthView
@@ -82,8 +83,6 @@ JOIN_RETRY_INTERVAL = 10.0
 #: Seeded fractional jitter on :data:`JOIN_RETRY_INTERVAL` (each retry
 #: waits ``interval * (1 +- jitter)``), so orphaned joiners desynchronize.
 JOIN_RETRY_JITTER = 0.25
-#: Trigger ratio over the lowest neighbor index (paper: sqrt(2)).
-ADAPTATION_TRIGGER_RATIO = math.sqrt(2.0)
 #: How many divergent store buckets one anti-entropy round may pull.
 #: Bounds the repair traffic after a lossy handover; remaining
 #: divergence drains over subsequent sync intervals.
@@ -1942,6 +1941,11 @@ class ProtocolNode:
                 m.NeighborUpdateBody(info=neighbor),
             )
         self._broadcast_update(m.NeighborUpdateBody(info=info))
+        self._rejoin()
+        return True
+
+    def _rejoin(self) -> None:
+        """Forget the region this node served and join from scratch."""
         self.owned = None
         self.joined = False
         self.caretaker_rects = set()
@@ -1956,7 +1960,6 @@ class ProtocolNode:
             timer.cancel()
         self._timers.clear()
         self.start_join()
-        return True
 
     def _witness_claim(self, info: m.NeighborInfo) -> bool:
         """Arbitrate third-party ownership claims heard in heartbeats.
@@ -2759,22 +2762,11 @@ class ProtocolNode:
 
     def _on_secondary_released(self, message: Message) -> None:
         """Our primary disowned us: drop the stale role and rejoin."""
-        body: m.SecondaryReleasedBody = message.body
         if self.owned is None or self.owned.role != "secondary":
             return
         if self.owned.peer != message.source:
             return
-        self.owned = None
-        self.joined = False
-        self._set_table(())
-        self._claims_heard = {}
-        self._claims_oldest = math.inf
-        self._replicated_neighbors = ()
-        self.shortcuts.clear()
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-        self.start_join()
+        self._rejoin()
 
     # ------------------------------------------------------------------
     # Region data following the partition
@@ -2981,7 +2973,7 @@ class ProtocolNode:
         if not stats:
             return
         lowest = min(index for _, index, _ in stats)
-        if my_index <= ADAPTATION_TRIGGER_RATIO * lowest:
+        if my_index <= TRIGGER_RATIO * lowest:
             return
         candidates = [
             (rect, index, capacity)

@@ -30,6 +30,8 @@ EXPECTED = {
     "rounds": 9,
     "search_messages": 74250,
     "hop_sum": 3890,
+    "mechanism_usage": {"a": 1, "b": 66, "c": 3, "d": 16, "f": 6, "g": 4, "h": 65},
+    "adaptation_messages": 2080,
 }
 EXPECTED_SUMMARY = {
     "count": 512,
@@ -77,6 +79,8 @@ def run_loop():
         "rounds": len(network.engine.round_reports),
         "search_messages": network.engine.search_messages,
         "hop_sum": hop_sum,
+        "mechanism_usage": network.engine.mechanism_usage(),
+        "adaptation_messages": network.engine.adaptation_messages,
     }
     return counts, network.calc.summary()
 

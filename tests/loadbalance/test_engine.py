@@ -188,10 +188,10 @@ class TestConvergence:
 class TestEngineConfig:
     def test_custom_mechanism_subset(self):
         s = make_row_scenario([(1, None, 5.0), (100, None, 0.5)])
-        from repro.loadbalance.mechanisms import SwitchPrimaryOwners
+        from repro.loadbalance.mechanisms import SwitchPrimaries
 
         engine = AdaptationEngine(
-            s.overlay, s.calc, mechanisms=[SwitchPrimaryOwners()]
+            s.overlay, s.calc, mechanisms=[SwitchPrimaries()]
         )
         report = engine.run_round()
         assert {record.mechanism for record in report.records} <= {"b"}

@@ -10,12 +10,9 @@ from repro.geometry import Point
 from repro.loadbalance.mechanisms import (
     MergeWithNeighbor,
     SplitRegion,
-    StealRemoteSecondary,
-    StealSecondaryOwner,
-    SwitchPrimaryOwners,
-    SwitchPrimaryWithNeighborSecondary,
-    SwitchPrimaryWithRemotePrimary,
-    SwitchPrimaryWithRemoteSecondary,
+    StealSecondary,
+    SwitchPrimaries,
+    SwitchWithSecondary,
 )
 
 from tests.loadbalance.conftest import make_row_scenario
@@ -26,7 +23,7 @@ class TestPanelA_StealSecondaryOwner:
         # Overloaded (1) half-full region next to a (100, 10) region.
         s = make_row_scenario([(1, None, 5.0), (100, 10, 1.0)])
         hot, donor = s.region(0), s.region(1)
-        mech = StealSecondaryOwner()
+        mech = StealSecondary()
         plan = mech.plan(hot, s.ctx)
         assert plan is not None
         assert plan.partner is donor
@@ -39,24 +36,24 @@ class TestPanelA_StealSecondaryOwner:
 
     def test_does_not_apply_to_full_region(self):
         s = make_row_scenario([(1, 1, 5.0), (100, 10, 1.0)])
-        assert StealSecondaryOwner().plan(s.region(0), s.ctx) is None
+        assert StealSecondary().plan(s.region(0), s.ctx) is None
 
     def test_requires_stronger_secondary(self):
         s = make_row_scenario([(10, None, 5.0), (100, 5, 1.0)])
-        assert StealSecondaryOwner().plan(s.region(0), s.ctx) is None
+        assert StealSecondary().plan(s.region(0), s.ctx) is None
 
     def test_picks_least_loaded_donor(self):
         s = make_row_scenario(
             [(100, 50, 4.0), (1, None, 5.0), (100, 50, 1.0)]
         )
-        plan = StealSecondaryOwner().plan(s.region(1), s.ctx)
+        plan = StealSecondary().plan(s.region(1), s.ctx)
         assert plan is not None
         assert plan.partner is s.region(2)
 
     def test_respects_donor_cooldown(self):
         s = make_row_scenario([(1, None, 5.0), (100, 10, 1.0)])
         s.region(1).last_adapted_at = s.ctx.round_number
-        assert StealSecondaryOwner().plan(s.region(0), s.ctx) is None
+        assert StealSecondary().plan(s.region(0), s.ctx) is None
 
 
 class TestPanelB_SwitchPrimaryOwners:
@@ -64,7 +61,7 @@ class TestPanelB_SwitchPrimaryOwners:
         # Hot (1)-region next to a cool (100)-region: swap primaries.
         s = make_row_scenario([(1, None, 5.0), (100, None, 1.0)])
         hot, cool = s.region(0), s.region(1)
-        mech = SwitchPrimaryOwners()
+        mech = SwitchPrimaries()
         plan = mech.plan(hot, s.ctx)
         assert plan is not None
         mech.execute(plan, s.ctx)
@@ -75,16 +72,16 @@ class TestPanelB_SwitchPrimaryOwners:
     def test_no_swap_when_it_does_not_help(self):
         # The neighbor is stronger but so loaded the swap raises the max.
         s = make_row_scenario([(1, None, 2.0), (100, None, 500.0)])
-        assert SwitchPrimaryOwners().plan(s.region(0), s.ctx) is None
+        assert SwitchPrimaries().plan(s.region(0), s.ctx) is None
 
     def test_no_swap_with_weaker_neighbor(self):
         s = make_row_scenario([(10, None, 5.0), (1, None, 0.0)])
-        assert SwitchPrimaryOwners().plan(s.region(0), s.ctx) is None
+        assert SwitchPrimaries().plan(s.region(0), s.ctx) is None
 
     def test_swap_never_oscillates(self):
         """After a beneficial swap, the reverse swap is not beneficial."""
         s = make_row_scenario([(1, None, 5.0), (100, None, 1.0)])
-        mech = SwitchPrimaryOwners()
+        mech = SwitchPrimaries()
         plan = mech.plan(s.region(0), s.ctx)
         mech.execute(plan, s.ctx)
         assert mech.plan(s.region(0), s.ctx) is None
@@ -92,7 +89,7 @@ class TestPanelB_SwitchPrimaryOwners:
 
     def test_applies_to_full_regions_too(self):
         s = make_row_scenario([(1, 2, 5.0), (100, None, 1.0)])
-        assert SwitchPrimaryOwners().plan(s.region(0), s.ctx) is not None
+        assert SwitchPrimaries().plan(s.region(0), s.ctx) is not None
 
 
 class TestPanelC_MergeWithNeighbor:
@@ -207,7 +204,7 @@ class TestPanelE_SwitchWithNeighborSecondary:
         # secondary: hot region becomes (50, 2), neighbor (100, 1).
         s = make_row_scenario([(1, 2, 5.0), (100, 50, 1.0)])
         hot, donor = s.region(0), s.region(1)
-        mech = SwitchPrimaryWithNeighborSecondary()
+        mech = SwitchWithSecondary()
         plan = mech.plan(hot, s.ctx)
         assert plan is not None
         mech.execute(plan, s.ctx)
@@ -220,14 +217,14 @@ class TestPanelE_SwitchWithNeighborSecondary:
     def test_requires_full_initiator(self):
         s = make_row_scenario([(1, None, 5.0), (100, 50, 1.0)])
         assert (
-            SwitchPrimaryWithNeighborSecondary().plan(s.region(0), s.ctx)
+            SwitchWithSecondary().plan(s.region(0), s.ctx)
             is None
         )
 
     def test_requires_stronger_secondary(self):
         s = make_row_scenario([(10, 2, 5.0), (100, 5, 1.0)])
         assert (
-            SwitchPrimaryWithNeighborSecondary().plan(s.region(0), s.ctx)
+            SwitchWithSecondary().plan(s.region(0), s.ctx)
             is None
         )
 
@@ -241,7 +238,7 @@ class TestPanelF_StealRemoteSecondary:
             [(1, None, 5.0), (2, None, 4.0), (100, 50, 0.5)]
         )
         hot, donor = s.region(0), s.region(2)
-        mech = StealRemoteSecondary()
+        mech = StealSecondary(remote=True)
         plan = mech.plan(hot, s.ctx)
         assert plan is not None
         assert plan.partner is donor
@@ -257,14 +254,14 @@ class TestPanelF_StealRemoteSecondary:
             [(1, None, 5.0), (2, None, 4.0), (100, 50, 0.5)]
         )
         before = s.ctx.search_messages
-        StealRemoteSecondary().plan(s.region(0), s.ctx)
+        StealSecondary(remote=True).plan(s.region(0), s.ctx)
         assert s.ctx.search_messages > before
 
     def test_requires_less_loaded_donor(self):
         s = make_row_scenario(
             [(1, None, 5.0), (2, None, 4.0), (100, 50, 900.0)]
         )
-        assert StealRemoteSecondary().plan(s.region(0), s.ctx) is None
+        assert StealSecondary(remote=True).plan(s.region(0), s.ctx) is None
 
     def test_ttl_limits_reach(self):
         from repro.loadbalance import AdaptationConfig
@@ -275,7 +272,7 @@ class TestPanelF_StealRemoteSecondary:
             config=AdaptationConfig(search_ttl=2),
         )
         # The donor sits 4 hops away, beyond TTL 2.
-        assert StealRemoteSecondary().plan(s.region(0), s.ctx) is None
+        assert StealSecondary(remote=True).plan(s.region(0), s.ctx) is None
 
 
 class TestPanelG_SwitchWithRemoteSecondary:
@@ -284,7 +281,7 @@ class TestPanelG_SwitchWithRemoteSecondary:
             [(1, 2, 5.0), (2, None, 4.0), (100, 50, 0.5)]
         )
         hot, donor = s.region(0), s.region(2)
-        mech = SwitchPrimaryWithRemoteSecondary()
+        mech = SwitchWithSecondary(remote=True)
         plan = mech.plan(hot, s.ctx)
         assert plan is not None
         mech.execute(plan, s.ctx)
@@ -298,7 +295,7 @@ class TestPanelG_SwitchWithRemoteSecondary:
             [(1, None, 5.0), (2, None, 4.0), (100, 50, 0.5)]
         )
         assert (
-            SwitchPrimaryWithRemoteSecondary().plan(s.region(0), s.ctx)
+            SwitchWithSecondary(remote=True).plan(s.region(0), s.ctx)
             is None
         )
 
@@ -309,7 +306,7 @@ class TestPanelH_SwitchWithRemotePrimary:
             [(1, 2, 5.0), (2, None, 4.0), (100, None, 0.5)]
         )
         hot, partner = s.region(0), s.region(2)
-        mech = SwitchPrimaryWithRemotePrimary()
+        mech = SwitchPrimaries(remote=True)
         plan = mech.plan(hot, s.ctx)
         assert plan is not None
         assert plan.partner is partner
@@ -322,7 +319,7 @@ class TestPanelH_SwitchWithRemotePrimary:
         s = make_row_scenario(
             [(1, 2, 5.0), (2, None, 4.0), (100, None, 0.5)]
         )
-        mech = SwitchPrimaryWithRemotePrimary()
+        mech = SwitchPrimaries(remote=True)
         plan = mech.plan(s.region(0), s.ctx)
         mech.execute(plan, s.ctx)
         assert mech.plan(s.region(0), s.ctx) is None
@@ -334,5 +331,5 @@ class TestPanelH_SwitchWithRemotePrimary:
             [(1, 2, 5.0), (2, None, 4.0), (100, None, 5000.0)]
         )
         assert (
-            SwitchPrimaryWithRemotePrimary().plan(s.region(0), s.ctx) is None
+            SwitchPrimaries(remote=True).plan(s.region(0), s.ctx) is None
         )
