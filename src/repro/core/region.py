@@ -54,6 +54,10 @@ class Region:
     #: last restructured; used for the paper's "avoid repeated adaptation
     #: in a time window" cooldown.
     last_adapted_at: float = float("-inf")
+    #: The space's structural counter at the last split or merge that
+    #: involved this region (0 = never); a memo built over the adjacency
+    #: graph is stale once one of its regions carries a newer stamp.
+    stamp: int = 0
 
     # ------------------------------------------------------------------
     # Occupancy

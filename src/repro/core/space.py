@@ -91,6 +91,13 @@ class Space:
         self._regions_view = RegionSetView(self._regions)
         #: Cumulative counter of greedy-walk hops, exposed for experiments.
         self.walk_hops = 0
+        #: Structural counter: every split and merge bumps it and stamps
+        #: the regions it restructures (:attr:`Region.stamp`) with the
+        #: new value.  Adjacency only changes through those two calls, so
+        #: a memo over the adjacency graph that remembers the counter at
+        #: build time is valid while none of the regions it read carries
+        #: a newer stamp.
+        self.stamp = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -156,7 +163,9 @@ class Space:
         differently.
 
         ``axis`` defaults to halving the longer side ("latitude dimension
-        first" on ties, per the paper's example ordering).
+        first" on ties, per the paper's example ordering).  A split whose
+        halves would have a side below the geometry's edge tolerance
+        raises :class:`PartitionError` (see :meth:`Rect.can_split`).
         """
         if region not in self._regions:
             raise PartitionError(f"{region!r} is not part of this space")
@@ -164,6 +173,11 @@ class Space:
             raise ValueError(f"keep must be 'low' or 'high', got {keep!r}")
         if axis is None:
             axis = region.rect.longer_axis()
+        if not region.rect.can_split(axis):
+            raise PartitionError(
+                f"splitting {region!r} would leave a side below the edge "
+                f"tolerance"
+            )
         low, high = region.rect.split(axis)
         kept_rect, new_rect = (low, high) if keep == "low" else (high, low)
 
@@ -194,6 +208,8 @@ class Space:
         new_neighbors_frozen.add(region)
         self._adjacency[region] = kept_neighbors
         self._adjacency[new_region] = new_neighbors_frozen
+        self.stamp += 1
+        region.stamp = new_region.stamp = self.stamp
 
         self._reindex_rect(new_rect, new_region)
         registry = obs.active()
@@ -250,6 +266,8 @@ class Space:
         self._adjacency[survivor] = new_neighbors
         for candidate in new_neighbors:
             self._adjacency[candidate].add(survivor)
+        self.stamp += 1
+        survivor.stamp = absorbed.stamp = self.stamp
 
         self._reindex_rect(merged_rect, survivor)
         registry = obs.active()

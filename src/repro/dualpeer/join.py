@@ -23,8 +23,10 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
+from repro.errors import MembershipError
 from repro.core.node import Node
 from repro.core.region import Region
+from repro.geometry import Rect, SplitAxis
 
 #: Returns the available capacity of a node (capacity minus the workload of
 #: the regions it primarily owns); supplied by the overlay.
@@ -55,12 +57,17 @@ def plan_join(
     covering: Region,
     neighbors: Sequence[Region],
     available_capacity: AvailableCapacityFn,
+    split_axis: Callable[[Rect], SplitAxis] = Rect.longer_axis,
 ) -> JoinPlan:
     """Choose the region a new node should join.
 
     ``covering`` is the region covering the newcomer's coordinate;
     ``neighbors`` are its immediate neighbor regions.  Ties are broken by
-    region id so that the plan is deterministic.
+    region id so that the plan is deterministic.  A full region whose
+    halves along ``split_axis`` would fall below the edge tolerance
+    (:meth:`Rect.can_split`) is not a split candidate: re-splitting the
+    weakest region of one neighborhood would otherwise halve it until two
+    regions coincide.
     """
     candidates: List[Region] = [covering] + [
         region for region in neighbors if region is not covering
@@ -81,14 +88,20 @@ def plan_join(
         # which the overlay never exposes; guard anyway.
         target = min(candidates, key=lambda region: region.region_id)
         return JoinPlan(JoinDecision.FILL_SECONDARY, target)
-    target = min(
+    ranked = sorted(
         full,
         key=lambda region: (
             _primary_available(region, available_capacity),
             region.region_id,
         ),
     )
-    return JoinPlan(JoinDecision.SPLIT_AND_JOIN, target)
+    for target in ranked:
+        if target.rect.can_split(split_axis(target.rect)):
+            return JoinPlan(JoinDecision.SPLIT_AND_JOIN, target)
+    raise MembershipError(
+        f"every region probed around region {covering.region_id} is full "
+        f"and too small to split"
+    )
 
 
 def pick_weaker_half(

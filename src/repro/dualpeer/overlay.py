@@ -40,7 +40,9 @@ class DualPeerGeoGrid(BasicGeoGrid):
         neighbors = sorted(
             self.space.neighbors(covering), key=lambda region: region.region_id
         )
-        plan = plan_join(covering, neighbors, self.available_capacity)
+        plan = plan_join(
+            covering, neighbors, self.available_capacity, self._pick_axis
+        )
         if plan.decision is JoinDecision.FILL_SECONDARY:
             obs.inc("dualpeer.join.fill_secondary")
             return self._join_as_secondary(node, plan.target)

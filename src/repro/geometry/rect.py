@@ -262,6 +262,22 @@ class Rect:
             high = Rect(self.x, self.y + half, self.width, self.height - half)
         return low, high
 
+    def can_split(self, axis: SplitAxis) -> bool:
+        """Whether both halves along ``axis`` keep every side at least
+        :data:`EDGE_TOLERANCE` wide.
+
+        A narrower region falls inside the tolerance the neighbor
+        predicate grants a shared edge, so its adjacency could no longer
+        be told apart from its neighbors'.
+        """
+        # The extents :meth:`split` gives the two halves, without building them.
+        if axis is SplitAxis.VERTICAL:
+            cut, kept = self.width, self.height
+        else:
+            cut, kept = self.height, self.width
+        half = cut / 2.0
+        return min(half, cut - half, kept) >= EDGE_TOLERANCE
+
     def can_merge_with(self, other: "Rect") -> bool:
         """Whether the union of the two rectangles is again a rectangle.
 

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.core.overlay import BasicGeoGrid
 from repro.core.region import Region
 from repro.loadbalance.config import AdaptationConfig
+from repro.loadbalance.search import RingMemo
 from repro.loadbalance.workload import WorkloadIndexCalculator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,6 +39,8 @@ class AdaptationContext:
     round_number: int = 0
     #: Message cost accrued by TTL searches this context has run.
     search_messages: int = 0
+    #: The TTL rings of past remote searches, one per origin region.
+    rings: RingMemo = field(default_factory=RingMemo)
     #: The location store riding this overlay, when one is attached.
     #: The engine drains its pending-motion counter after each execute so
     #: migrated objects are attributed to the mechanism that moved them.

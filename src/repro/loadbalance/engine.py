@@ -25,13 +25,14 @@ from repro.core.region import Region
 from repro.metrics.stats import StatSummary
 from repro.loadbalance.base import (
     AdaptationContext,
+    AdaptationPlan,
     AdaptationRecord,
     Mechanism,
 )
 from repro.loadbalance.config import AdaptationConfig
 from repro.loadbalance.mechanisms import default_mechanisms
 from repro.loadbalance.trigger import TriggerRule
-from repro.loadbalance.workload import WorkloadIndexCalculator
+from repro.loadbalance.workload import IndexTable, WorkloadIndexCalculator
 
 #: Called after each executed adaptation with the running total count and
 #: the record; Figures 9/10 hook in here.
@@ -54,6 +55,14 @@ class RoundReport:
     def adaptations(self) -> int:
         """Number of adaptations executed this round."""
         return len(self.records)
+
+
+def _plan_owners(plan: AdaptationPlan) -> List[Node]:
+    """The current owners of the plan's region and partner."""
+    owners = plan.region.owners()
+    if plan.partner is not None:
+        owners += plan.partner.owners()
+    return owners
 
 
 class AdaptationEngine:
@@ -89,6 +98,8 @@ class AdaptationEngine:
         self.adaptation_messages = 0
         #: Plans that turned out stale at execution time and were skipped.
         self.failed_plans = 0
+        #: The current (or last) round's node-index table.
+        self.table: Optional[IndexTable] = None
 
     # ------------------------------------------------------------------
     # Driving
@@ -108,11 +119,14 @@ class AdaptationEngine:
 
         Nodes are visited from most to least loaded (by their index at the
         start of the round), mirroring that the most overloaded owners are
-        the first to act on the statistics they exchanged.
+        the first to act on the statistics they exchanged.  The round's
+        :class:`IndexTable` answers every index question the round asks;
+        it is patched after each adaptation, never rebuilt.
         """
         self.ctx.round_number += 1
         budget = self.config.max_adaptations_per_round
-        indices = self.calc.all_node_indices()
+        self.table = table = IndexTable(self.calc)
+        indices = table.indices
         ordered = sorted(
             indices,
             key=lambda node: (-indices[node], node.node_id),
@@ -122,7 +136,7 @@ class AdaptationEngine:
         for node in ordered:
             if budget is not None and len(records) >= budget:
                 break
-            if not self.trigger.should_adapt(node, self.calc):
+            if not self.trigger.should_adapt(node, table):
                 continue
             triggered += 1
             record = self._adapt_node(node)
@@ -136,7 +150,7 @@ class AdaptationEngine:
             round_number=self.ctx.round_number,
             triggered=triggered,
             records=records,
-            summary_after=self.calc.summary(),
+            summary_after=table.summary(),
         )
         self.round_reports.append(report)
         registry = obs.active()
@@ -206,6 +220,7 @@ class AdaptationEngine:
             plan = mechanism.plan(region, self.ctx)
             if plan is None:
                 continue
+            touched = _plan_owners(plan)
             try:
                 mechanism.execute(plan, self.ctx)
             except AdaptationError:
@@ -215,6 +230,11 @@ class AdaptationEngine:
                 self.failed_plans += 1
                 obs.inc("adapt.failed_plans")
                 continue
+            finally:
+                # Only the owners of the plan's regions, before or after,
+                # can have a new index; patching them keeps the table
+                # equal to a fresh recompute.
+                self.table.refresh(touched + _plan_owners(plan))
             self.ctx.collect_store_motion(mechanism.key)
             messages = self._estimate_messages(plan)
             self.adaptation_messages += messages

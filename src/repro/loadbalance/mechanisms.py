@@ -35,7 +35,6 @@ from repro.errors import AdaptationError
 from repro.core.region import Region
 from repro.dualpeer.overlay import DualPeerGeoGrid
 from repro.loadbalance.base import AdaptationContext, AdaptationPlan, Mechanism
-from repro.loadbalance.search import ttl_search
 
 #: Figure 4's panels: key -> name.  A mechanism's cost rank is its key's
 #: position in ``"abcdefgh"``.
@@ -93,15 +92,16 @@ class _Paired(_Panel):
 
         Locally, the neighbors that pass ``accept`` in the neighbor set's
         order; remotely, the TTL-search hits in discovery order, with the
-        search's messages charged to ``ctx``.
+        search's messages charged to ``ctx``.  The remote form filters the
+        origin's memoised ring, which is exactly what a fresh
+        :func:`~repro.loadbalance.search.ttl_search` would visit.
         """
+        space = ctx.overlay.space
         if not self.remote:
-            return [n for n in ctx.overlay.space.neighbors(region) if accept(n)]
-        result = ttl_search(
-            ctx.overlay.space, region, ttl=ctx.config.search_ttl, predicate=accept
-        )
-        ctx.search_messages += result.messages
-        return result.candidates
+            return [n for n in space.neighbors(region) if accept(n)]
+        ring = ctx.rings.ring(space, region, ctx.config.search_ttl)
+        ctx.search_messages += ring.messages
+        return ring.candidates(accept)
 
 
 def _strongest_secondary(ctx: AdaptationContext) -> Callable[[Region], tuple]:
@@ -405,7 +405,10 @@ class SplitRegion(_Panel):
         primary, secondary = region.primary, region.secondary
         if secondary.capacity < ctx.config.split_capacity_ratio * primary.capacity:
             return None
-        halves = region.rect.split(ctx.overlay._pick_axis(region.rect))
+        axis = ctx.overlay._pick_axis(region.rect)
+        if not region.rect.can_split(axis):
+            return None
+        halves = region.rect.split(axis)
         worse = max(ctx.region_load(Region(rect=half)) for half in halves)
         # The primary keeps one half and the secondary leads the other; the
         # pessimistic pairing (worse half on the weaker node) bounds the

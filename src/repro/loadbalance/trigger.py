@@ -15,10 +15,11 @@ triggering on measurement noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from repro.core.node import Node
 from repro.loadbalance.config import TRIGGER_RATIO
-from repro.loadbalance.workload import WorkloadIndexCalculator
+from repro.loadbalance.workload import IndexTable, WorkloadIndexCalculator
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ class TriggerRule:
             raise ValueError(f"min_index must be >= 0, got {self.min_index!r}")
 
     def should_adapt(
-        self, node: Node, calc: WorkloadIndexCalculator
+        self, node: Node, calc: Union[WorkloadIndexCalculator, IndexTable]
     ) -> bool:
-        """Apply the trigger to ``node`` under the given index oracle."""
+        """Apply the trigger to ``node`` under the given index oracle: a
+        calculator, or the engine's per-round :class:`IndexTable`."""
         index = calc.node_index(node)
         if index <= self.min_index:
             return False

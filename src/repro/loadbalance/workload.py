@@ -118,14 +118,20 @@ class WorkloadIndexCalculator:
                         seen.add(owner)
                         yield owner
 
-    def min_neighbor_index(self, node: Node) -> Optional[float]:
+    def min_neighbor_index(
+        self, node: Node, node_index: Optional[Callable[[Node], float]] = None
+    ) -> Optional[float]:
         """The lowest workload index among the node's neighbors.
 
         ``None`` when the node has no neighbors (single-node network).
+        ``node_index`` replaces :meth:`node_index` as the source of the
+        neighbors' indices (an :class:`IndexTable` passes its lookup).
         """
+        if node_index is None:
+            node_index = self.node_index
         lowest: Optional[float] = None
         for neighbor in self.neighbor_nodes(node):
-            index = self.node_index(neighbor)
+            index = node_index(neighbor)
             if lowest is None or index < lowest:
                 lowest = index
         return lowest
@@ -137,3 +143,43 @@ class WorkloadIndexCalculator:
             for region in self.overlay.primary_regions(node)
         )
         return node.capacity - primary_load
+
+
+class IndexTable:
+    """One adaptation round's node indices, kept equal to a fresh recompute.
+
+    Built from :meth:`WorkloadIndexCalculator.all_node_indices` at the
+    start of a round, it answers the trigger's questions (the node's index
+    and its neighbors' lowest) and the end-of-round summary without
+    recomputing anything.  A node's index only changes when a region it
+    owns changes shape or owners, so after each executed (or failed)
+    adaptation the engine passes the owners of the plan's regions, taken
+    before and after the change, to :meth:`refresh`.  Keys are updated in
+    place, so the dict keeps :meth:`all_node_indices`' order and
+    :meth:`summary` is bit-identical to :meth:`WorkloadIndexCalculator.summary`.
+
+    The field and the membership must not change while a table is live;
+    the engine builds a new table every round.
+    """
+
+    def __init__(self, calc: WorkloadIndexCalculator) -> None:
+        self.calc = calc
+        self.indices: Dict[Node, float] = calc.all_node_indices()
+
+    def node_index(self, node: Node) -> float:
+        """The node's index as of the last refresh."""
+        return self.indices[node]
+
+    def min_neighbor_index(self, node: Node) -> Optional[float]:
+        """The lowest tabled index among the node's neighbors."""
+        return self.calc.min_neighbor_index(node, self.indices.__getitem__)
+
+    def refresh(self, nodes: Iterable[Node]) -> None:
+        """Recompute the entries of ``nodes`` (repeats allowed) in place."""
+        indices, node_index = self.indices, self.calc.node_index
+        for node in set(nodes):
+            indices[node] = node_index(node)
+
+    def summary(self) -> StatSummary:
+        """Max/mean/std of the tabled indices."""
+        return summarize(self.indices.values())

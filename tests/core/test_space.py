@@ -90,6 +90,28 @@ class TestSplit:
         space.check_invariants()
 
 
+    def test_split_below_edge_tolerance_refused(self):
+        space, root = make_space(Rect(0, 0, 1.5e-9, 64))
+        with pytest.raises(PartitionError):
+            space.split_region(root, axis=SplitAxis.VERTICAL)
+        assert space.region_count() == 1
+        assert root.rect == Rect(0, 0, 1.5e-9, 64)
+        assert root.stamp == space.stamp == 0
+        space.split_region(root, axis=SplitAxis.HORIZONTAL)
+        space.check_invariants()
+
+    def test_split_and_merge_stamp_the_regions_they_restructure(self):
+        space, root = make_space()
+        east = space.split_region(root, axis=SplitAxis.VERTICAL)
+        assert space.stamp == root.stamp == east.stamp == 1
+        north = space.split_region(east, axis=SplitAxis.HORIZONTAL)
+        assert space.stamp == east.stamp == north.stamp == 2
+        assert root.stamp == 1
+        space.merge_regions(east, north)
+        assert space.stamp == east.stamp == north.stamp == 3
+        assert root.stamp == 1
+
+
 class TestMerge:
     def test_merge_restores_rect(self):
         space, root = make_space()

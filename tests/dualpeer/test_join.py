@@ -9,6 +9,7 @@ from repro.dualpeer.join import (
     plan_join,
     should_take_over_primary,
 )
+from repro.errors import MembershipError
 from repro.geometry import Rect
 from tests.conftest import make_node
 
@@ -62,6 +63,26 @@ class TestPlanJoin:
         plan = plan_join(covering, [weak_full], capacity_oracle)
         assert plan.decision is JoinDecision.SPLIT_AND_JOIN
         assert plan.target is weak_full
+
+    def test_full_region_too_small_to_split_is_skipped(self):
+        covering = region_with(
+            make_node(1, 1, 1, capacity=100), make_node(2, 2, 2, capacity=100)
+        )
+        tiny = region_with(
+            make_node(3, 3, 3, capacity=1), make_node(4, 4, 4, capacity=1),
+            rect=Rect(30, 32, 1.5e-9, 1.5e-9),
+        )
+        plan = plan_join(covering, [tiny], capacity_oracle)
+        assert plan.decision is JoinDecision.SPLIT_AND_JOIN
+        assert plan.target is covering
+
+    def test_nothing_splittable_refuses_the_join(self):
+        tiny = region_with(
+            make_node(3, 3, 3, capacity=1), make_node(4, 4, 4, capacity=1),
+            rect=Rect(30, 32, 1.5e-9, 1.5e-9),
+        )
+        with pytest.raises(MembershipError):
+            plan_join(tiny, [], capacity_oracle)
 
     def test_deterministic_tiebreak_by_region_id(self):
         covering = region_with(make_node(1, 1, 1, capacity=5))

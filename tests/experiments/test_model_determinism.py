@@ -42,6 +42,20 @@ EXPECTED_SUMMARY = {
     "median": 0.0,
     "total": 5.365467935166324,
 }
+#: Per-round ``RoundReport.summary_after`` as (maximum, mean, std).  The
+#: engine keeps the round's indices in a table it patches after every
+#: adaptation; these must equal a full recompute's summary.
+EXPECTED_ROUNDS = [
+    (0.46017578524213293, 0.011780307746073663, 0.04009859243591668),
+    (0.46017578524213293, 0.011780307746073663, 0.04009859243591668),
+    (0.4226727031948883, 0.009782096665246617, 0.0334436291320296),
+    (1.225603165725787, 0.018557800546966874, 0.08426892791486201),
+    (0.4904742879738734, 0.01261548816248564, 0.04532432375830247),
+    (0.4904742879738734, 0.010666696099175496, 0.03894024538573314),
+    (1.0242181139152884, 0.014382508230003012, 0.06678594455801384),
+    (0.665462864329956, 0.0126389885967301, 0.050464099441094264),
+    (0.2920118852504629, 0.010479429560871726, 0.03701929786902003),
+]
 
 
 def run_loop():
@@ -82,11 +96,18 @@ def run_loop():
         "mechanism_usage": network.engine.mechanism_usage(),
         "adaptation_messages": network.engine.adaptation_messages,
     }
-    return counts, network.calc.summary()
+    rounds = [
+        (report.summary_after.maximum, report.summary_after.mean, report.summary_after.std)
+        for report in network.engine.round_reports
+    ]
+    return counts, network.calc.summary(), rounds
 
 
 def test_paper_adapt_shaped_loop_is_pinned():
-    counts, summary = run_loop()
+    counts, summary, rounds = run_loop()
     assert counts == EXPECTED
     for name, value in EXPECTED_SUMMARY.items():
         assert getattr(summary, name) == pytest.approx(value, rel=1e-12, abs=1e-12), name
+    assert len(rounds) == len(EXPECTED_ROUNDS)
+    for got, expected in zip(rounds, EXPECTED_ROUNDS):
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)

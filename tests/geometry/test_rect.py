@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect, SplitAxis
+from repro.geometry.rect import EDGE_TOLERANCE
 
 # Overlay rectangles always arise from repeated exact halving of one
 # dyadic root rectangle, so edges are dyadic rationals (exact in binary
@@ -297,3 +298,22 @@ class TestSampling:
     def test_sample_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Rect(0, 0, 1, 1).sample_interior_point(1.0, 0.5)
+
+
+class TestCanSplit:
+    def test_halves_at_the_tolerance_are_allowed(self):
+        assert Rect(0, 0, 2e-9, 1.0).can_split(SplitAxis.VERTICAL)
+
+    def test_halves_below_the_tolerance_are_refused(self):
+        assert not Rect(0, 0, 1.9e-9, 1.0).can_split(SplitAxis.VERTICAL)
+        assert Rect(0, 0, 1.9e-9, 1.0).can_split(SplitAxis.HORIZONTAL)
+
+    def test_a_side_already_below_the_tolerance_is_refused(self):
+        assert not Rect(0, 0, 5e-10, 1.0).can_split(SplitAxis.HORIZONTAL)
+
+    def test_agrees_with_split(self):
+        for rect in (Rect(1, 2, 3e-9, 7e-9), Rect(0, 0, 64, 64), Rect(5, 5, 1e-9, 4e-9)):
+            for axis in SplitAxis:
+                low, high = rect.split(axis)
+                smallest = min(low.width, low.height, high.width, high.height)
+                assert rect.can_split(axis) == (smallest >= EDGE_TOLERANCE)

@@ -6,7 +6,7 @@ secondary of a (100, 10) neighbor and becomes (10, 1))."""
 
 import pytest
 
-from repro.geometry import Point
+from repro.geometry import Point, Rect
 from repro.loadbalance.mechanisms import (
     MergeWithNeighbor,
     SplitRegion,
@@ -174,6 +174,12 @@ class TestPanelD_SplitRegion:
     def test_requires_comparable_capacities(self):
         s = make_row_scenario([(100, 1, 8.0), (10, None, 0.5)])
         assert SplitRegion().plan(s.region(0), s.ctx) is None
+
+    def test_region_too_small_to_split_is_not_planned(self):
+        s = make_row_scenario([(10, 10, 8.0)])
+        hot = s.region(0)
+        hot.rect = Rect(0, 0, 1.5e-9, 1.5e-9)
+        assert SplitRegion().plan(hot, s.ctx) is None
 
     def test_point_load_is_not_split(self):
         """A load concentrated in one cell cannot be halved by a split;

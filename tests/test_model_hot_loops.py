@@ -1,10 +1,11 @@
-"""Differential tests for the model layer's three hot loops.
+"""Differential tests for the model layer's hot loops.
 
 The greedy walk (``Space.locate``), the region-load lookup
-(``CellGrid.load_in_rect``) and the TTL search (``ttl_search``) are
-written for speed.  Each is checked here against a plain reference copy
-of the straightforward algorithm, on a seeded 512-node dual-peer
-overlay: the fast versions must return exactly what the references do.
+(``CellGrid.load_in_rect``), the TTL search (``ttl_search``) and the
+memo of TTL rings (``RingMemo``) are written for speed.  Each is checked
+here against a plain reference copy of the straightforward algorithm, on
+a seeded 512-node dual-peer overlay: the fast versions must return
+exactly what the references do.
 """
 
 import math
@@ -17,7 +18,10 @@ import pytest
 from repro.experiments.build import build_network
 from repro.experiments.config import ExperimentConfig, SystemVariant
 from repro.geometry import Circle, Point
-from repro.loadbalance import ttl_search
+from repro.core.node import Node
+from repro.loadbalance import AdaptationPlan, ttl_search
+from repro.loadbalance.mechanisms import MergeWithNeighbor
+from repro.loadbalance.search import RingMemo
 from repro.sim.rng import RngStreams
 
 _PROGRESS_EPS = 1e-12
@@ -244,3 +248,122 @@ class TestRegionLoadMemo:
         grid = network.field.grid
         with pytest.raises(ValueError):
             grid.loads[0, 0] = 1.0
+
+
+# ----------------------------------------------------------------------
+# (d) TTL ring memo
+# ----------------------------------------------------------------------
+RING_TTL = 3
+
+
+def accept_some(region):
+    return region.is_full or region.region_id % 3 == 0
+
+
+def depths(space, origin, limit):
+    """Hop distance from ``origin`` of every region within ``limit`` hops."""
+    depth = {origin: 0}
+    queue = deque([origin])
+    while queue:
+        region = queue.popleft()
+        if depth[region] == limit:
+            continue
+        for neighbor in space.neighbors(region):
+            if neighbor not in depth:
+                depth[neighbor] = depth[region] + 1
+                queue.append(neighbor)
+    return depth
+
+
+def serve_and_compare(memo, space, served):
+    """Serve a ring for every origin and compare it with a fresh search.
+
+    ``served`` maps region ids to the ring served last time; returns how
+    many rings were served again unchanged (memo hits).
+    """
+    reused = 0
+    for origin in sorted_regions(space):
+        ring = memo.ring(space, origin, RING_TTL)
+        fresh = ttl_search(space, origin, RING_TTL, accept_some)
+        assert ring.candidates(accept_some) == fresh.candidates
+        assert ring.messages == fresh.messages
+        assert ring.expanded == fresh.expanded
+        reused += ring is served.get(origin.region_id)
+        served[origin.region_id] = ring
+    return reused
+
+
+def mergeable_pair(space):
+    for region in sorted_regions(space):
+        if not region.is_half_full:
+            continue
+        for neighbor in sorted(space.neighbors(region), key=lambda r: r.region_id):
+            if neighbor.is_half_full and region.rect.can_merge_with(neighbor.rect):
+                return region, neighbor
+    raise AssertionError("no mergeable pair of half-full regions")
+
+
+class TestRingMemo:
+    def test_served_rings_equal_fresh_searches_under_churn(self, network):
+        overlay = network.overlay
+        space = overlay.space
+        rng = random.Random(5)
+        joined = iter(range(100_000, 100_100))
+
+        def split():
+            full = [r for r in sorted_regions(space) if r.is_full]
+            overlay.split_full_region(rng.choice(full))
+
+        def merge():
+            region, partner = mergeable_pair(space)
+            plan = AdaptationPlan("c", region, partner, 1.0, 0.0)
+            MergeWithNeighbor().execute(plan, network.engine.ctx)
+
+        def join():
+            coord = Point(rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0))
+            overlay.join(Node(next(joined), coord, capacity=rng.choice([1, 10, 100])))
+
+        def leave():
+            members = sorted(overlay.nodes.values(), key=lambda n: n.node_id)
+            overlay.leave(rng.choice(members))
+
+        memo = RingMemo()
+        served = {}
+        serve_and_compare(memo, space, served)
+        hits = served_total = 0
+        for step in [split, merge, join, leave, split, join, merge, leave] * 3:
+            step()
+            hits += serve_and_compare(memo, space, served)
+            served_total += len(space.regions)
+        overlay.check_invariants()
+        # Most rings survive a step far away from them.
+        assert hits > served_total * 0.8
+
+    def test_split_at_depth_ttl_invalidates_the_ring(self, network):
+        overlay = network.overlay
+        space = overlay.space
+        for origin in sorted_regions(space):
+            depth = depths(space, origin, RING_TTL + 1)
+            at_ttl = [r for r, d in depth.items() if d == RING_TTL and r.is_full]
+            beyond = [r for r, d in depth.items() if d == RING_TTL + 1 and r.is_full]
+            if at_ttl and beyond:
+                break
+        else:
+            raise AssertionError("no origin with full regions at depth ttl and ttl+1")
+        memo = RingMemo()
+        ring = memo.ring(space, origin, RING_TTL)
+
+        # A split one hop beyond the ring changes no adjacency it read.
+        overlay.split_full_region(min(beyond, key=lambda r: r.region_id))
+        assert memo.ring(space, origin, RING_TTL) is ring
+        served = {}
+        serve_and_compare(memo, space, served)
+
+        # A split of a ring member at depth exactly ttl rebuilds it.
+        overlay.split_full_region(min(at_ttl, key=lambda r: r.region_id))
+        rebuilt = memo.ring(space, origin, RING_TTL)
+        assert rebuilt is not ring
+        fresh = ttl_search(space, origin, RING_TTL, accept_some)
+        assert rebuilt.candidates(accept_some) == fresh.candidates
+        assert rebuilt.messages == fresh.messages
+        serve_and_compare(memo, space, served)
