@@ -18,7 +18,10 @@ import pathlib
 
 import pytest
 
+from repro.core.query import reset_query_ids
+from repro.core.region import reset_region_ids
 from repro.experiments import ExperimentConfig, PAPER_POPULATIONS
+from repro.protocol.node import reset_request_ids
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -28,6 +31,20 @@ def bench_populations():
     if os.environ.get("GEOGRID_BENCH_SCALE") == "reduced":
         return tuple(p for p in PAPER_POPULATIONS if p <= 4_000)
     return PAPER_POPULATIONS
+
+
+@pytest.fixture(autouse=True)
+def _fresh_id_counters():
+    """Rewind the module-level id counters before every benchmark.
+
+    Region, query and request ids come from process-wide counters, and
+    ids order tie-breaks; without this reset a benchmark's rows depend
+    on what ran earlier in the same pytest process (the same reset as
+    ``tests/conftest.py``).
+    """
+    reset_query_ids()
+    reset_region_ids()
+    reset_request_ids()
 
 
 @pytest.fixture(scope="session")

@@ -371,7 +371,9 @@ class ProtocolCluster:
     def check_partition(self, allow_caretaker_holes: bool = False) -> None:
         """Assert the live primaries tile the bounds without overlap.
 
-        Only meaningful at quiescence (no joins or failovers in flight).
+        Also asserts that no live node's neighbor table holds two
+        overlapping claims (the newer claim evicts the older one).  Only
+        meaningful at quiescence (no joins or failovers in flight).
         With ``allow_caretaker_holes`` the check accepts area not covered
         by any primary as long as caretakers stand in for it -- the
         protocol's documented degraded-but-serviceable state on lossy
@@ -410,6 +412,17 @@ class ProtocolCluster:
                     raise SimulationError(
                         f"primary regions {a} and {b} overlap"
                     )
+        for pnode in self.nodes.values():
+            if not pnode.alive:
+                continue
+            held = list(pnode.neighbor_table)
+            for i, a in enumerate(held):
+                for b in held[i + 1 :]:
+                    if a.intersects(b):
+                        raise SimulationError(
+                            f"node {pnode.node.node_id}'s neighbor table "
+                            f"holds overlapping claims {a} and {b}"
+                        )
 
     def attach_auditor(self, interval: float = 5.0, **kwargs):
         """Attach a started continuous invariant auditor to this cluster.

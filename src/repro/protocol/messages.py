@@ -117,15 +117,28 @@ class _FanningOut(_Hopping):
 
 @dataclass(frozen=True)
 class NeighborInfo:
-    """One neighbor-table entry: a region and its owner endpoints."""
+    """One neighbor-table entry: a region claim and its owner endpoints."""
 
     rect: Rect
     primary: NodeAddress
     secondary: Optional[NodeAddress] = None
+    #: The claim's generation: a claim that replaces or overlaps another
+    #: carries a higher stamp (DESIGN.md, "Ownership claims").
+    stamp: int = 0
 
     def with_secondary(self, secondary: Optional[NodeAddress]) -> "NeighborInfo":
         """Copy with the secondary slot replaced."""
-        return NeighborInfo(self.rect, self.primary, secondary)
+        return NeighborInfo(self.rect, self.primary, secondary, self.stamp)
+
+    def outranks(self, other: "NeighborInfo") -> bool:
+        """Whether this claim wins over ``other`` where the two overlap.
+
+        The newer claim wins; between equal stamps (a double hole
+        grant) the smaller primary address does.
+        """
+        if self.stamp != other.stamp:
+            return self.stamp > other.stamp
+        return self.primary < other.primary
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,7 @@ class RegionData:
     all travel together on every split, secondary seed, merge-back,
     departure, ownership yield and primary switch.  Items are an
     append-only log; records merge last-writer-wins on arrival (see
-    :meth:`repro.protocol.node.OwnedRegion.absorb`).
+    :meth:`repro.protocol.region.OwnedRegion.absorb`).
     """
 
     #: Published geo-items, in publication order.
@@ -181,6 +194,8 @@ class JoinGrantBody:
     #: Region data riding the grant: a split hands the new half's data,
     #: a secondary grant seeds the replica.
     data: RegionData = RegionData()
+    #: The granted claim's stamp (a secondary takes its primary's).
+    stamp: int = 0
 
 
 @dataclass(frozen=True)
@@ -220,6 +235,8 @@ class GrantDeclineBody:
     rect: Rect
     #: The region data returned with the declined region.
     data: RegionData = RegionData()
+    #: Echo of the declined grant's stamp.
+    stamp: int = 0
 
 
 @dataclass(frozen=True)
@@ -279,6 +296,8 @@ class HeartbeatBody:
     #: unstamped beats (peer beats, confrontation probes, perimeter-probe
     #: replies), which receivers always fold in full.
     epoch: int = 0
+    #: The stamp of the sender's claim on ``rect``.
+    stamp: int = 0
 
 
 def heartbeat_with_streak(beat: HeartbeatBody, streak: int) -> HeartbeatBody:
@@ -358,6 +377,8 @@ class SyncStateBody:
     rect: Rect
     neighbors: Tuple[NeighborInfo, ...]
     items: Tuple[Tuple[Point, Any], ...]
+    #: The primary's claim stamp, which the secondary follows.
+    stamp: int = 0
 
 
 @dataclass(frozen=True)
@@ -476,7 +497,7 @@ class ReplicateBody:
     """Synchronous primary-to-secondary replication of one change (§2.3).
 
     The secondary folds ``data`` in with
-    :meth:`repro.protocol.node.OwnedRegion.absorb` (items append, records
+    :meth:`repro.protocol.region.OwnedRegion.absorb` (items append, records
     merge last-writer-wins), then applies the versioned store evictions
     in ``removed``.  Subscriptions have no removal: leases expire by
     sweep on both roles independently.
@@ -497,6 +518,8 @@ class RegionStateBody:
     neighbors: Tuple[NeighborInfo, ...]
     #: The region data moving with the region.
     data: RegionData = RegionData()
+    #: The shipped claim's stamp; the installer claims it one higher.
+    stamp: int = 0
 
 
 @dataclass(frozen=True)
@@ -515,6 +538,10 @@ class SwitchAcceptBody:
     """The counterpart's region state; receiving it completes the swap."""
 
     state: RegionStateBody
+    #: Echo of the claim the request shipped (rect and stamp): an accept
+    #: reaching an initiator that has since moved on installs nothing.
+    replaced: Rect
+    replaced_stamp: int
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 import random
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import attrgetter
 from typing import (
@@ -35,9 +35,10 @@ from repro.obs.telemetry import EVENT_SAMPLE, VitalsFrame
 from repro.sim.scheduler import EventScheduler
 from repro.sim.transport import Message, SimNetwork
 from repro.store.spatial import GridIndex, ObjectRecord, touches
-from repro.sub import SubIndex, SubRecord
+from repro.sub import SubRecord
 from repro.protocol import messages as m
 from repro.protocol import overload
+from repro.protocol.region import OwnedRegion, note_handover, written_since
 from repro.protocol.reliable import ReliableChannel, RetryPolicy
 from repro.protocol.shortcuts import ShortcutCache
 
@@ -192,106 +193,6 @@ class NodeConfig:
     overload_enabled: bool = False
 
 
-@dataclass
-class OwnedRegion:
-    """The region this node currently owns, in one of two roles."""
-
-    rect: Rect
-    role: str  # "primary" | "secondary"
-    peer: Optional[NodeAddress]
-    items: List[Tuple[Point, Any]] = field(default_factory=list)
-    #: The location store for this region: the authoritative copy on the
-    #: primary, the replica on the secondary.
-    store: GridIndex = field(default_factory=GridIndex)
-    #: Continuous-query registrations touching this region: authoritative
-    #: on the primary, replica on the secondary (promoted on failover).
-    subs: SubIndex = field(default_factory=SubIndex)
-
-    def snapshot(self) -> m.RegionData:
-        """Everything this region holds, as one shippable value."""
-        return m.RegionData(
-            items=tuple(self.items),
-            objects=tuple(self.store.records()),
-            subscriptions=tuple(self.subs.records()),
-        )
-
-    def hand_off(self, kept: Rect, handed: Rect) -> m.RegionData:
-        """Split off and return the data ``handed`` needs.
-
-        Items and store records outside ``kept`` leave (a point on the
-        split line stays here); subscriptions touching ``handed`` travel
-        as copies and stay here too if they still touch ``kept``.
-        """
-        items = [entry for entry in self.items if touches(entry[0], kept)]
-        handed_items = tuple(
-            entry for entry in self.items if not touches(entry[0], kept)
-        )
-        self.items = items
-        return m.RegionData(
-            items=handed_items,
-            objects=tuple(self.store.hand_off(kept, handed)),
-            subscriptions=tuple(self.subs.hand_off(kept, handed)),
-        )
-
-    def absorb(self, data: m.RegionData) -> m.RegionData:
-        """Fold shipped data in; returns what changed here.
-
-        Items append; records merge last-writer-wins, so absorbing the
-        same data twice, or data older than what is held, is a no-op.
-        """
-        self.items.extend(data.items)
-        return m.RegionData(
-            items=data.items,
-            objects=tuple(r for r in data.objects if self.store.upsert(r)),
-            subscriptions=tuple(
-                r for r in data.subscriptions if self.subs.upsert(r)
-            ),
-        )
-
-
-def _note_handover(
-    event: str, source: Any, target: Any, data: m.RegionData
-) -> None:
-    """Account one region-data handover (counters and causal annotation)."""
-    if not (data.objects or data.subscriptions):
-        return
-    if data.objects:
-        obs.inc("store.node.migrated", len(data.objects))
-    if data.subscriptions:
-        obs.inc("sub.node.migrated", len(data.subscriptions))
-    causal.annotate(
-        "store_handover",
-        event=event,
-        source=str(source),
-        target=str(target),
-        objects=len(data.objects),
-        subscriptions=len(data.subscriptions),
-    )
-
-
-def _written_since(
-    current: m.RegionData, captured: m.RegionData
-) -> m.RegionData:
-    """What ``current`` holds beyond the earlier snapshot ``captured``.
-
-    Items are append-only, so the new ones are the tail; records count
-    when their key is new or their version is higher.
-    """
-
-    def newer(now: Tuple[Any, ...], then: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        versions = {record.key: record.version for record in then}
-        return tuple(
-            record for record in now
-            if record.version > versions.get(record.key, -1)
-        )
-
-    return m.RegionData(
-        items=current.items[len(captured.items):],
-        objects=newer(current.objects, captured.objects),
-        subscriptions=newer(current.subscriptions, captured.subscriptions),
-    )
-
-
 class ProtocolNode:
     """A GeoGrid middleware instance on one simulated host."""
 
@@ -333,9 +234,10 @@ class ProtocolNode:
         #: The entry node the in-flight join attempt went through; struck
         #: in the host cache when the attempt times out.
         self._join_entry: Optional[NodeAddress] = None
-        #: Rects whose owners are all believed dead; this node answers for
-        #: them best-effort until a join fills the hole.
-        self.caretaker_rects: Set[Rect] = set()
+        #: Rects whose owners are all believed dead, each with the stamp
+        #: of the dead claim; this node answers for them best-effort until
+        #: a join fills the hole or a newer claim covers it.
+        self.caretaker_rects: Dict[Rect, int] = {}
         self.last_seen: Dict[NodeAddress, float] = {}
         self.suspected: Set[NodeAddress] = set()
         #: Bumped by every change to ``neighbor_table``, ``suspected`` and
@@ -344,9 +246,9 @@ class ProtocolNode:
         #: memo is valid only while this view is unchanged.
         self._view_epoch = 0
         #: Sender side of the fold memo: the epoch of this node's current
-        #: advert ``(rect, secondary, gossip, caretaken)``, bumped whenever
-        #: the advert differs from the last one sent and stamped on every
-        #: neighbor heartbeat (``HeartbeatBody.epoch``).
+        #: advert ``(rect, secondary, stamp, gossip, caretaken)``, bumped
+        #: whenever the advert differs from the last one sent and stamped
+        #: on every neighbor heartbeat (``HeartbeatBody.epoch``).
         self.table_epoch = 0
         self._advert: Optional[Tuple[Any, ...]] = None
         #: Receiver side: per sender, the last full fold of its stamped
@@ -366,14 +268,6 @@ class ProtocolNode:
         #: time of the last notification (rate limit for the witness).
         self._claims_confronted: Dict[
             Tuple[Rect, NodeAddress, NodeAddress], float
-        ] = {}
-        #: Who was told about each split we granted (handed rect ->
-        #: (recipients, announced at)).  A decline-triggered merge must
-        #: retract the announcement from exactly this audience: the table
-        #: is pruned to the *kept* half's neighbors at split time, so by
-        #: merge time it can have forgotten neighbors of the handed half.
-        self._split_announced: Dict[
-            Rect, Tuple[Set[NodeAddress], float]
         ] = {}
         #: Secondary's replicated view of the primary's neighbor table.
         self._replicated_neighbors: Tuple[m.NeighborInfo, ...] = ()
@@ -396,7 +290,10 @@ class ProtocolNode:
 
         self.delivered: List[m.RouteDeliveredBody] = []
         self.query_results: Dict[int, List[m.QueryResultBody]] = {}
-        self._served_queries: Set[int] = set()
+        #: Per served query or store lookup, the region it was answered
+        #: for: a node answers again only after a switch moved it to
+        #: another region, whose owner may have answered as its old one.
+        self._served_queries: Dict[int, Rect] = {}
         #: Acknowledged store updates issued from this node.
         self.store_acks: Dict[int, m.StoreAckBody] = {}
         #: Misplaced store records and subscriptions re-routed home,
@@ -405,7 +302,7 @@ class ProtocolNode:
         self._rehome_pending: Dict[int, Tuple[str, Any, int]] = {}
         #: Store lookup answers, one entry per answering region.
         self.store_results: Dict[int, List[m.StoreResultBody]] = {}
-        self._served_store_lookups: Set[int] = set()
+        self._served_store_lookups: Dict[int, Rect] = {}
         #: Acknowledged subscription registrations issued from this node.
         self.sub_acks: Dict[int, m.SubAckBody] = {}
         #: Registration requests this node already served (fan-out dedup).
@@ -443,25 +340,15 @@ class ProtocolNode:
         #: plane is on.  Routing deflects around entries at or above
         #: ``overload.DEFLECT_THRESHOLD``.
         self.neighbor_pressure: Dict[Rect, float] = {}
-        #: Set while a primary switch we initiated is in flight.
+        #: Set while a primary switch we take part in is in flight: the
+        #: initiator's until the accept, the target's until the initiator
+        #: can have installed (both at most ``adaptation_interval``).
         self._switch_pending = False
-        #: The rect this node owned when it proposed its pending switch;
-        #: a (possibly retried) accept that arrives after ownership moved
-        #: on must not install the stale counterpart state.
-        self._switch_proposed_rect: Optional[Rect] = None
         #: The region data shipped with the pending switch request; what
         #: is written after it is replayed once the switch completes.
         self._switch_capture: Optional[m.RegionData] = None
         #: Completed primary switches this node took part in.
         self.switches_completed = 0
-        #: After a primary switch installs, the counterpart may still emit
-        #: heartbeats claiming the region it just handed us (sent before
-        #: its own install, still in flight).  Yielding on that stale
-        #: first-hand evidence orphans the swapped region, so claims of
-        #: exactly ``rect`` from ``counterpart`` are demoted to
-        #: confront-grade evidence until the deadline passes:
-        #: (counterpart, rect, deadline).
-        self._switch_handoff: Optional[Tuple[NodeAddress, Rect, float]] = None
 
         #: Set between a reliable departure handoff and its confirmation:
         #: the node is no longer alive but its endpoint lingers so the
@@ -702,7 +589,7 @@ class ProtocolNode:
         handoff: Optional[Tuple[NodeAddress, m.DepartBody]] = None
         if self.owned is not None and self.owned.peer is not None:
             data = self.owned.snapshot()
-            _note_handover("depart", self.address, self.owned.peer, data)
+            note_handover("depart", self.address, self.owned.peer, data)
             handoff = (
                 self.owned.peer,
                 m.DepartBody(rect=self.owned.rect, data=data),
@@ -1553,6 +1440,11 @@ class ProtocolNode:
         strictly closer to is admitted here rather than dropped.
         """
         assert self.owned is not None
+        if self._switch_pending:
+            # A region in a switch hand-off admits no joiner (the shipped
+            # state misses a new secondary; a split's halves would tie
+            # with the counterpart's install); the joiner retries.
+            return
         if self.config.dual_peer and self.owned.peer is None:
             self._grant_secondary(body)
         else:
@@ -1578,6 +1470,7 @@ class ProtocolNode:
             neighbors=tuple(self.neighbor_table.values()),
             nonce=body.nonce,
             data=self.owned.snapshot(),
+            stamp=self.owned.stamp,
         )
         # A lost replica grant costs no data (we keep the records), but
         # the region would sit half-full until the peer timeout; the
@@ -1611,8 +1504,9 @@ class ProtocolNode:
             rect=str(handed),
         )
         self.owned.rect = kept
+        self.owned.stamp += 1
         handed_data = self.owned.hand_off(kept, handed)
-        _note_handover("split", self.address, body.joiner, handed_data)
+        note_handover("split", self.address, body.joiner, handed_data)
 
         joiner_neighbors = [
             info for info in self.neighbor_table.values()
@@ -1626,6 +1520,7 @@ class ProtocolNode:
             neighbors=tuple(joiner_neighbors),
             nonce=body.nonce,
             data=handed_data,
+            stamp=self.owned.stamp,
         )
         # The grant carries the handed half's records and the network is
         # lossy: the reliable channel retransmits until the joiner
@@ -1633,7 +1528,9 @@ class ProtocolNode:
         # message.
         self.reliable.send(body.joiner, m.JOIN_GRANT, grant)
 
-        joiner_info = m.NeighborInfo(rect=handed, primary=body.joiner)
+        joiner_info = m.NeighborInfo(
+            rect=handed, primary=body.joiner, stamp=self.owned.stamp
+        )
         stale = [
             rect for rect, info in self.neighbor_table.items()
             if not kept.is_neighbor_of(rect)
@@ -1641,13 +1538,6 @@ class ProtocolNode:
         recipients = {
             info.primary for info in self.neighbor_table.values()
         }
-        now = self.scheduler.now
-        self._split_announced = {
-            rect: (audience, at)
-            for rect, (audience, at) in self._split_announced.items()
-            if now - at <= FAILURE_HORIZON
-        }
-        self._split_announced[handed] = (set(recipients), now)
         for rect in stale:
             self._table_drop(rect)
         self._table_put(joiner_info)
@@ -1663,7 +1553,17 @@ class ProtocolNode:
         self._send_sync()
 
     def _grant_hole(self, body: m.JoinRequestBody, hole: Rect) -> None:
-        """Fill an orphaned region (all owners dead) with the joiner."""
+        """Fill an orphaned region (all owners dead) with the joiner.
+
+        The grant is a new claim on the hole, one stamp above every claim
+        it replaces.  A hole that a newer claim already covers is not
+        granted: it is released and the join routes on.
+        """
+        if self._outclaimed(hole, self.caretaker_rects[hole]):
+            self._release_hole(hole)
+            self._execute(m.JOIN_REQUEST, body)
+            return
+        stamp = self._next_stamp(hole)
         causal.annotate(
             "grant_hole",
             granter=str(self.address),
@@ -1678,11 +1578,13 @@ class ProtocolNode:
             neighbors.append(self._my_info())
         grant = m.JoinGrantBody(
             role="primary", rect=hole, peer=None,
-            neighbors=tuple(neighbors), nonce=body.nonce,
+            neighbors=tuple(neighbors), nonce=body.nonce, stamp=stamp,
         )
         self.network.send(self.address, body.joiner, m.JOIN_GRANT, grant)
         self._release_hole(hole)
-        joiner_info = m.NeighborInfo(rect=hole, primary=body.joiner)
+        joiner_info = m.NeighborInfo(
+            rect=hole, primary=body.joiner, stamp=stamp
+        )
         # Ownership of the hole just changed hands: any cached claim
         # overlapping it is stale, and the fresh owner is worth caching.
         self.shortcuts.invalidate_overlapping(hole)
@@ -1715,7 +1617,8 @@ class ProtocolNode:
             # regardless of attempt -- avoids declining a perfectly good
             # region that merely lost a race with the retry timer.
             decline = m.GrantDeclineBody(
-                role=body.role, rect=body.rect, data=body.data
+                role=body.role, rect=body.rect, data=body.data,
+                stamp=body.stamp,
             )
             causal.annotate(
                 "grant_declined",
@@ -1735,7 +1638,7 @@ class ProtocolNode:
             rect=str(body.rect),
         )
         self.owned = OwnedRegion(
-            rect=body.rect, role=body.role, peer=body.peer
+            rect=body.rect, role=body.role, peer=body.peer, stamp=body.stamp
         )
         self.owned.absorb(body.data)
         self._set_table(
@@ -1761,19 +1664,46 @@ class ProtocolNode:
     # on every real change (the heartbeat fold memos and the perimeter
     # coverage memo key on it, so a direct write would leave both stale)
     # and keep the shortcut cache disjoint from the table's rects.
-    def _table_put(self, info: m.NeighborInfo) -> None:
+    #
+    # Ownership claims: every claim carries a generation stamp.  A split
+    # stamps both halves one above the parent; a merge, hole grant,
+    # failover or switch install stamps the new claim one above every
+    # claim it replaces or overlaps.  Where two claims overlap, the one
+    # that outranks the other (NeighborInfo.outranks: higher stamp, then
+    # smaller address) is the live one, so the table never holds two
+    # overlapping rects.
+    def _table_put(self, info: m.NeighborInfo) -> Optional[m.NeighborInfo]:
         """Install ``info`` in the neighbor table (no-op when unchanged).
 
-        A new or changed entry evicts every cached shortcut overlapping
-        its rect: together with :meth:`_learn_shortcut` refusing such
-        claims, the cache never holds a rect overlapping a table rect.
+        A held claim overlapping ``info`` that outranks it refuses the
+        install and is returned; the held claims ``info`` outranks are
+        evicted.  A new or changed entry evicts every cached shortcut
+        overlapping its rect: together with :meth:`_learn_shortcut`
+        refusing such claims, the cache never holds a rect overlapping a
+        table rect.
         """
         rect = info.rect
-        if self.neighbor_table.get(rect) == info:
-            return
-        self.neighbor_table[rect] = info
+        table = self.neighbor_table
+        old = table.get(rect)
+        if old == info:
+            return None
+        beaten = []
+        for held in table.values():
+            if held.rect.intersects(rect):
+                if held.outranks(info):
+                    return held
+                if held.rect != rect:
+                    beaten.append(held.rect)
+        for held_rect in beaten:
+            del table[held_rect]
+        table[rect] = info
         self._view_epoch += 1
         self.shortcuts.invalidate_overlapping(rect)
+        if old is None or old.primary != info.primary:
+            # The failure sweep times a claim from its first sight: an
+            # owner we have not had to hear from yet gets a full horizon.
+            self.last_seen[info.primary] = self.scheduler.now
+        return None
 
     def _table_drop(self, rect: Rect) -> None:
         """Remove the neighbor-table entry for ``rect``, if any."""
@@ -1782,10 +1712,10 @@ class ProtocolNode:
 
     def _set_table(self, entries: Iterable[m.NeighborInfo]) -> None:
         """Replace the whole neighbor table with ``entries``."""
-        self.neighbor_table = {info.rect: info for info in entries}
+        self.neighbor_table = {}
         self._view_epoch += 1
-        for rect in self.neighbor_table:
-            self.shortcuts.invalidate_overlapping(rect)
+        for info in entries:
+            self._table_put(info)
 
     def _suspect(self, address: NodeAddress) -> None:
         """Start suspecting ``address``: drop the shortcuts through it.
@@ -1800,17 +1730,54 @@ class ProtocolNode:
         self._fold_memos.pop(address, None)
         self.shortcuts.invalidate_address(address)
 
-    def _caretake(self, rect: Rect) -> None:
-        """Start serving the orphaned ``rect`` as its caretaker."""
+    def _caretake(self, rect: Rect, stamp: int = 0) -> None:
+        """Start serving the orphaned ``rect`` (claimed at ``stamp``)."""
         if rect not in self.caretaker_rects:
-            self.caretaker_rects.add(rect)
+            self.caretaker_rects[rect] = stamp
             self._view_epoch += 1
 
     def _release_hole(self, rect: Rect) -> None:
         """Stop caretaking ``rect`` (an owner has turned up)."""
-        if rect in self.caretaker_rects:
-            self.caretaker_rects.discard(rect)
+        if self.caretaker_rects.pop(rect, None) is not None:
             self._view_epoch += 1
+
+    def _release_holes(self, info: m.NeighborInfo) -> None:
+        """Stop caretaking the holes ``info`` claims.
+
+        A claim covers a hole when it overlaps it with a higher stamp, or
+        re-asserts the hole's own claim (its owner was only silent).
+        """
+        for hole, stamp in list(self.caretaker_rects.items()):
+            if hole.intersects(info.rect) and (
+                info.stamp > stamp or (info.stamp == stamp and hole == info.rect)
+            ):
+                self._release_hole(hole)
+
+    def _outclaimed(self, rect: Rect, stamp: int) -> bool:
+        """Whether a live claim newer than ``stamp`` overlaps ``rect``:
+        our own, one in the table, or one heard recently."""
+        now = self.scheduler.now
+        known = [
+            info for info, at in self._claims_heard.values()
+            if now - at <= FAILURE_HORIZON and info.primary not in self.suspected
+        ]
+        known.extend(self.neighbor_table.values())
+        if self.owned is not None:
+            known.append(self._my_info())
+        return any(
+            info.stamp > stamp and info.rect.intersects(rect) for info in known
+        )
+
+    def _next_stamp(self, rect: Rect, *replaced: int) -> int:
+        """The stamp of a new claim on ``rect``: one above every known
+        claim it replaces (``replaced``) or overlaps."""
+        claims = [(info.rect, info.stamp) for info in self.neighbor_table.values()]
+        claims.extend(self.caretaker_rects.items())
+        if self.owned is not None:
+            claims.append((self.owned.rect, self.owned.stamp))
+        return 1 + max(
+            [*replaced, *(s for r, s in claims if r.intersects(rect))], default=0
+        )
 
     def _my_info(self) -> m.NeighborInfo:
         assert self.owned is not None
@@ -1819,18 +1786,23 @@ class ProtocolNode:
                 rect=self.owned.rect,
                 primary=self.address,
                 secondary=self.owned.peer,
+                stamp=self.owned.stamp,
             )
         assert self.owned.peer is not None
         return m.NeighborInfo(
             rect=self.owned.rect,
             primary=self.owned.peer,
             secondary=self.address,
+            stamp=self.owned.stamp,
         )
 
     def _announce_self(self) -> None:
         self._broadcast_update(m.NeighborUpdateBody(info=self._my_info()))
 
-    def _broadcast_update(self, update: m.NeighborUpdateBody) -> None:
+    def _broadcast_update(
+        self, update: m.NeighborUpdateBody, reliable: bool = False
+    ) -> None:
+        """Send ``update`` to every owner in the neighbor table."""
         recipients: Set[NodeAddress] = set()
         for info in self.neighbor_table.values():
             recipients.add(info.primary)
@@ -1838,77 +1810,58 @@ class ProtocolNode:
                 recipients.add(info.secondary)
         recipients.discard(self.address)
         for recipient in sorted(recipients):
-            self.network.send(
-                self.address, recipient, m.NEIGHBOR_UPDATE, update
-            )
+            if reliable:
+                self.reliable.send(recipient, m.NEIGHBOR_UPDATE, update)
+            else:
+                self.network.send(
+                    self.address, recipient, m.NEIGHBOR_UPDATE, update
+                )
 
     def _resolve_ownership_conflict(
         self, info: m.NeighborInfo, direct: bool
     ) -> bool:
         """Handle a claim overlapping the region we serve as primary.
 
-        Unreliable failure detection can double-assign territory (a
-        caretaker fills a "hole" whose owner was merely silent, or a lost
-        grant-decline leaves two believers).  Resolution is deterministic:
-        the owner with the lexicographically smaller ``(ip, port)`` keeps
-        the ground, the other abandons and rejoins from scratch.
+        The newer claim wins.  A claim with a lower stamp than ours is
+        stale and ignored (first-hand, its sender is told our claim so it
+        yields).  A claim with a higher stamp replaced ours -- a failover
+        or hole grant while we were merely silent -- so we yield, unless
+        it is the counterpart of our pending switch installing the region
+        we shipped it (its accept is still in flight).
 
-        A node only abandons on *direct* evidence -- a heartbeat from the
-        competing claimant itself -- never on relayed gossip (which may be
-        arbitrarily stale).  An indirect sighting instead provokes a probe
-        heartbeat to the claimant, so the two confront each other directly
-        and exactly one side yields.  Returns True when this node
-        abandoned (the caller must stop processing the message).
+        Equal stamps mean a double assignment (two caretakers filled the
+        same hole): the owner with the lexicographically smaller
+        ``(ip, port)`` keeps the ground.  Then a node only abandons on
+        *direct* evidence -- a heartbeat from the competing claimant
+        itself -- never on relayed gossip; an indirect sighting provokes
+        a probe heartbeat to the claimant, so the two confront each other
+        directly and exactly one side yields.  Returns True when this
+        node abandoned (the caller must stop processing the message).
         """
+        owned = self.owned
         if (
-            self.owned is None
-            or self.owned.role != "primary"
+            owned is None
+            or owned.role != "primary"
             or info.primary == self.address
+            or not info.rect.intersects(owned.rect)
         ):
             return False
-        overlaps = info.rect == self.owned.rect or info.rect.intersects(
-            self.owned.rect
-        )
-        if not overlaps:
+        if info.stamp < owned.stamp:
+            if direct:
+                self._send_claim(info.primary)
             return False
-        if direct and self._switch_handoff is not None:
-            counterpart, handed_rect, deadline = self._switch_handoff
-            if self.scheduler.now >= deadline:
-                self._switch_handoff = None
-            elif (
-                info.primary == counterpart
-                and handed_rect == self.owned.rect
+        if info.stamp > owned.stamp:
+            if (
+                self._switch_pending
+                and info.rect == owned.rect
+                and info.stamp == owned.stamp + 1
             ):
-                # A primary switch hands this rect over in flight: until
-                # the counterpart installs our old region, its heartbeats
-                # still claim the one it shipped us.  That first-hand
-                # evidence is known-stale -- confront instead of yielding,
-                # so a counterpart that really still claims the ground
-                # (lost accept) keeps getting probed and the conflict
-                # resolves once the grace period lapses.
-                causal.annotate(
-                    "switch_claim_demoted",
-                    owner=str(self.address),
-                    counterpart=str(info.primary),
-                    rect=str(self.owned.rect),
-                )
-                direct = False
-        if not direct or self.address <= info.primary:
+                return False
+        elif not direct or self.address < info.primary:
             # Either we keep the ground, or the evidence is second-hand:
             # confront the claimant directly so the loser (possibly us, on
             # its direct reply) can yield on first-hand evidence.
-            self.network.send(
-                self.address,
-                info.primary,
-                m.HEARTBEAT,
-                m.HeartbeatBody(
-                    rect=self.owned.rect,
-                    role="primary",
-                    secondary=self.owned.peer,
-                    index=self.workload_index,
-                    capacity=self.node.capacity,
-                ),
-            )
+            self._send_claim(info.primary)
             return False
         # Hand over cleanly before yielding.  Complementary caretaker
         # grants can give the two claimants disjoint views of the same
@@ -1928,7 +1881,7 @@ class ProtocolNode:
             # Ship our data to the winner before abandoning: it absorbs
             # last-writer-wins, so whichever copies are fresher survive
             # the conflict, and rehomes what its ground does not cover.
-            _note_handover("ownership_yield", self.address, info.primary, data)
+            note_handover("ownership_yield", self.address, info.primary, data)
             self.network.send(
                 self.address, info.primary, m.DEPART,
                 m.DepartBody(rect=self.owned.rect, data=data),
@@ -1944,16 +1897,31 @@ class ProtocolNode:
         self._rejoin()
         return True
 
+    def _send_claim(self, address: NodeAddress, gossip: bool = False) -> None:
+        """Heartbeat our claim to ``address`` alone (first-hand evidence),
+        with our table and caretaken holes when ``gossip``."""
+        owned = self.owned
+        beat = m.HeartbeatBody(
+            rect=owned.rect, role="primary", secondary=owned.peer,
+            index=self.workload_index, capacity=self.node.capacity,
+            stamp=owned.stamp,
+        )
+        if gossip:
+            beat = replace(
+                beat, neighbors=tuple(self.neighbor_table.values()),
+                caretaken=tuple(self.caretaker_rects),
+            )
+        self.network.send(self.address, address, m.HEARTBEAT, beat)
+
     def _rejoin(self) -> None:
         """Forget the region this node served and join from scratch."""
         self.owned = None
         self.joined = False
-        self.caretaker_rects = set()
+        self.caretaker_rects = {}
         self._set_table(())
         self._claims_heard = {}
         self._claims_oldest = math.inf
         self._claims_confronted = {}
-        self._switch_handoff = None
         self._replicated_neighbors = ()
         self.shortcuts.clear()
         for timer in self._timers:
@@ -1970,14 +1938,15 @@ class ProtocolNode:
         (each caretaker handed its joiner a different side of the region),
         so the claims only ever co-occur in the gossip streams crossing
         some bystander.  That bystander remembers recent claims here and,
-        when two live claims for the *same* rect name different primaries,
-        sends each party the other's claim; the ensuing direct
-        confrontation makes the deterministic loser yield on first-hand
-        evidence.  Only exact-rect conflicts are arbitrated -- a double
-        grant hands out the identical region, while merely-overlapping
-        claims arise transiently around every split -- and a per-pair
-        cooldown bounds the witness to one notification per heartbeat
-        interval.  Returns whether the claim was stamped into the ledger.
+        when two live claims for the *same* rect at the *same* stamp name
+        different primaries, sends each party the other's claim; the
+        ensuing direct confrontation makes the deterministic loser yield
+        on first-hand evidence.  Only such ties are arbitrated -- a double
+        grant hands out the identical region at one stamp, while a newer
+        claim already beats an older one wherever the two meet -- and a
+        per-pair cooldown bounds the witness to one notification per
+        heartbeat interval.  Returns whether the claim was stamped into
+        the ledger.
         """
         if info.primary == self.address:
             return False
@@ -1988,6 +1957,7 @@ class ProtocolNode:
         if (
             cached is not None
             and now - cached[1] <= FAILURE_HORIZON
+            and cached[0].stamp == info.stamp
             and cached[0].primary != info.primary
             and cached[0].primary != self.address
             and cached[0].primary not in self.suspected
@@ -2033,7 +2003,7 @@ class ProtocolNode:
         if self.owned is None:
             return
         info = body.info
-        self._release_hole(info.rect)
+        self._release_holes(info)
         if self._resolve_ownership_conflict(info, direct=False):
             return
         if info.rect == self.owned.rect:
@@ -2041,11 +2011,17 @@ class ProtocolNode:
         # An announced partition change invalidates overlapping cached
         # claims whether or not the new region is adjacent to us.
         self.shortcuts.invalidate_overlapping(info.rect)
+        if not self.owned.rect.is_neighbor_of(info.rect):
+            self._table_drop(info.rect)
+        self._adopt(info)
+
+    def _adopt(self, info: m.NeighborInfo) -> None:
+        """Install a claim adjacent to our region, else offer it to the
+        shortcut cache."""
         if self.owned.rect.is_neighbor_of(info.rect):
             self._table_put(info)
             self.host_cache.remember(info.primary)
         else:
-            self._table_drop(info.rect)
             self._learn_shortcut(info)
 
     # ------------------------------------------------------------------
@@ -2087,7 +2063,9 @@ class ProtocolNode:
                 if info.primary not in self.suspected
             )
         caretaken = tuple(self.caretaker_rects)
-        advert = (self.owned.rect, self.owned.peer, gossip, caretaken)
+        advert = (
+            self.owned.rect, self.owned.peer, self.owned.stamp, gossip, caretaken
+        )
         if advert != self._advert:
             self._advert = advert
             self.table_epoch += 1
@@ -2099,6 +2077,7 @@ class ProtocolNode:
             vitals=vitals,
             pressure=pressure,
             epoch=self.table_epoch,
+            stamp=self.owned.stamp,
         )
         # Attest per-destination send streaks: a destination dropped from
         # the neighbor set restarts at 1, telling its health view that the
@@ -2246,6 +2225,10 @@ class ProtocolNode:
             edge=name,
             point=str(point),
         )
+        self._send_probe(point)
+
+    def _send_probe(self, point: Point) -> None:
+        """Route our claim toward ``point``; its live owner answers."""
         self._forward_probe(
             m.PerimeterProbeBody(
                 info=self._my_info(),
@@ -2317,29 +2300,18 @@ class ProtocolNode:
             prober=str(info.primary),
             rect=str(info.rect),
         )
-        self._release_hole(info.rect)
-        if self.owned.rect.is_neighbor_of(info.rect):
-            self._table_put(info)
-            self.host_cache.remember(info.primary)
-        else:
-            self._learn_shortcut(info)
+        self._release_holes(info)
+        self._adopt(info)
         # Answer with a direct heartbeat: first-hand evidence the prober
         # installs through the normal path, healing its side of the gap.
-        self.network.send(
-            self.address, info.primary, m.HEARTBEAT,
-            m.HeartbeatBody(
-                rect=self.owned.rect, role="primary",
-                secondary=self.owned.peer,
-                neighbors=tuple(self.neighbor_table.values()),
-                index=self.workload_index, capacity=self.node.capacity,
-                caretaken=tuple(self.caretaker_rects),
-            ),
-        )
+        self._send_claim(info.primary, gossip=True)
 
     def _send_peer_heartbeat(self) -> None:
         if not self.alive or self.owned is None or self.owned.peer is None:
             return
-        beat = m.HeartbeatBody(rect=self.owned.rect, role=self.owned.role)
+        beat = m.HeartbeatBody(
+            rect=self.owned.rect, role=self.owned.role, stamp=self.owned.stamp
+        )
         self.network.send(self.address, self.owned.peer, m.HEARTBEAT, beat)
 
     def _on_heartbeat(self, message: Message) -> None:
@@ -2382,22 +2354,25 @@ class ProtocolNode:
         # adjacent to ours, which self-heals tables after lost updates and
         # wrongly declared holes (e.g. a failover announcement that raced
         # our failure detector).
-        self._release_hole(body.rect)
-        # A peer heartbeat for our own region from an address we did not
+        sender_info = m.NeighborInfo(
+            rect=body.rect, primary=message.source, secondary=body.secondary,
+            stamp=body.stamp,
+        )
+        if self.caretaker_rects:
+            self._release_holes(sender_info)
+        # A newer claim on our own region from an address we did not
         # expect means the primary switched under us (mechanism (b) moved
         # ownership); adopt the new primary.
         if (
             self.owned is not None
             and self.owned.role == "secondary"
             and body.rect == self.owned.rect
-            and self.owned.peer != message.source
+            and body.stamp > self.owned.stamp
         ):
             self.owned.peer = message.source
+            self.owned.stamp = body.stamp
         # A primary heartbeat is first-hand: its rect is the sender's own
         # territory right now, so an overlap with ours is a real conflict.
-        sender_info = m.NeighborInfo(
-            rect=body.rect, primary=message.source, secondary=body.secondary,
-        )
         if self._resolve_ownership_conflict(sender_info, direct=True):
             return
         owned = self.owned
@@ -2487,67 +2462,66 @@ class ProtocolNode:
         offered: List[Tuple[m.NeighborInfo, bool]] = []
         if self._witness_claim(sender_info):
             witnessed.append(sender_info)
-        existing = self.neighbor_table.get(body.rect)
-        if (
-            existing is not None
-            and existing.primary != source
-            and existing.primary != self.address
-            and existing.primary not in self.suspected
-        ):
-            # Two live nodes are heartbeating us as primary of the same
-            # region -- we are a witness to a split brain they cannot see
-            # (equal rects are not neighbors, so they never talk).  Tell
-            # the deterministic loser about the winner; it will confront
-            # the winner directly and yield.
-            winner, loser = sorted((existing.primary, source))
-            causal.annotate(
-                "claim_confront",
-                witness=str(self.address),
-                rect=str(body.rect),
-                claimants=f"{winner}/{loser}",
-            )
-            self.network.send(
-                self.address, loser, m.NEIGHBOR_UPDATE,
-                m.NeighborUpdateBody(
-                    info=m.NeighborInfo(
-                        rect=body.rect, primary=winner,
-                        secondary=body.secondary,
-                    )
-                ),
-            )
-        if existing is not None or (
+        if body.rect in self.neighbor_table or (
             self.owned is not None
             and self.owned.rect.is_neighbor_of(body.rect)
         ):
             # A fresh first-hand claim supersedes any cached claim
-            # overlapping the same ground (_table_put evicts them).
-            self._table_put(sender_info)
+            # overlapping the same ground (_table_put evicts them).  When
+            # a claim the sender cannot see beats its own, we witness a
+            # split brain (two claims on one region never heartbeat each
+            # other): the sender yields to a newer claim and confronts an
+            # equal one.
+            winner = self._table_put(sender_info)
+            news = [] if winner is None else [winner]
         else:
             # A first-hand claim from a non-neighbor (e.g. a probe or
             # confrontation heartbeat): worth a shortcut entry.
             offered.append((sender_info, False))
             self._learn_shortcut(sender_info)
+            # A periodic beat from a non-neighbor means its sender's table
+            # names us for ground we left (a switch shipped it a table
+            # naming the ground's previous owner); the claims we hold
+            # next to its region that it does not gossip replace that
+            # entry.
+            news = [
+                info for info in self.neighbor_table.values()
+                if body.epoch and info.primary != source
+                and info.rect.is_neighbor_of(body.rect)
+                and info not in body.neighbors
+            ]
+        for info in news:
+            if info.primary not in self.suspected:
+                self.network.send(
+                    self.address, source, m.NEIGHBOR_UPDATE,
+                    m.NeighborUpdateBody(info=info),
+                )
         # Gossip: adopt adjacent entries we are missing; cache the rest.
         if self.owned is None:
             return witnessed, offered
         own = self.owned.rect
+        table = self.neighbor_table
         for info in body.neighbors:
             if info.primary == self.address:
                 continue
-            # Relayed claims overlapping our territory provoke a direct
-            # confrontation (never an abandonment -- gossip can be stale,
-            # and a probe to a genuinely dead claimant costs one message).
-            self._resolve_ownership_conflict(info, direct=False)
+            # A relayed claim overlapping our territory makes us yield
+            # when it is newer, and provokes a direct confrontation when
+            # it ties (gossip can be stale, and a probe to a genuinely
+            # dead claimant costs one message).
+            if self._resolve_ownership_conflict(info, direct=False):
+                return witnessed, offered
             if self._witness_claim(info):
                 witnessed.append(info)
             if info.primary in self.suspected:
                 continue
-            if info.rect in self.neighbor_table:
+            if self.caretaker_rects:
+                self._release_holes(info)
+            held = table.get(info.rect)
+            if held is not None and info.stamp <= held.stamp:
                 continue
             if info.rect == own:
                 continue
             if own.is_neighbor_of(info.rect):
-                self._release_hole(info.rect)
                 self._table_put(info)
             else:
                 # Gossiped claims for far regions are exactly the passive
@@ -2584,6 +2558,7 @@ class ProtocolNode:
             rect=self.owned.rect,
             neighbors=tuple(self.neighbor_table.values()),
             items=tuple(self.owned.items),
+            stamp=self.owned.stamp,
         )
         self.network.send(self.address, self.owned.peer, m.SYNC_STATE, body)
         # The store does not ship its full content on every sync; the
@@ -2593,12 +2568,19 @@ class ProtocolNode:
 
     def _on_sync_state(self, message: Message) -> None:
         body: m.SyncStateBody = message.body
-        if self.owned is None or self.owned.role != "secondary":
+        if (
+            self.owned is None
+            or self.owned.role != "secondary"
+            or body.stamp < self.owned.stamp
+        ):
+            # Not a secondary, or a sync its primary sent before a switch
+            # handed the region on.
             return
         if self.owned.peer != message.source:
             # The region's primary changed (switch or takeover); follow it.
             self.owned.peer = message.source
         self.owned.rect = body.rect
+        self.owned.stamp = body.stamp
         self.owned.items = list(body.items)
         self._replicated_neighbors = body.neighbors
 
@@ -2656,27 +2638,30 @@ class ProtocolNode:
         # 2. Neighbor failure detection at the slow frequency.
         if self.owned.role != "primary":
             return
+        peer = self.owned.peer
         for rect, info in list(self.neighbor_table.items()):
             # Our secondary serves our region only, so a claim naming it
             # as another region's primary is stale whatever its clock says.
-            if info.primary != self.owned.peer:
-                seen = self.last_seen.get(info.primary)
-                if seen is None:
-                    # Never heard from this peer: start its clock now so a
-                    # neighbor that never speaks still times out eventually.
-                    self.last_seen[info.primary] = now
-                    continue
-                if now - seen <= FAILURE_HORIZON:
+            if info.primary != peer:
+                if not self._silent(info.primary, now):
                     continue
                 # Only the transition matters: an entry whose secondary
                 # keeps it (below) stays in the table, and re-suspecting
                 # its primary every tick would rescan the cache for
                 # nothing.
                 self._suspect(info.primary)
-            if info.secondary not in (None, self.address, self.owned.peer):
+            # Neither we nor our own secondary can be promoted into
+            # another region.
+            backed = info.secondary not in (None, self.address, peer)
+            if backed and not self._silent(info.secondary, now):
                 # The secondary will promote itself and announce; route via
-                # the secondary in the meantime.  (Neither we nor our own
-                # secondary can be promoted into another region.)
+                # the secondary in the meantime.  A promotion announces a
+                # newer claim well inside the horizon, so a secondary
+                # still unheard of past it died with its primary.
+                continue
+            self._table_drop(rect)
+            if self._outclaimed(rect, info.stamp):
+                # Not a dead region: a stale claim a newer one replaced.
                 continue
             # Last owner of the region is gone: become a caretaker until a
             # join fills the hole.
@@ -2686,8 +2671,14 @@ class ProtocolNode:
                 rect=str(rect),
                 suspect=str(info.primary),
             )
-            self._table_drop(rect)
-            self._caretake(rect)
+            self._caretake(rect, info.stamp)
+            if backed:
+                # Both owners fell silent.  If the secondary was promoted
+                # after all, it announced itself to its replicated table,
+                # which can name a dead neighbor instead of us (two
+                # secondaries promoted at once): the probe reaches it, and
+                # its newer claim releases the hole.
+                self._send_probe(rect.center)
         # 3. Expire stale neighbor workload statistics: an entry whose
         #    heartbeats stopped (crash, departure, region re-granted
         #    under a different rect) must not pin switch-candidate and
@@ -2708,6 +2699,18 @@ class ProtocolNode:
             self.neighbor_pressure.pop(rect, None)
             obs.inc("adapt.stats.expired")
 
+    def _silent(self, address: NodeAddress, now: float) -> bool:
+        """Whether ``address`` has been silent past the failure horizon.
+
+        An address never heard from starts its clock now, so a neighbor
+        that never speaks still times out eventually.
+        """
+        seen = self.last_seen.get(address)
+        if seen is None:
+            self.last_seen[address] = now
+            return False
+        return now - seen > FAILURE_HORIZON
+
     def _take_over_primary(self) -> None:
         """Dual-peer failover: activate the backup (Section 2.3)."""
         assert self.owned is not None
@@ -2719,9 +2722,10 @@ class ProtocolNode:
             rect=str(self.owned.rect),
             store_objects=len(self.owned.store),
         )
-        _note_handover("failover", failed, self.address, self.owned.snapshot())
+        note_handover("failover", failed, self.address, self.owned.snapshot())
         self.owned.role = "primary"
         self.owned.peer = None
+        self.owned.stamp += 1
         # Entries were learned in the secondary role; the rebuilt neighbor
         # table may now contain rects the cache also holds.  Start fresh.
         self.shortcuts.clear()
@@ -2888,32 +2892,42 @@ class ProtocolNode:
             peer=self.owned.peer,
             neighbors=tuple(self.neighbor_table.values()),
             data=self.owned.snapshot(),
+            stamp=self.owned.stamp,
         )
 
     def _install_state(
         self,
         state: m.RegionStateBody,
         counterpart: NodeAddress,
-        given_away: Optional[Rect] = None,
-        given_away_peer: Optional[NodeAddress] = None,
         unshipped: m.RegionData = m.RegionData(),
     ) -> None:
         """Take over a region shipped by a completed primary switch.
 
-        ``given_away`` is the rect this node just handed to
-        ``counterpart``; when the two swapped regions are adjacent, the
-        transferred table still carries a stale self-entry for it, which
-        must be rebound to the counterpart.  ``unshipped`` holds records
-        written to the given-away region after its state was captured:
-        they are adopted here, and the rehome sweep of the sync below
-        routes them to the region's new owner, dropping each local copy
-        only once that owner acks it.
+        The installed claim is stamped one above the shipped one, and the
+        region this node gives away becomes ``counterpart``'s claim one
+        above ours; when the two swapped regions are adjacent, that claim
+        replaces the transferred table's stale self-entry for it.
+        ``unshipped`` holds records written to the given-away region
+        after its state was captured: they are adopted here, and the
+        rehome sweep of the sync below routes them to the region's new
+        owner, dropping each local copy only once that owner acks it.
         """
-        self.owned = OwnedRegion(
-            rect=state.rect, role="primary", peer=state.peer
+        old = self.owned
+        given_away = m.NeighborInfo(
+            rect=old.rect, primary=counterpart, secondary=old.peer,
+            stamp=old.stamp + 1,
         )
+        self.owned = OwnedRegion(
+            rect=state.rect, role="primary", peer=state.peer,
+            stamp=state.stamp + 1,
+        )
+        if state.peer is not None:
+            # The region's secondary has not had a chance to heartbeat us
+            # yet: its liveness clock starts now, not at its last beat to
+            # us from some earlier role.
+            self.last_seen[state.peer] = self.scheduler.now
         self.owned.absorb(state.data)
-        _note_handover("switch", counterpart, self.address, state.data)
+        note_handover("switch", counterpart, self.address, state.data)
         self.owned.absorb(unshipped)
         self._set_table(
             info for info in state.neighbors
@@ -2923,27 +2937,14 @@ class ProtocolNode:
             # such an entry would forward messages to ourselves forever.
             and info.primary != self.address
         )
-        if given_away is not None and state.rect.is_neighbor_of(given_away):
-            self._table_put(m.NeighborInfo(
-                rect=given_away,
-                primary=counterpart,
-                secondary=given_away_peer,
-            ))
+        if state.rect.is_neighbor_of(given_away.rect):
+            self._table_put(given_away)
         self.neighbor_stats = {}
         self._neighbor_stats_at = {}
         self.neighbor_pressure = {}
         # The cache was learned from the old vantage point; entries may
         # now overlap or neighbor the new region.  Start fresh.
         self.shortcuts.clear()
-        # Until the counterpart has installed our old region, its
-        # heartbeats still claim the rect it shipped us; yielding to that
-        # stale evidence would orphan the region we just took.  One
-        # failure-timeout comfortably outlives the in-flight window.
-        self._switch_handoff = (
-            counterpart,
-            state.rect,
-            self.scheduler.now + FAILURE_HORIZON,
-        )
         self.switches_completed += 1
         causal.annotate(
             "switch_installed",
@@ -2992,7 +2993,6 @@ class ProtocolNode:
             initiator_index=my_index,
         )
         self._switch_pending = True
-        self._switch_proposed_rect = self.owned.rect
         self._switch_capture = request.state.data
         causal.annotate(
             "switch_proposed",
@@ -3034,26 +3034,33 @@ class ProtocolNode:
         # strands the swap half-done (we install the initiator's region
         # below, it keeps believing it owns it).  Ride the reliable
         # channel so the handoff survives drops.
-        self.reliable.send(
-            message.source, m.SWITCH_ACCEPT, m.SwitchAcceptBody(state=my_state)
+        accept = m.SwitchAcceptBody(
+            state=my_state,
+            replaced=body.state.rect,
+            replaced_stamp=body.state.stamp,
         )
-        self._install_state(
-            body.state,
-            counterpart=message.source,
-            given_away=my_state.rect,
-            given_away_peer=my_state.peer,
+        self.reliable.send(message.source, m.SWITCH_ACCEPT, accept)
+        self._install_state(body.state, counterpart=message.source)
+        # The region we gave away is in flight until the initiator
+        # installs it: take part in no other switch meanwhile, or our
+        # next hand-off would ship a table still naming us its owner.
+        self._switch_pending = True
+        self.scheduler.after(
+            self.config.adaptation_interval, self._clear_pending_switch
         )
 
     def _on_switch_accept(self, message: Message) -> None:
         body: m.SwitchAcceptBody = message.body
         self._switch_pending = False
-        if self.owned is None or self.owned.role != "primary":
-            return
-        proposed = self._switch_proposed_rect
-        self._switch_proposed_rect = None
-        if proposed is not None and self.owned.rect != proposed:
+        owned = self.owned
+        if (
+            owned is None
+            or owned.role != "primary"
+            or owned.rect != body.replaced
+            or owned.stamp != body.replaced_stamp
+        ):
             # A delayed (possibly retried) accept for a proposal made from
-            # a region we no longer own; installing its state now would
+            # a claim we no longer hold; installing its state now would
             # clobber ownership we acquired since.
             return
         # Data written since the request's state capture was not shipped
@@ -3063,15 +3070,11 @@ class ProtocolNode:
         captured, self._switch_capture = self._switch_capture, None
         written = (
             m.RegionData() if captured is None
-            else _written_since(self.owned.snapshot(), captured)
+            else written_since(self.owned.snapshot(), captured)
         )
-        old_rect = self.owned.rect
-        old_peer = self.owned.peer
         self._install_state(
             body.state,
             counterpart=message.source,
-            given_away=old_rect,
-            given_away_peer=old_peer,
             unshipped=replace(written, items=()),
         )
         for point, item in written.items:
@@ -3092,61 +3095,51 @@ class ProtocolNode:
                 self.owned.peer = None
                 self._announce_self()
             return
-        # The split announcement went to the *pre-split* neighborhood, but
-        # the table has since been pruned to the kept half's neighbors --
-        # by now it can have forgotten neighbors of the handed half.  The
-        # retraction must reach the original audience, or the survivors
-        # keep a phantom entry for the declined region, time its
-        # never-speaking "owner" out, and caretake (then re-grant) ground
-        # that was never vacated.
-        announced = self._split_announced.pop(body.rect, None)
-        audience: Set[NodeAddress] = set() if announced is None else set(
-            announced[0]
-        )
+        if self._outclaimed(body.rect, body.stamp):
+            # We granted that ground again since (its claim timed out and
+            # we filled the hole): a newer claim holds it, so only the
+            # data comes back, and the rehome sweep routes it there.
+            causal.annotate(
+                "decline_outclaimed", owner=str(self.address),
+                rect=str(body.rect),
+            )
+            self._absorb(body.data)
+            return
         if self.owned.role == "primary" and self.owned.rect.can_merge_with(
             body.rect
         ):
-            old_rect = self.owned.rect
+            merged = self.owned.rect.merge_with(body.rect)
             causal.annotate(
                 "decline_merge",
                 owner=str(self.address),
                 rect=str(body.rect),
-                merged=str(self.owned.rect.merge_with(body.rect)),
+                merged=str(merged),
             )
-            self.owned.rect = self.owned.rect.merge_with(body.rect)
+            # The merged claim outranks both halves, so wherever it
+            # arrives -- first-hand or through gossip -- it evicts the
+            # entry for the declined half, whose named owner never speaks.
+            self.owned.stamp = self._next_stamp(merged, body.stamp)
+            self.owned.rect = merged
+            self._release_holes(self._my_info())
             # Our territory grew: cached claims overlapping (or now
             # adjacent to) the merged rect are stale or misplaced.
-            self.shortcuts.invalidate_overlapping(self.owned.rect)
+            self.shortcuts.invalidate_overlapping(merged)
             self._absorb(body.data)
-            _note_handover(
+            note_handover(
                 "decline_merge", message.source, self.address, body.data
             )
             self._table_drop(body.rect)
             self._set_table(
                 info for rect, info in self.neighbor_table.items()
-                if self.owned.rect.is_neighbor_of(rect)
+                if merged.is_neighbor_of(rect)
             )
-            for info in self.neighbor_table.values():
-                audience.add(info.primary)
-                if info.secondary is not None:
-                    audience.add(info.secondary)
-            audience.discard(self.address)
-            # A retraction that never arrives leaves the survivor a
-            # phantom entry for the declined region (then a bogus hole to
-            # caretake and re-grant): ride the reliable channel.
-            for recipient in sorted(audience):
-                self.reliable.send(
-                    recipient, m.NEIGHBOR_UPDATE,
-                    m.NeighborUpdateBody(
-                        info=self._my_info(), removed_rect=old_rect
-                    ),
-                )
-                self.reliable.send(
-                    recipient, m.NEIGHBOR_UPDATE,
-                    m.NeighborUpdateBody(
-                        info=self._my_info(), removed_rect=body.rect
-                    ),
-                )
+            # The merged claim is the retraction: a survivor it never
+            # reached keeps a phantom entry for the declined region (then
+            # a bogus hole to caretake and re-grant), so it rides the
+            # reliable channel.
+            self._broadcast_update(
+                m.NeighborUpdateBody(info=self._my_info()), reliable=True
+            )
             self._send_sync()
             return
         # Cannot merge it back (we re-split since): serve it best-effort
@@ -3157,18 +3150,14 @@ class ProtocolNode:
             rect=str(body.rect),
         )
         self._absorb(body.data)
-        _note_handover(
+        note_handover(
             "decline_caretake", message.source, self.address, body.data
         )
-        audience.discard(self.address)
-        for recipient in sorted(audience):
-            self.reliable.send(
-                recipient, m.NEIGHBOR_UPDATE,
-                m.NeighborUpdateBody(
-                    info=self._my_info(), removed_rect=body.rect
-                ),
-            )
-        self._caretake(body.rect)
+        self._broadcast_update(
+            m.NeighborUpdateBody(info=self._my_info(), removed_rect=body.rect),
+            reliable=True,
+        )
+        self._caretake(body.rect, body.stamp)
 
     # ------------------------------------------------------------------
     # Application message handling
@@ -3280,9 +3269,9 @@ class ProtocolNode:
             self._serve_query(body)
 
     def _serve_query(self, body: m.QueryBody) -> None:
-        if body.request_id in self._served_queries:
+        if self._served_queries.get(body.request_id) == self.owned.rect:
             return
-        self._served_queries.add(body.request_id)
+        self._served_queries[body.request_id] = self.owned.rect
         self._window_served += 1
         owned = self.owned
         matches = tuple(
@@ -3563,12 +3552,16 @@ class ProtocolNode:
         if fresh:
             self._replicate(m.RegionData(objects=(record,)))
             self._sub_match_store(record)
-            if body.prev_point is not None and not self._covers(
-                self.owned.rect, body.prev_point
+            prev = body.prev_point
+            if (
+                prev is not None
+                and not self._covers(self.owned.rect, prev)
+                and self._caretaker_for(prev) is None
             ):
                 # The object crossed a region boundary: evict the stale
                 # copy at its old home (versioned, so a newer update
-                # there wins any race).
+                # there wins any race).  Ground this node caretakes shares
+                # its store, so the upsert above already replaced it.
                 self._execute(m.STORE_REMOVE, m.StoreRemoveBody(
                     object_id=record.object_id,
                     point=body.prev_point,
@@ -3613,9 +3606,9 @@ class ProtocolNode:
         self, body: m.StoreLookupBody, from_replica: bool = False
     ) -> None:
         """Answer a range lookup; a replica answers for its own region."""
-        if body.request_id in self._served_store_lookups:
+        if self._served_store_lookups.get(body.request_id) == self.owned.rect:
             return
-        self._served_store_lookups.add(body.request_id)
+        self._served_store_lookups[body.request_id] = self.owned.rect
         self._window_served += 1
         owned = self.owned
         matches = tuple(owned.store.query(body.rect))
@@ -3630,11 +3623,14 @@ class ProtocolNode:
         obs.inc("store.node.lookups_served")
         self.network.send(self.address, body.origin, m.STORE_RESULT, result)
         # Replicas serve lookups too, so the served set also names
-        # secondaries, and none of them is asked twice.  A replica serving
-        # for a dead primary uses the replicated neighbor table it would
-        # activate on failover.
+        # secondaries, and none of them is asked twice.  Only a primary
+        # vouches for its peer: a replica's primary pointer lags a switch
+        # until the new primary's first sync, and marking the old one
+        # would keep the lookup from the region it serves now.  A replica
+        # serving for a dead primary uses the replicated neighbor table
+        # it would activate on failover.
         marked = body.marked_served(self.address)
-        if owned.peer is not None:
+        if owned.peer is not None and not from_replica:
             marked = marked.marked_served(owned.peer)
         neighbors: Iterable[m.NeighborInfo] = self.neighbor_table.values()
         if from_replica and not self.neighbor_table:

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.obs import causal
 from repro.protocol import NodeConfig, ProtocolCluster
 
 BOUNDS = Rect(0, 0, 64, 64)
@@ -199,4 +200,58 @@ class TestTriggerUnderLoss:
         # Let traffic stop; stale stats + loss must not keep switching.
         cluster.settle(200)
         assert tally() == under_load
+        cluster.check_partition()
+
+
+class TestHotspotSwitches:
+    """A long hotspot on a dual-peer cluster keeps switching primaries;
+    every switch must hand its region over without a conflict.
+
+    Each switch installs the shipped claim one stamp up, so the
+    initiator's heartbeats for the region it is giving away are stale on
+    arrival.  Under load, no owner may yield to another and no neighbor
+    may caretake a region whose owner is alive.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, hotspot",
+        [(5, Point(48, 16)), (6, Point(32, 32))],
+        ids=["seed5-48x16", "seed6-32x32"],
+    )
+    def test_no_conflict_while_switching(self, monkeypatch, seed, hotspot):
+        cluster = ProtocolCluster(
+            BOUNDS, seed=seed, config=NodeConfig(adaptation_enabled=True)
+        )
+        rng = random.Random(seed)
+        for _ in range(32):
+            cluster.join_node(
+                Point(rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5)),
+                capacity=rng.choice([1, 10, 100]),
+            )
+        cluster.settle(30)
+        cluster.check_partition()
+        seen = []
+        annotate = causal.annotate
+
+        def recording(event, *args, **fields):
+            seen.append(event)
+            annotate(event, *args, **fields)
+
+        monkeypatch.setattr(causal, "annotate", recording)
+        ids = sorted(cluster.nodes)
+        for _ in range(300):
+            for _ in range(20):
+                origin = cluster.nodes[rng.choice(ids)]
+                target = Point(
+                    hotspot.x + rng.uniform(-2, 2),
+                    hotspot.y + rng.uniform(-2, 2),
+                )
+                if origin.joined:
+                    origin.send_to_point(target, None)
+            cluster.run_for(1.0)
+        monkeypatch.undo()
+        assert seen.count("switch_installed") > 0
+        assert seen.count("ownership_yield") == 0
+        assert seen.count("caretake_adopt") == 0
+        cluster.run_for(5.0)
         cluster.check_partition()

@@ -18,23 +18,9 @@ from repro.protocol import NodeConfig, ProtocolCluster
 BOUNDS = Rect(0, 0, 64, 64)
 
 
-#: Adaptation without dual peers leaves two live primaries on one rect
-#: (the switch handshake defect); strict, so a fix must drop the mark.
-SWITCH_OVERLAP = pytest.mark.xfail(
-    strict=True,
-    reason="adaptation switches leave overlapping primaries (ROADMAP item 1)",
-)
-
-
 @pytest.mark.parametrize(
     "dual_peer, adaptation_enabled, overload_enabled",
-    [
-        pytest.param(
-            *flags,
-            marks=SWITCH_OVERLAP if flags[:2] == (False, True) else (),
-        )
-        for flags in itertools.product([True, False], repeat=3)
-    ],
+    list(itertools.product([True, False], repeat=3)),
 )
 def test_flag_combination_serves_every_operation(
     dual_peer, adaptation_enabled, overload_enabled

@@ -192,11 +192,14 @@ class TestReplay:
         body = beat_from(cluster, sender, node)
         rival = synthetic_address(903)
         # A new advert (it gossips a rival claim to the receiver's own
-        # ground), hence a new epoch.
+        # ground, at the receiver's stamp), hence a new epoch.
         body = m.HeartbeatBody(
             rect=body.rect, role="primary", secondary=body.secondary,
             neighbors=body.neighbors + (
-                m.NeighborInfo(rect=node.owned.rect, primary=rival),
+                m.NeighborInfo(
+                    rect=node.owned.rect, primary=rival,
+                    stamp=node.owned.stamp,
+                ),
             ),
             caretaken=body.caretaken, epoch=body.epoch + 1,
         )
@@ -296,9 +299,10 @@ class TestSuspicion:
         rect = sender.owned.rect
         silent = sender.address
         backup = synthetic_address(904)
-        node._table_put(
-            m.NeighborInfo(rect=rect, primary=silent, secondary=backup)
-        )
+        node._table_put(m.NeighborInfo(
+            rect=rect, primary=silent, secondary=backup,
+            stamp=sender.owned.stamp,
+        ))
         node.last_seen[silent] = cluster.scheduler.now - 1_000.0
         invalidated = count_calls(
             monkeypatch, node.shortcuts, "invalidate_address"

@@ -5,7 +5,10 @@ GeoGrid's structure; the protocol layer re-implements the same rules as
 asynchronous message handlers.  Driving both with identical join
 sequences (same coordinates, same entry nodes, basic single-owner mode)
 must produce *identical partitions* -- a strong check that the two layers
-implement the same system rather than two similar ones.
+implement the same system rather than two similar ones.  At the default
+latency a join's grant and split announcements overlap the next join's
+routing, so only the ownership-claim rule keeps stale split parents from
+being caretaken and re-granted there.
 """
 
 import random
@@ -21,8 +24,11 @@ from tests.conftest import make_node
 BOUNDS = Rect(0, 0, 64, 64)
 
 
-def run_both(coords, entries):
-    """Join the same sequence into both layers; return both partitions."""
+def run_both(coords, entries, latency=ConstantLatency(0.01)):
+    """Join the same sequence into both layers; return both partitions.
+
+    ``latency=None`` runs the protocol at the cluster's default latency.
+    """
     overlay = BasicGeoGrid(BOUNDS, rng=random.Random(0))
     overlay_nodes = []
     for index, coord in enumerate(coords):
@@ -34,7 +40,7 @@ def run_both(coords, entries):
     cluster = ProtocolCluster(
         BOUNDS,
         seed=0,
-        latency=ConstantLatency(0.01),
+        latency=latency,
         config=NodeConfig(dual_peer=False),
     )
     protocol_nodes = []
@@ -61,16 +67,27 @@ def run_both(coords, entries):
     return overlay, cluster, overlay_rects, protocol_rects
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_identical_partitions(seed):
+@pytest.mark.parametrize(
+    "latency, count, seed",
+    [
+        pytest.param(ConstantLatency(0.01), 25, seed, id=str(seed))
+        for seed in range(1, 6)
+    ]
+    + [
+        pytest.param(None, 64, seed, id=f"default-latency-64-{seed}")
+        for seed in range(1, 11)
+    ],
+)
+def test_identical_partitions(latency, count, seed):
     rng = random.Random(seed)
-    count = 25
     coords = [
         Point(rng.uniform(0.01, 63.99), rng.uniform(0.01, 63.99))
         for _ in range(count)
     ]
     entries = [0] + [rng.randrange(index) for index in range(1, count)]
-    overlay, cluster, overlay_rects, protocol_rects = run_both(coords, entries)
+    overlay, cluster, overlay_rects, protocol_rects = run_both(
+        coords, entries, latency
+    )
     assert overlay_rects == protocol_rects
     overlay.check_invariants()
     cluster.check_partition()

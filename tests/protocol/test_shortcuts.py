@@ -426,9 +426,11 @@ class TestStaleRoutingState:
         cluster, nodes, _ = build_cluster(count=10, seed=41)
         node = primary_with_secondary(nodes)
         node.shortcuts.clear()
-        rect = next(iter(node.neighbor_table))
+        rect, entry = next(iter(node.neighbor_table.items()))
         peer = node.owned.peer
-        node._table_put(m.NeighborInfo(rect=rect, primary=peer))
+        node._table_put(
+            m.NeighborInfo(rect=rect, primary=peer, stamp=entry.stamp)
+        )
         body = m.RouteBody(
             origin=node.address, target=rect.center, payload=None,
             request_id=123_456,
@@ -445,8 +447,10 @@ class TestStaleRoutingState:
         fresh."""
         cluster, nodes, _ = build_cluster(count=10, seed=41)
         node = primary_with_secondary(nodes)
-        rect = next(iter(node.neighbor_table))
-        node._table_put(m.NeighborInfo(rect=rect, primary=node.owned.peer))
+        rect, entry = next(iter(node.neighbor_table.items()))
+        node._table_put(m.NeighborInfo(
+            rect=rect, primary=node.owned.peer, stamp=entry.stamp
+        ))
         node._check_failures()
         assert rect not in node.neighbor_table
         assert rect in node.caretaker_rects
@@ -459,7 +463,8 @@ class TestStaleRoutingState:
         node = primary_with_secondary(nodes)
         rect, entry = next(iter(node.neighbor_table.items()))
         node._table_put(m.NeighborInfo(
-            rect=rect, primary=entry.primary, secondary=node.owned.peer
+            rect=rect, primary=entry.primary, secondary=node.owned.peer,
+            stamp=entry.stamp,
         ))
         node.last_seen[entry.primary] = cluster.scheduler.now - 1_000.0
         node._check_failures()

@@ -8,11 +8,9 @@ target.
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.sim.latency import DistanceLatency, UniformLatency
@@ -205,16 +203,6 @@ def test_crash_during_split_is_reclaimed():
     assert covered >= BOUNDS.area - 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(AssertionError, SimulationError),
-    reason=(
-        "known defect: _check_failures step 2 skips any neighbor entry "
-        "whose secondary is another address and never checks that the "
-        "secondary is alive, so when a region's primary and secondary "
-        "crash together no neighbor ever caretakes it"
-    ),
-)
 def test_region_losing_both_owners_at_once_is_caretaken():
     for seed in range(8):
         cluster = ProtocolCluster(BOUNDS, seed=seed)

@@ -29,6 +29,7 @@ def make_request(node, index=5.0):
             peer=None,
             neighbors=tuple(node.neighbor_table.values()),
             data=node.owned.snapshot(),
+            stamp=node.owned.stamp,
         ),
         initiator_capacity=node.node.capacity,
         initiator_index=index,
