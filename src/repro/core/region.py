@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import OwnershipError
 from repro.geometry import Rect
@@ -58,6 +58,13 @@ class Region:
     #: involved this region (0 = never); a memo built over the adjacency
     #: graph is stale once one of its regions carries a newer stamp.
     stamp: int = 0
+    #: ``(x, x + width, y, y + height)`` of :attr:`rect`, set by the
+    #: :class:`~repro.core.space.Space` holding the region wherever it
+    #: assigns the rect, so the greedy walk reads a neighbor's edges with
+    #: one attribute load.  ``None`` outside a space.
+    edges: Optional[Tuple[float, float, float, float]] = field(
+        default=None, init=False
+    )
 
     # ------------------------------------------------------------------
     # Occupancy

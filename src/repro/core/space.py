@@ -24,11 +24,65 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set
 from repro import obs
 from repro.errors import GeometryError, PartitionError
 from repro.geometry import Point, Rect, SplitAxis
+from repro.geometry.rect import EDGE_TOLERANCE
 from repro.core.region import Region
 
 #: Strict-progress margin for the greedy walk; distances are in the same
 #: unit as the space (miles), so anything far below a cell size works.
 _PROGRESS_EPS = 1e-12
+
+#: Relative margin on squared distances in the greedy walk: a neighbor
+#: whose squared distance exceeds the best one's by this factor cannot be
+#: closer, so its root is never taken.
+_ROOT_SLACK = 1.0 + 1e-12
+
+#: Largest group :func:`_touching_groups` leaves unsplit, and its depth cap.
+_GROUP_SIZE = 8
+_GROUP_DEPTH = 48
+
+
+def _set_rect(region: Region, rect: Rect) -> None:
+    """Give ``region`` the rect ``rect`` and the matching edge tuple."""
+    region.rect = rect
+    region.edges = (rect.x, rect.x + rect.width, rect.y, rect.y + rect.height)
+
+
+def _touching_groups(bounds: Rect, regions: List[Region]) -> Iterator[List[Region]]:
+    """Groups of regions such that any two regions inside ``bounds`` whose
+    closed rects, grown by :data:`EDGE_TOLERANCE`, share a point are
+    together in at least one group.
+
+    A quadtree over ``bounds``: a cell with more than :data:`_GROUP_SIZE`
+    members is cut into four closed quadrants, and each member goes to
+    every quadrant its grown rect reaches, so two regions sharing a point
+    both reach the quadrant holding it.  Depth is capped for the case of
+    many regions stacked on one spot, which only a broken partition has.
+    """
+    tol = EDGE_TOLERANCE
+    grown = [
+        (a, a.rect.x - tol, a.rect.x2 + tol, a.rect.y - tol, a.rect.y2 + tol)
+        for a in regions
+    ]
+    stack = [
+        (grown, bounds.x - tol, bounds.x2 + tol, bounds.y - tol, bounds.y2 + tol, 0)
+    ]
+    while stack:
+        members, x0, x1, y0, y1, depth = stack.pop()
+        if len(members) <= _GROUP_SIZE or depth == _GROUP_DEPTH:
+            yield [member[0] for member in members]
+            continue
+        xm = (x0 + x1) / 2.0
+        ym = (y0 + y1) / 2.0
+        for cx0, cx1, cy0, cy1 in (
+            (x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)
+        ):
+            inside = [
+                member for member in members
+                if member[1] <= cx1 and member[2] >= cx0
+                and member[3] <= cy1 and member[4] >= cy0
+            ]
+            if inside:
+                stack.append((inside, cx0, cx1, cy0, cy1, depth + 1))
 
 
 class RegionSetView(AbstractSet):
@@ -144,6 +198,7 @@ class Space:
                 f"root region rect {region.rect} must equal the space bounds "
                 f"{self.bounds}"
             )
+        _set_rect(region, region.rect)
         self._regions.add(region)
         self._adjacency[region] = set()
         self._reindex_rect(region.rect, region)
@@ -182,8 +237,9 @@ class Space:
         kept_rect, new_rect = (low, high) if keep == "low" else (high, low)
 
         old_neighbors = self._adjacency[region]
-        region.rect = kept_rect
+        _set_rect(region, kept_rect)
         new_region = Region(rect=new_rect)
+        _set_rect(new_region, new_rect)
         self._regions.add(new_region)
 
         # The new region's neighbors are a subset of the old neighbors plus
@@ -257,7 +313,7 @@ class Space:
         del self._adjacency[absorbed]
         self._regions.discard(absorbed)
 
-        survivor.rect = merged_rect
+        _set_rect(survivor, merged_rect)
         new_neighbors = {
             candidate
             for candidate in candidates
@@ -351,37 +407,47 @@ class Space:
         current_dist = current.rect.distance_to_point(point)
         px = point.x
         py = point.y
+        bx = self.bounds.x
+        by = self.bounds.y
         adjacency = self._adjacency
-        region_covers = self.region_covers
         # The walk terminates: every step strictly decreases the distance
         # to the target, and there are finitely many regions.
         max_steps = len(self._regions) + 4
         for _ in range(max_steps):
-            if region_covers(current, point):
+            # region_covers on the edge tuple: half-open, with the low
+            # edge closed on the space's own west/south border.
+            x, x2, y, y2 = current.edges
+            if (x < px <= x2 or px == x <= bx) and (y < py <= y2 or py == y <= by):
                 return current
             best = None
-            best_dist = math.inf
+            best_dist = best_bound = math.inf
             for neighbor in adjacency[current]:
-                # Rect.distance_to_point, inlined: this loop is the hot
-                # path of every route and store update.  The edge sums
-                # and the ``** 0.5`` match the method bit for bit, so
-                # the first-minimum choice below is unchanged.
-                r = neighbor.rect
-                x = r.x
+                # Rect.distance_to_point, inlined on the edge tuple: this
+                # loop is the hot path of every route and store update.
+                # The edge sums and the ``** 0.5`` match the method bit
+                # for bit, so the first-minimum choice below is unchanged.
+                # The root is only taken when the square could win: a
+                # square more than _ROOT_SLACK above the best one has a
+                # larger root even with ``** 0.5`` off by an ulp either way.
+                x, x2, y, y2 = neighbor.edges
                 if px < x:
                     dx = x - px
+                elif px > x2:
+                    dx = px - x2
                 else:
-                    x2 = x + r.width
-                    dx = px - x2 if px > x2 else 0.0
-                y = r.y
+                    dx = 0.0
                 if py < y:
                     dy = y - py
+                elif py > y2:
+                    dy = py - y2
                 else:
-                    y2 = y + r.height
-                    dy = py - y2 if py > y2 else 0.0
-                d = (dx * dx + dy * dy) ** 0.5
-                if d < best_dist:
-                    best, best_dist = neighbor, d
+                    dy = 0.0
+                square = dx * dx + dy * dy
+                if square <= best_bound:
+                    d = square ** 0.5
+                    if d < best_dist:
+                        best, best_dist = neighbor, d
+                        best_bound = square * _ROOT_SLACK
             if best is not None and best_dist < current_dist - _PROGRESS_EPS:
                 current, current_dist = best, best_dist
                 self.walk_hops += 1
@@ -393,7 +459,7 @@ class Space:
             # neighbor (shared edge) or a corner-touching region; check the
             # neighbors first, then fall back to the scan of last resort.
             for neighbor in adjacency[current]:
-                if region_covers(neighbor, point):
+                if self.region_covers(neighbor, point):
                     if path is not None:
                         path.append(neighbor)
                     self.walk_hops += 1
@@ -448,40 +514,63 @@ class Space:
     # Invariants (used heavily by the test-suite)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify tiling, disjointness and adjacency; raise on violation."""
+        """Verify tiling, disjointness and adjacency; raise on violation.
+
+        Near-linear in the region count: two regions are compared only
+        when :func:`_touching_groups` puts them in one group, which it
+        does for every pair whose grown closed rects share a point.
+        Overlapping regions share an interior point and neighbors share an
+        edge piece, so every such pair is compared; a recorded adjacency
+        pair that was never compared is not a geometric neighbor pair.
+        Each region's edge tuple must also match its rect.
+        """
         if not self._regions:
             return
+        bounds = self.bounds
         total_area = sum(r.rect.area for r in self._regions)
-        if not math.isclose(total_area, self.bounds.area, rel_tol=1e-9):
+        if not math.isclose(total_area, bounds.area, rel_tol=1e-9):
             raise PartitionError(
                 f"region areas sum to {total_area}, bounds area is "
-                f"{self.bounds.area}: the partition does not tile the space"
+                f"{bounds.area}: the partition does not tile the space"
             )
         regions = list(self._regions)
-        for i, a in enumerate(regions):
-            if not self.bounds.contains_rect(a.rect):
-                raise PartitionError(f"{a!r} sticks out of the bounds")
-            for b in regions[i + 1 :]:
-                if a.rect.intersects(b.rect):
-                    raise PartitionError(f"{a!r} and {b!r} overlap")
-        if set(self._adjacency) != self._regions:
-            raise PartitionError("adjacency keys do not match the region set")
         for a in regions:
-            for b in regions:
-                if a is b:
-                    continue
-                geometric = a.rect.is_neighbor_of(b.rect)
-                recorded = b in self._adjacency[a]
-                if geometric != recorded:
-                    raise PartitionError(
-                        f"adjacency mismatch between {a!r} and {b!r}: "
-                        f"geometric={geometric} recorded={recorded}"
-                    )
-                symmetric = a in self._adjacency[b]
-                if recorded != symmetric:
-                    raise PartitionError(
-                        f"adjacency between {a!r} and {b!r} is asymmetric"
-                    )
+            rect = a.rect
+            if not bounds.contains_rect(rect):
+                raise PartitionError(f"{a!r} sticks out of the bounds")
+            if a.edges != (rect.x, rect.x2, rect.y, rect.y2):
+                raise PartitionError(f"{a!r} carries stale edges {a.edges}")
+        adjacency = self._adjacency
+        if set(adjacency) != self._regions:
+            raise PartitionError("adjacency keys do not match the region set")
+        compared: Set[tuple] = set()
+        recorded = 0
+        for members in _touching_groups(bounds, regions):
+            for i, a in enumerate(members):
+                for b in members[i + 1:]:
+                    pair = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+                    if pair in compared:
+                        continue
+                    compared.add(pair)
+                    if a.rect.intersects(b.rect):
+                        raise PartitionError(f"{a!r} and {b!r} overlap")
+                    forward = b in adjacency[a]
+                    if forward != (a in adjacency[b]):
+                        raise PartitionError(
+                            f"adjacency between {a!r} and {b!r} is asymmetric"
+                        )
+                    geometric = a.rect.is_neighbor_of(b.rect)
+                    if geometric != forward:
+                        raise PartitionError(
+                            f"adjacency mismatch between {a!r} and {b!r}: "
+                            f"geometric={geometric} recorded={forward}"
+                        )
+                    recorded += 2 * forward
+        if recorded != sum(len(neighbors) for neighbors in adjacency.values()):
+            raise PartitionError(
+                "adjacency records a pair of regions that are not geometric "
+                "neighbors"
+            )
 
     def iter_regions_intersecting(self, rect: Rect) -> Iterable[Region]:
         """All regions touching ``rect`` (edge and corner contact included).

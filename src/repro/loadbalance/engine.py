@@ -100,6 +100,10 @@ class AdaptationEngine:
         self.failed_plans = 0
         #: The current (or last) round's node-index table.
         self.table: Optional[IndexTable] = None
+        #: The table the next round takes over: set only between the
+        #: rounds of one :meth:`run_rounds` or :meth:`run_until_stable`
+        #: call, so a :meth:`run_round` called on its own builds afresh.
+        self._carried: Optional[IndexTable] = None
 
     # ------------------------------------------------------------------
     # Driving
@@ -121,11 +125,17 @@ class AdaptationEngine:
         start of the round), mirroring that the most overloaded owners are
         the first to act on the statistics they exchanged.  The round's
         :class:`IndexTable` answers every index question the round asks;
-        it is patched after each adaptation, never rebuilt.
+        it is patched after each adaptation, never rebuilt.  A round run
+        by :meth:`run_rounds` or :meth:`run_until_stable` takes over the
+        previous round's table: only the engine runs between those rounds,
+        and the patched table already equals a fresh recompute.
         """
         self.ctx.round_number += 1
         budget = self.config.max_adaptations_per_round
-        self.table = table = IndexTable(self.calc)
+        table, self._carried = self._carried, None
+        if table is None:
+            table = IndexTable(self.calc)
+        self.table = table
         indices = table.indices
         ordered = sorted(
             indices,
@@ -172,7 +182,14 @@ class AdaptationEngine:
         """Run ``count`` rounds unconditionally."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return [self.run_round() for _ in range(count)]
+        reports: List[RoundReport] = []
+        try:
+            for _ in range(count):
+                reports.append(self.run_round())
+                self._carried = self.table
+        finally:
+            self._carried = None
+        return reports
 
     def run_until_stable(
         self, max_rounds: int = 50, quiet_rounds: int = 2
@@ -186,15 +203,19 @@ class AdaptationEngine:
             raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
         reports: List[RoundReport] = []
         quiet = 0
-        for _ in range(max_rounds):
-            report = self.run_round()
-            reports.append(report)
-            if report.adaptations == 0:
-                quiet += 1
-                if quiet >= quiet_rounds:
-                    break
-            else:
-                quiet = 0
+        try:
+            for _ in range(max_rounds):
+                report = self.run_round()
+                self._carried = self.table
+                reports.append(report)
+                if report.adaptations == 0:
+                    quiet += 1
+                    if quiet >= quiet_rounds:
+                        break
+                else:
+                    quiet = 0
+        finally:
+            self._carried = None
         return reports
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ adaptations fail".  :class:`MergeWithNeighbor` (c) and
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.errors import AdaptationError
 from repro.core.region import Region
@@ -84,24 +84,33 @@ class _Paired(_Panel):
         #: Prefix for plan descriptions.
         self.where = "remote " if remote else ""
 
-    def candidates(
-        self, region: Region, ctx: AdaptationContext,
-        accept: Callable[[Region], bool],
-    ) -> List[Region]:
+    def candidates(self, region: Region, ctx: AdaptationContext) -> List[Region]:
         """The regions this form may pair ``region`` with.
 
-        Locally, the neighbors that pass ``accept`` in the neighbor set's
-        order; remotely, the TTL-search hits in discovery order, with the
-        search's messages charged to ``ctx``.  The remote form filters the
-        origin's memoised ring, which is exactly what a fresh
+        Locally, the neighbors that pass :meth:`accept` in the neighbor
+        set's order; remotely, the TTL-search hits in discovery order,
+        with the search's messages charged to ``ctx``.  The remote form
+        filters the origin's memoised ring, which is exactly what a fresh
         :func:`~repro.loadbalance.search.ttl_search` would visit.
         """
         space = ctx.overlay.space
         if not self.remote:
-            return [n for n in space.neighbors(region) if accept(n)]
+            return self.accept(region, ctx, space.neighbors(region))
         ring = ctx.rings.ring(space, region, ctx.config.search_ttl)
         ctx.search_messages += ring.messages
-        return ring.candidates(accept)
+        return self.accept(region, ctx, ring.regions[ring.direct:])
+
+    def accept(
+        self, region: Region, ctx: AdaptationContext, pool: Iterable[Region]
+    ) -> List[Region]:
+        """The regions of ``pool`` that pass this form's test, in order.
+
+        The tests read owners, capacities and ``last_adapted_at`` inline
+        (a pool is a whole TTL ring), keeping ``is_full`` and
+        :meth:`~repro.loadbalance.base.AdaptationContext.in_cooldown`'s
+        exact expression.
+        """
+        raise NotImplementedError
 
 
 def _strongest_secondary(ctx: AdaptationContext) -> Callable[[Region], tuple]:
@@ -162,16 +171,7 @@ class StealSecondary(_Paired):
         primary = region.primary
         load = ctx.region_load(region)
         before = load / primary.capacity
-
-        def is_donor(n: Region) -> bool:
-            return (
-                n.is_full
-                and n.secondary.capacity > primary.capacity
-                and (not self.remote or ctx.region_index(n) < before)
-                and not ctx.in_cooldown(n)
-            )
-
-        donors = self.candidates(region, ctx, is_donor)
+        donors = self.candidates(region, ctx)
         if not donors:
             return None
         if self.remote:
@@ -186,6 +186,24 @@ class StealSecondary(_Paired):
             f"{stolen.capacity:g}) from region {donor.region_id} to lead "
             f"region {region.region_id}",
         )
+
+    def accept(
+        self, region: Region, ctx: AdaptationContext, pool: Iterable[Region]
+    ) -> List[Region]:
+        """Full regions whose secondary is stronger than ``region``'s
+        primary, out of cooldown; remotely also less loaded."""
+        capacity = region.primary.capacity
+        cooldown, round_number = ctx.config.cooldown_rounds, ctx.round_number
+        remote, region_index = self.remote, ctx.region_index
+        before = region_index(region) if remote else None
+        return [
+            n for n in pool
+            if (donor := n.secondary) is not None
+            and n.primary is not None
+            and donor.capacity > capacity
+            and (not remote or region_index(n) < before)
+            and not (n.last_adapted_at + cooldown >= round_number)
+        ]
 
     def execute(self, plan: AdaptationPlan, ctx: AdaptationContext) -> None:
         event = "steal_remote_secondary" if self.remote else "steal_secondary"
@@ -223,16 +241,8 @@ class SwitchPrimaries(_Paired):
             return None
         my_load = ctx.region_load(region)
         my_index = my_load / primary.capacity
-
-        def is_partner(n: Region) -> bool:
-            return (
-                n.primary is not None
-                and n.primary.capacity > primary.capacity
-                and not ctx.in_cooldown(n)
-            )
-
         best, best_pair_after = None, float("inf")
-        for candidate in self.candidates(region, ctx, is_partner):
+        for candidate in self.candidates(region, ctx):
             other = candidate.primary
             other_load = ctx.region_load(candidate)
             pair_before = max(my_index, other_load / other.capacity)
@@ -249,6 +259,20 @@ class SwitchPrimaries(_Paired):
             f"{primary.capacity:g}) and {self.where}region {best.region_id} "
             f"(cap {best.primary.capacity:g})",
         )
+
+    def accept(
+        self, region: Region, ctx: AdaptationContext, pool: Iterable[Region]
+    ) -> List[Region]:
+        """Regions whose primary is stronger than ``region``'s, out of
+        cooldown."""
+        capacity = region.primary.capacity
+        cooldown, round_number = ctx.config.cooldown_rounds, ctx.round_number
+        return [
+            n for n in pool
+            if (other := n.primary) is not None
+            and other.capacity > capacity
+            and not (n.last_adapted_at + cooldown >= round_number)
+        ]
 
     def execute(self, plan: AdaptationPlan, ctx: AdaptationContext) -> None:
         region, partner = plan.region, plan.partner
@@ -285,17 +309,8 @@ class SwitchWithSecondary(_Paired):
     def plan(self, region: Region, ctx: AdaptationContext) -> Optional[AdaptationPlan]:
         if not region.is_full:
             return None
-        primary, secondary = region.primary, region.secondary
-
-        def is_partner(n: Region) -> bool:
-            return (
-                n.is_full
-                and n.secondary is not secondary
-                and n.secondary.capacity > primary.capacity
-                and not ctx.in_cooldown(n)
-            )
-
-        partners = self.candidates(region, ctx, is_partner)
+        primary = region.primary
+        partners = self.candidates(region, ctx)
         if not partners:
             return None
         partner = min(partners, key=_strongest_secondary(ctx))
@@ -307,6 +322,22 @@ class SwitchWithSecondary(_Paired):
             f"with {self.where}secondary {partner.secondary.node_id} of "
             f"region {partner.region_id}",
         )
+
+    def accept(
+        self, region: Region, ctx: AdaptationContext, pool: Iterable[Region]
+    ) -> List[Region]:
+        """Full regions, out of cooldown, whose secondary is not
+        ``region``'s own and is stronger than ``region``'s primary."""
+        capacity, secondary = region.primary.capacity, region.secondary
+        cooldown, round_number = ctx.config.cooldown_rounds, ctx.round_number
+        return [
+            n for n in pool
+            if (other := n.secondary) is not None
+            and n.primary is not None
+            and other is not secondary
+            and other.capacity > capacity
+            and not (n.last_adapted_at + cooldown >= round_number)
+        ]
 
     def execute(self, plan: AdaptationPlan, ctx: AdaptationContext) -> None:
         event = "switch_in_remote_secondary" if self.remote else "switch_in_secondary"

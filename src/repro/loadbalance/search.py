@@ -18,7 +18,7 @@ after a split or merge reaches one of its regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.region import Region
 from repro.core.space import Space
@@ -63,11 +63,6 @@ class Ring:
     def messages(self) -> int:
         """Regions contacted: the message cost of a search over the ring."""
         return len(self.regions)
-
-    def candidates(self, predicate: RegionPredicate) -> List[Region]:
-        """The ring's regions beyond the direct neighbors that pass
-        ``predicate``, in discovery order (the remote mechanisms' view)."""
-        return [region for region in self.regions[self.direct:] if predicate(region)]
 
     def is_fresh(self, space: Space) -> bool:
         """Whether a BFS over ``space`` now would rebuild this ring exactly.
@@ -153,15 +148,27 @@ class RingMemo:
     most remote searches re-walk a ring that has not changed.  Rings are
     looked up by origin and revalidated with :meth:`Ring.is_fresh`; there
     is deliberately no reverse region-to-rings index, which would cost
-    more memory than the staleness scan costs time.
+    more memory than the staleness scan costs time.  Each entry also
+    keeps the :attr:`Space.stamp` at which the ring was last found fresh:
+    while the stamp has not moved, no split or merge happened, and the
+    ring is served without a scan (the remote forms f, g and h of one
+    attempt ask for the same ring in turn).
     """
 
     def __init__(self) -> None:
-        self._rings: Dict[int, Ring] = {}
+        self._rings: Dict[int, Tuple[Ring, int]] = {}
 
     def ring(self, space: Space, origin: Region, ttl: int) -> Ring:
         """The ring a fresh :func:`ttl_ring` call would build."""
-        ring = self._rings.get(origin.region_id)
-        if ring is None or ring.ttl != ttl or not ring.is_fresh(space):
-            ring = self._rings[origin.region_id] = ttl_ring(space, origin, ttl)
+        stamp = space.stamp
+        entry = self._rings.get(origin.region_id)
+        if entry is not None and entry[0].ttl == ttl:
+            ring, checked = entry
+            if checked == stamp:
+                return ring
+            if ring.is_fresh(space):
+                self._rings[origin.region_id] = (ring, stamp)
+                return ring
+        ring = ttl_ring(space, origin, ttl)
+        self._rings[origin.region_id] = (ring, stamp)
         return ring

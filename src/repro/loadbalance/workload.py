@@ -118,20 +118,14 @@ class WorkloadIndexCalculator:
                         seen.add(owner)
                         yield owner
 
-    def min_neighbor_index(
-        self, node: Node, node_index: Optional[Callable[[Node], float]] = None
-    ) -> Optional[float]:
+    def min_neighbor_index(self, node: Node) -> Optional[float]:
         """The lowest workload index among the node's neighbors.
 
         ``None`` when the node has no neighbors (single-node network).
-        ``node_index`` replaces :meth:`node_index` as the source of the
-        neighbors' indices (an :class:`IndexTable` passes its lookup).
         """
-        if node_index is None:
-            node_index = self.node_index
         lowest: Optional[float] = None
         for neighbor in self.neighbor_nodes(node):
-            index = node_index(neighbor)
+            index = self.node_index(neighbor)
             if lowest is None or index < lowest:
                 lowest = index
         return lowest
@@ -158,8 +152,11 @@ class IndexTable:
     place, so the dict keeps :meth:`all_node_indices`' order and
     :meth:`summary` is bit-identical to :meth:`WorkloadIndexCalculator.summary`.
 
-    The field and the membership must not change while a table is live;
-    the engine builds a new table every round.
+    The field and the membership must not change while a table is live.
+    The engine builds one table per :meth:`~repro.loadbalance.engine
+    .AdaptationEngine.run_round` called on its own, and one per
+    ``run_rounds`` or ``run_until_stable`` call, whose rounds hand the
+    patched table on: nothing but the engine runs between them.
     """
 
     def __init__(self, calc: WorkloadIndexCalculator) -> None:
@@ -171,8 +168,25 @@ class IndexTable:
         return self.indices[node]
 
     def min_neighbor_index(self, node: Node) -> Optional[float]:
-        """The lowest tabled index among the node's neighbors."""
-        return self.calc.min_neighbor_index(node, self.indices.__getitem__)
+        """The lowest tabled index among the node's neighbors.
+
+        :meth:`WorkloadIndexCalculator.min_neighbor_index` over the table,
+        without its generator and dedup set: an owner met twice repeats
+        its own index, which cannot change a strict ``<`` minimum.
+        """
+        indices = self.indices
+        overlay = self.calc.overlay
+        neighbors = overlay.space.neighbors
+        node_id = node.node_id
+        lowest: Optional[float] = None
+        for region in overlay.primary_regions(node):
+            for neighbor in neighbors(region):
+                for owner in (neighbor.primary, neighbor.secondary):
+                    if owner is not None and owner.node_id != node_id:
+                        index = indices[owner]
+                        if lowest is None or index < lowest:
+                            lowest = index
+        return lowest
 
     def refresh(self, nodes: Iterable[Node]) -> None:
         """Recompute the entries of ``nodes`` (repeats allowed) in place."""

@@ -1,5 +1,6 @@
 """Tests for repro.core.space -- the partition manager."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError, PartitionError
 from repro.core.region import Region
-from repro.core.space import Space
+from repro.core.space import Space, _set_rect
 from repro.geometry import Point, Rect, SplitAxis
 
 
@@ -110,6 +111,24 @@ class TestSplit:
         space.merge_regions(east, north)
         assert space.stamp == east.stamp == north.stamp == 3
         assert root.stamp == 1
+
+
+class TestEdgeTuples:
+    def test_root_split_and_merge_set_the_edge_tuple(self):
+        space, root = make_space()
+        assert root.edges == (0.0, 64.0, 0.0, 64.0)
+        east = space.split_region(root, axis=SplitAxis.VERTICAL)
+        assert root.edges == (0.0, 32.0, 0.0, 64.0)
+        assert east.edges == (32.0, 64.0, 0.0, 64.0)
+        space.merge_regions(root, east)
+        assert root.edges == (0.0, 64.0, 0.0, 64.0)
+
+    def test_stale_edge_tuple_is_a_violation(self):
+        space, root = make_space()
+        east = space.split_region(root, axis=SplitAxis.VERTICAL)
+        east.edges = root.edges
+        with pytest.raises(PartitionError, match="stale edges"):
+            space.check_invariants()
 
 
 class TestMerge:
@@ -451,3 +470,148 @@ class TestBoundaryPointLocation:
             ]
             assert len(covering) == 1, f"{point} covered by {covering}"
             assert space.locate(point) is covering[0]
+
+
+# ----------------------------------------------------------------------
+# check_invariants against the all-pairs reference
+# ----------------------------------------------------------------------
+def reference_check(space):
+    """The quadratic all-pairs invariant check that ``check_invariants``
+    replaces: every pair of regions is tested for overlap and adjacency."""
+    regions = list(space.regions)
+    if not regions:
+        return
+    total_area = sum(r.rect.area for r in regions)
+    if not math.isclose(total_area, space.bounds.area, rel_tol=1e-9):
+        raise PartitionError("areas do not tile the space")
+    for i, a in enumerate(regions):
+        if not space.bounds.contains_rect(a.rect):
+            raise PartitionError(f"{a!r} sticks out of the bounds")
+        for b in regions[i + 1:]:
+            if a.rect.intersects(b.rect):
+                raise PartitionError(f"{a!r} and {b!r} overlap")
+    if set(space._adjacency) != set(regions):
+        raise PartitionError("adjacency keys do not match the region set")
+    for a in regions:
+        for b in regions:
+            if a is b:
+                continue
+            recorded = b in space.neighbors(a)
+            if a.rect.is_neighbor_of(b.rect) != recorded:
+                raise PartitionError(f"adjacency mismatch between {a!r} and {b!r}")
+            if recorded != (a in space.neighbors(b)):
+                raise PartitionError(f"adjacency between {a!r} and {b!r} is asymmetric")
+
+
+def random_partition(seed, steps=300):
+    """A seeded partition grown by random splits, with some merges back."""
+    rng = random.Random(seed)
+    space, root = make_space()
+    for _ in range(steps):
+        regions = sorted(space.regions, key=lambda r: r.region_id)
+        target = rng.choice(regions)
+        if rng.random() < 0.8 or len(regions) < 3:
+            if target.rect.can_split(target.rect.longer_axis()):
+                space.split_region(target, keep=rng.choice(("low", "high")))
+            continue
+        mergeable = sorted(
+            (n for n in space.neighbors(target) if n.rect.can_merge_with(target.rect)),
+            key=lambda r: r.region_id,
+        )
+        if mergeable:
+            space.merge_regions(target, mergeable[0])
+    return space, rng
+
+
+def by_id(regions):
+    return sorted(regions, key=lambda r: r.region_id)
+
+
+def inject_overlap(space, rng):
+    """Grow a region 1e-8 into its east neighbors: an overlap too thin
+    for the area sum to notice."""
+    region = rng.choice([r for r in by_id(space.regions) if r.rect.x2 < 64.0])
+    r = region.rect
+    _set_rect(region, Rect(r.x, r.y, r.width + 1e-8, r.height))
+
+
+def inject_gap(space, rng):
+    region = rng.choice(by_id(space.regions))
+    r = region.rect
+    _set_rect(region, Rect(r.x, r.y, r.width / 2.0, r.height))
+
+
+def inject_out_of_bounds(space, rng):
+    """Shift an east-border region further east (the area is unchanged)."""
+    region = rng.choice([r for r in by_id(space.regions) if r.rect.x2 == 64.0])
+    r = region.rect
+    _set_rect(region, Rect(r.x + r.width / 2.0, r.y, r.width, r.height))
+
+
+def inject_missing_adjacency(space, rng):
+    region = rng.choice(by_id(space.regions))
+    neighbor = rng.choice(by_id(space.neighbors(region)))
+    space._adjacency[region].discard(neighbor)
+    space._adjacency[neighbor].discard(region)
+
+
+def inject_extra_adjacency(space, rng):
+    """Record two far-apart regions as neighbors, both ways."""
+    region = rng.choice(by_id(space.regions))
+    far = [
+        r for r in by_id(space.regions)
+        if r is not region and not r.rect.touches(region.rect)
+    ]
+    other = rng.choice(far)
+    space._adjacency[region].add(other)
+    space._adjacency[other].add(region)
+
+
+def inject_corner_adjacency(space, rng):
+    """Record two regions that meet only at a corner as neighbors."""
+    pairs = [
+        (a, b)
+        for a in by_id(space.regions)
+        for b in by_id(space.regions)
+        if a.region_id < b.region_id
+        and a.rect.touches(b.rect)
+        and not a.rect.is_neighbor_of(b.rect)
+    ]
+    a, b = rng.choice(pairs)
+    space._adjacency[a].add(b)
+    space._adjacency[b].add(a)
+
+
+def inject_one_way_adjacency(space, rng):
+    region = rng.choice(by_id(space.regions))
+    neighbor = rng.choice(by_id(space.neighbors(region)))
+    space._adjacency[region].discard(neighbor)
+
+
+FAULTS = [
+    inject_overlap,
+    inject_gap,
+    inject_out_of_bounds,
+    inject_missing_adjacency,
+    inject_extra_adjacency,
+    inject_corner_adjacency,
+    inject_one_way_adjacency,
+]
+
+
+class TestCheckInvariantsMatchesAllPairs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clean_partitions_pass_both(self, seed):
+        space, _ = random_partition(seed)
+        reference_check(space)
+        space.check_invariants()
+
+    @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[len("inject_"):])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_fault_fails_both(self, fault, seed):
+        space, rng = random_partition(seed)
+        fault(space, rng)
+        with pytest.raises(PartitionError):
+            reference_check(space)
+        with pytest.raises(PartitionError):
+            space.check_invariants()

@@ -6,6 +6,8 @@ secondary of a (100, 10) neighbor and becomes (10, 1))."""
 
 import pytest
 
+from repro.core.node import Node
+from repro.core.region import Region
 from repro.geometry import Point, Rect
 from repro.loadbalance.mechanisms import (
     MergeWithNeighbor,
@@ -339,3 +341,78 @@ class TestPanelH_SwitchWithRemotePrimary:
         assert (
             SwitchPrimaries(remote=True).plan(s.region(0), s.ctx) is None
         )
+
+
+# ----------------------------------------------------------------------
+# Candidate filters at the cooldown boundary
+# ----------------------------------------------------------------------
+def reference_filter(key, region, ctx):
+    """Each form's candidate test, written on ``is_full`` and
+    ``in_cooldown`` as the paper states it."""
+    primary, secondary = region.primary, region.secondary
+    if key in "af":
+        before = ctx.region_index(region)
+        return lambda n: (
+            n.is_full
+            and n.secondary.capacity > primary.capacity
+            and (key == "a" or ctx.region_index(n) < before)
+            and not ctx.in_cooldown(n)
+        )
+    if key in "bh":
+        return lambda n: (
+            n.primary is not None
+            and n.primary.capacity > primary.capacity
+            and not ctx.in_cooldown(n)
+        )
+    return lambda n: (
+        n.is_full
+        and n.secondary is not secondary
+        and n.secondary.capacity > primary.capacity
+        and not ctx.in_cooldown(n)
+    )
+
+
+def boundary_candidates(s, initiator_secondary):
+    """Vacant, half-full and full regions, strong and weak, each with
+    ``last_adapted_at`` one round past the cooldown, exactly at its edge
+    and never adapted."""
+    round_number, cooldown = s.ctx.round_number, s.ctx.config.cooldown_rounds
+    ids = iter(range(1000, 2000))
+    regions = []
+    for stamp in (round_number - cooldown - 1, round_number - cooldown, float("-inf")):
+        for primary_cap, secondary_cap in (
+            (None, None), (100, None), (0.5, None), (100, 100), (0.5, 0.5),
+            (100, "initiator's"), (0.5, 100),
+        ):
+            region = Region(rect=Rect(40.0, 40.0, 1.0, 1.0))
+            if primary_cap is not None:
+                region.primary = Node(next(ids), Point(40.5, 40.5), capacity=primary_cap)
+            if secondary_cap == "initiator's":
+                region.secondary = initiator_secondary
+            elif secondary_cap is not None:
+                region.secondary = Node(next(ids), Point(40.6, 40.6), capacity=secondary_cap)
+            region.last_adapted_at = stamp
+            regions.append(region)
+    return regions
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [
+        StealSecondary(), SwitchPrimaries(), SwitchWithSecondary(),
+        StealSecondary(remote=True), SwitchWithSecondary(remote=True),
+        SwitchPrimaries(remote=True),
+    ],
+    ids=lambda m: m.key,
+)
+def test_filters_match_is_full_and_in_cooldown(mechanism):
+    half_full = mechanism.key in "af"
+    s = make_row_scenario([(1, None if half_full else 1, 8.0), (1, None, 0.0)])
+    region = s.region(0)
+    candidates = boundary_candidates(s, region.secondary)
+    reference = reference_filter(mechanism.key, region, s.ctx)
+    accepted = mechanism.accept(region, s.ctx, candidates)
+    assert accepted == [n for n in candidates if reference(n)]
+    # Only the never-adapted and the one-round-past candidates may pass.
+    by_stamp = [[n for n in accepted if n in candidates[i:i + 7]] for i in (0, 7, 14)]
+    assert by_stamp[0] and not by_stamp[1] and by_stamp[2]

@@ -6,13 +6,17 @@ tests recompute everything from scratch after every executed adaptation
 (and after every round) on a seeded 512-node dual-peer run and demand
 exact equality, so a mechanism that changes some other node's index
 would show up here rather than as a silently different trigger decision.
+The rounds of one ``run_until_stable`` or ``run_rounds`` call share one
+table, so it must also equal a fresh recompute when each round starts.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.core.node import Node
 from repro.errors import AdaptationError
+from repro.geometry import Point
 from repro.experiments.build import build_network
 from repro.experiments.config import ExperimentConfig, SystemVariant
 from repro.loadbalance import AdaptationEngine, AdaptationPlan
@@ -108,3 +112,58 @@ def test_failed_plan_patches_the_table():
     assert engine.failed_plans > 0
     assert engine.table.indices == network.calc.all_node_indices()
     assert report.summary_after == network.calc.summary()
+
+
+class _FirstCallCheck:
+    """Wraps the engine's trigger: on a round's first question, checks
+    that the round's table equals a fresh recompute, key order included,
+    and records which table object the round uses."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.rule = engine.trigger
+        self.round = None
+        self.tables = []
+
+    def should_adapt(self, node, table):
+        engine = self.engine
+        if engine.ctx.round_number != self.round:
+            self.round = engine.ctx.round_number
+            fresh = engine.calc.all_node_indices()
+            assert table is engine.table
+            assert table.indices == fresh
+            assert list(table.indices) == list(fresh)
+            self.tables.append(table)
+        return self.rule.should_adapt(node, table)
+
+
+def test_one_run_carries_one_table():
+    """``run_until_stable`` and ``run_rounds`` hand each round's patched
+    table to the next; a direct ``run_round`` builds afresh, which is what
+    lets it see an overlay join."""
+    network = build()
+    engine = network.engine
+    check = engine.trigger = _FirstCallCheck(engine)
+    motion = RngStreams(SEED).fork(1).stream("motion")
+    runs = []
+    for _ in range(3):
+        network.field.migrate(motion, steps=1)
+        first = len(check.tables)
+        reports = engine.run_until_stable(max_rounds=3)
+        runs.append(check.tables[first:])
+        assert len(runs[-1]) == len(reports)
+        assert sum(report.adaptations for report in reports) > 0
+    first = len(check.tables)
+    engine.run_rounds(2)
+    runs.append(check.tables[first:])
+    assert all(len(run) >= 2 and len({id(t) for t in run}) == 1 for run in runs)
+    assert len({id(run[0]) for run in runs}) == len(runs)
+
+    # Direct rounds build their own table: the newcomer is in it.
+    engine.run_round()
+    newcomer = Node(10_000, Point(17.0, 41.0), capacity=10.0)
+    network.overlay.join(newcomer)
+    engine.run_round()
+    assert check.tables[-1] is not check.tables[-2] is not runs[-1][0]
+    assert newcomer in engine.table.indices
+    assert engine.table.indices == network.calc.all_node_indices()

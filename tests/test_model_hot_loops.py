@@ -5,7 +5,8 @@ The greedy walk (``Space.locate``), the region-load lookup
 memo of TTL rings (``RingMemo``) are written for speed.  Each is checked
 here against a plain reference copy of the straightforward algorithm, on
 a seeded 512-node dual-peer overlay: the fast versions must return
-exactly what the references do.
+exactly what the references do.  The walk and the ring memo are also
+checked while joins, departures and adaptations restructure it.
 """
 
 import math
@@ -19,7 +20,7 @@ from repro.experiments.build import build_network
 from repro.experiments.config import ExperimentConfig, SystemVariant
 from repro.geometry import Circle, Point
 from repro.core.node import Node
-from repro.loadbalance import AdaptationPlan, ttl_search
+from repro.loadbalance import AdaptationEngine, AdaptationPlan, ttl_search
 from repro.loadbalance.mechanisms import MergeWithNeighbor
 from repro.loadbalance.search import RingMemo
 from repro.sim.rng import RngStreams
@@ -130,6 +131,51 @@ class TestGreedyWalk:
                 exits.add(self.check(space, point, rng.choice(regions)))
         # Boundary targets drive the stall branch and the scan fallback.
         assert exits == {"walk", "neighbor", "scan"}
+
+    def test_edge_tuples_and_walk_survive_churn(self, network):
+        """Joins, departures and adaptation rounds that include a merge:
+        after every structural change each region's edge tuple equals its
+        rect's, and the walk still equals the reference."""
+        overlay = network.overlay
+        space = overlay.space
+        rng = random.Random(21)
+        checked_at = [None]
+
+        def check_all():
+            for region in space.regions:
+                r = region.rect
+                assert region.edges == (r.x, r.x + r.width, r.y, r.y + r.height)
+            regions = sorted_regions(space)
+            for _ in range(40):
+                point = Point(rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0))
+                self.check(space, point, rng.choice(regions))
+            for point in boundary_points(rng.choice(regions).rect):
+                self.check(space, point, rng.choice(regions))
+            checked_at[0] = space.stamp
+
+        def after_adaptation(_count, _record):
+            if space.stamp != checked_at[0]:
+                check_all()
+
+        engine = AdaptationEngine(
+            overlay, network.calc, config=network.engine.config,
+            on_adaptation=after_adaptation,
+        )
+        motion = RngStreams(7).stream("motion")
+        joined = iter(range(200_000, 200_100))
+        for _ in range(4):
+            for _ in range(3):
+                coord = Point(rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0))
+                overlay.join(Node(next(joined), coord, capacity=rng.choice([1, 10, 100])))
+                check_all()
+            for _ in range(3):
+                members = sorted(overlay.nodes.values(), key=lambda n: n.node_id)
+                overlay.leave(rng.choice(members))
+                check_all()
+            network.field.migrate(motion, steps=1)
+            engine.run_until_stable(max_rounds=3)
+        assert "c" in engine.mechanism_usage()
+        overlay.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +306,12 @@ def accept_some(region):
     return region.is_full or region.region_id % 3 == 0
 
 
+def remote_hits(ring):
+    """The ring's regions beyond the direct neighbors that pass
+    ``accept_some``: what a remote mechanism filters."""
+    return [region for region in ring.regions[ring.direct:] if accept_some(region)]
+
+
 def depths(space, origin, limit):
     """Hop distance from ``origin`` of every region within ``limit`` hops."""
     depth = {origin: 0}
@@ -285,7 +337,7 @@ def serve_and_compare(memo, space, served):
     for origin in sorted_regions(space):
         ring = memo.ring(space, origin, RING_TTL)
         fresh = ttl_search(space, origin, RING_TTL, accept_some)
-        assert ring.candidates(accept_some) == fresh.candidates
+        assert remote_hits(ring) == fresh.candidates
         assert ring.messages == fresh.messages
         assert ring.expanded == fresh.expanded
         reused += ring is served.get(origin.region_id)
@@ -364,6 +416,6 @@ class TestRingMemo:
         rebuilt = memo.ring(space, origin, RING_TTL)
         assert rebuilt is not ring
         fresh = ttl_search(space, origin, RING_TTL, accept_some)
-        assert rebuilt.candidates(accept_some) == fresh.candidates
+        assert remote_hits(rebuilt) == fresh.candidates
         assert rebuilt.messages == fresh.messages
         serve_and_compare(memo, space, served)
