@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 
@@ -153,11 +153,12 @@ class Rect:
     # ------------------------------------------------------------------
     def intersects(self, other: "Rect") -> bool:
         """Whether the two rectangles share interior area (not just edges)."""
+        # The ``x2``/``y2`` sums written out, as in distance_to_point.
         return (
-            self.x < other.x2
-            and other.x < self.x2
-            and self.y < other.y2
-            and other.y < self.y2
+            self.x < other.x + other.width
+            and other.x < self.x + self.width
+            and self.y < other.y + other.height
+            and other.y < self.y + self.height
         )
 
     def touches(self, other: "Rect") -> bool:
@@ -230,8 +231,10 @@ class Rect:
         distance (rather than, say, distance between centers) guarantees
         that every hop makes strict progress on a rectangular tiling.
         """
-        dx = max(self.x - point.x, 0.0, point.x - self.x2)
-        dy = max(self.y - point.y, 0.0, point.y - self.y2)
+        # ``x + width`` rather than the ``x2`` property: the same sum
+        # without a Python-level call (this runs per neighbor per hop).
+        dx = max(self.x - point.x, 0.0, point.x - (self.x + self.width))
+        dy = max(self.y - point.y, 0.0, point.y - (self.y + self.height))
         return (dx * dx + dy * dy) ** 0.5
 
     # ------------------------------------------------------------------
@@ -331,3 +334,65 @@ class Rect:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.x:g}, {self.y:g}, {self.width:g}, {self.height:g}>"
+
+
+def perimeter_gap(
+    rect: Rect, bounds: Rect, known: Sequence[Rect]
+) -> Optional[Tuple[str, float, float, Point]]:
+    """The first stretch of ``rect``'s perimeter that ``known`` leaves open.
+
+    Edges on the border of ``bounds`` need no cover.  Returns ``(edge,
+    lo, hi, probe_point)`` with ``edge`` one of ``left``, ``right``,
+    ``bottom`` and ``top`` (checked in that order) and ``probe_point``
+    just outside the stretch's midpoint, or ``None`` when every edge is
+    covered.  A protocol node probes such a stretch to find a neighbor it
+    has lost track of.
+    """
+    tol = 1e-9
+    offset = 1e-3
+    # (name, span lo, span hi, on world edge, outward probe x/y for a
+    #  vertical/horizontal edge, vertical)
+    edges = (
+        ("left", rect.y, rect.y2,
+         rect.x - bounds.x <= tol, rect.x - offset, True),
+        ("right", rect.y, rect.y2,
+         bounds.x2 - rect.x2 <= tol, rect.x2 + offset, True),
+        ("bottom", rect.x, rect.x2,
+         rect.y - bounds.y <= tol, rect.y - offset, False),
+        ("top", rect.x, rect.x2,
+         bounds.y2 - rect.y2 <= tol, rect.y2 + offset, False),
+    )
+    for name, lo, hi, on_world_edge, outside, vertical in edges:
+        if on_world_edge:
+            continue
+        intervals = []
+        for other in known:
+            # A claim covers part of this edge when it contains the
+            # just-outside probe line (``outside`` is the edge pushed
+            # one offset outward, so rects flush with the edge on the
+            # outer side count and rects flush on the inner side do
+            # not, for either edge orientation).
+            if vertical:
+                touches = other.x <= outside <= other.x2
+                span = (other.y, other.y2)
+            else:
+                touches = other.y <= outside <= other.y2
+                span = (other.x, other.x2)
+            if touches and span[1] > lo and span[0] < hi:
+                intervals.append((max(lo, span[0]), min(hi, span[1])))
+        intervals.sort()
+        cursor = lo
+        for start, end in intervals:
+            if start > cursor + tol:
+                break
+            cursor = max(cursor, end)
+        if cursor < hi - tol:
+            gap_hi = hi
+            for start, end in intervals:
+                if start > cursor + tol:
+                    gap_hi = start
+                    break
+            mid = (cursor + gap_hi) / 2.0
+            point = Point(outside, mid) if vertical else Point(mid, outside)
+            return (name, cursor, gap_hi, point)
+    return None

@@ -24,6 +24,7 @@ from typing import (
 
 from repro.errors import BootstrapError, MembershipError
 from repro.geometry import Point, Rect
+from repro.geometry.rect import perimeter_gap
 from repro.bootstrap import BootstrapServer, HostCache
 from repro.core.node import Node, NodeAddress
 from repro.loadbalance.config import TRIGGER_RATIO
@@ -124,6 +125,9 @@ class _FoldMemo(NamedTuple):
     #: Far claims the fold left in the shortcut cache, in gossip order,
     #: each with its ``allow_adjacent`` flag (caretaken holes).
     learned: Tuple[Tuple[m.NeighborInfo, bool], ...]
+    #: The sender's own claim as that beat stated it; later beats with
+    #: the same rect, secondary and stamp reuse it instead of a new one.
+    sender: m.NeighborInfo
 
 
 class _Routed(NamedTuple):
@@ -208,6 +212,8 @@ class ProtocolNode:
         bounds: Optional[Rect] = None,
     ) -> None:
         self.node = node
+        #: This node's endpoint address (``node.address``, fixed for life).
+        self.address: NodeAddress = node.address
         self.network = network
         self.scheduler = scheduler
         self.bootstrap = bootstrap
@@ -251,6 +257,8 @@ class ProtocolNode:
         #: on every neighbor heartbeat (``HeartbeatBody.epoch``).
         self.table_epoch = 0
         self._advert: Optional[Tuple[Any, ...]] = None
+        #: The last peer heartbeat body, keyed by (rect, role, stamp).
+        self._peer_beat: Optional[Tuple[Tuple[Any, ...], m.HeartbeatBody]] = None
         #: Receiver side: per sender, the last full fold of its stamped
         #: heartbeat (see :meth:`_on_heartbeat`).
         self._fold_memos: Dict[NodeAddress, _FoldMemo] = {}
@@ -335,6 +343,15 @@ class ProtocolNode:
         #: failure sweep (a crashed neighbor's last-reported load must
         #: not pin switch and deflection decisions forever).
         self._neighbor_stats_at: Dict[Rect, float] = {}
+        #: A lower bound on :attr:`_neighbor_stats_at`, as of the failure
+        #: sweep's last stats pass (``now`` then, if empty): later writes
+        #: stamp ``now``, so while it is inside the horizon none expire.
+        self._stats_oldest = -math.inf
+        #: ``(_view_epoch, owned.peer)`` at the sweep's last neighbor pass
+        #: and the smallest ``last_seen`` of the table primaries then; see
+        #: :meth:`_check_failures`.
+        self._sweep_key: Optional[Tuple[int, Optional[NodeAddress]]] = None
+        self._sweep_oldest = -math.inf
         #: Latest ingress backpressure advertised by neighbor primaries
         #: (rect -> pressure in [0, 1]); only written when the overload
         #: plane is on.  Routing deflects around entries at or above
@@ -479,11 +496,6 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # Identity helpers
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> NodeAddress:
-        """This node's endpoint address."""
-        return self.node.address
-
     def is_primary(self) -> bool:
         """Whether this node currently serves a region as primary."""
         return self.owned is not None and self.owned.role == "primary"
@@ -654,31 +666,24 @@ class ProtocolNode:
 
     def _start_timers(self) -> None:
         cfg = self.config
-        self._timers.append(
-            self.scheduler.every(
-                HEARTBEAT_INTERVAL, self._send_neighbor_heartbeats,
-                jitter=HEARTBEAT_INTERVAL * 0.1, rng=self.rng,
-            )
-        )
-        self._timers.append(
-            self.scheduler.every(
-                PEER_HEARTBEAT_INTERVAL, self._send_peer_heartbeat,
-                jitter=PEER_HEARTBEAT_INTERVAL * 0.1, rng=self.rng,
-            )
-        )
-        self._timers.append(self.scheduler.every(SYNC_INTERVAL, self._send_sync))
-        self._timers.append(
-            self.scheduler.every(CHECK_INTERVAL, self._check_failures)
-        )
-        self._timers.append(
-            self.scheduler.every(cfg.stat_interval, self._roll_stat_window)
-        )
+        # (interval, callback, jitter); only jittered timers draw on rng.
+        timers = [
+            (HEARTBEAT_INTERVAL, self._send_neighbor_heartbeats,
+             HEARTBEAT_INTERVAL * 0.1),
+            (PEER_HEARTBEAT_INTERVAL, self._send_peer_heartbeat,
+             PEER_HEARTBEAT_INTERVAL * 0.1),
+            (SYNC_INTERVAL, self._send_sync, 0.0),
+            (CHECK_INTERVAL, self._check_failures, 0.0),
+            (cfg.stat_interval, self._roll_stat_window, 0.0),
+        ]
         if cfg.adaptation_enabled:
+            timers.append((
+                cfg.adaptation_interval, self._consider_switch,
+                cfg.adaptation_interval * 0.2,
+            ))
+        for interval, callback, jitter in timers:
             self._timers.append(
-                self.scheduler.every(
-                    cfg.adaptation_interval, self._consider_switch,
-                    jitter=cfg.adaptation_interval * 0.2, rng=self.rng,
-                )
+                self.scheduler.every(interval, callback, jitter=jitter, rng=self.rng)
             )
 
     # ------------------------------------------------------------------
@@ -743,8 +748,7 @@ class ProtocolNode:
         """Reliable-channel observer: a confirmed exchange's round-trip."""
         # Inlined EWMA for the common case (entry already tracked): this
         # fires on every confirmed reliable exchange, and the full
-        # note_ack() path costs two extra calls plus a scheduler.now
-        # property read it never uses.
+        # note_ack() path costs two extra calls.
         health = self.health
         entry = health.peers.get(destination)
         if entry is None:
@@ -756,9 +760,7 @@ class ProtocolNode:
 
     def _slo_start(self, request_id: int, name: str) -> None:
         """Mark the client-edge start of operation ``request_id``."""
-        # scheduler._now read directly: this and _slo_finish run on every
-        # client operation, and the ``now`` property is pure overhead here.
-        self._slo_pending[request_id] = (name, self.scheduler._now)
+        self._slo_pending[request_id] = (name, self.scheduler.now)
         while len(self._slo_pending) > SLO_PENDING_LIMIT:
             del self._slo_pending[next(iter(self._slo_pending))]
 
@@ -774,7 +776,7 @@ class ProtocolNode:
         if entry is None:
             return
         name, started = entry
-        self._slo_observe(name, self.scheduler._now - started)
+        self._slo_observe(name, self.scheduler.now - started)
 
     def _slo_observe(self, name: str, elapsed: float) -> None:
         """Fold one latency sample into the named SLO histogram."""
@@ -2125,67 +2127,11 @@ class ProtocolNode:
             return None
         known = [info.rect for info in self.neighbor_table.values()]
         known.extend(self.caretaker_rects)
-        if self._perimeter_gap_of(rect, known) is None:
+        if perimeter_gap(rect, self.bounds, known) is None:
             self._perimeter_covered = key
             return None
         known.extend(info.rect for info in self.shortcuts.entries())
-        return self._perimeter_gap_of(rect, known)
-
-    def _perimeter_gap_of(
-        self, rect: Rect, known: List[Rect]
-    ) -> Optional[Tuple[str, float, float, Point]]:
-        """The first stretch of ``rect``'s perimeter ``known`` leaves open."""
-        bounds = self.bounds
-        tol = 1e-9
-        offset = 1e-3
-        # (name, fixed coordinate, span lo, span hi, on world edge,
-        #  outward probe x/y for a vertical/horizontal edge)
-        edges = (
-            ("left", rect.x, rect.y, rect.y2,
-             rect.x - bounds.x <= tol, rect.x - offset, True),
-            ("right", rect.x2, rect.y, rect.y2,
-             bounds.x2 - rect.x2 <= tol, rect.x2 + offset, True),
-            ("bottom", rect.y, rect.x, rect.x2,
-             rect.y - bounds.y <= tol, rect.y - offset, False),
-            ("top", rect.y2, rect.x, rect.x2,
-             bounds.y2 - rect.y2 <= tol, rect.y2 + offset, False),
-        )
-        for name, fixed, lo, hi, on_world_edge, outside, vertical in edges:
-            if on_world_edge:
-                continue
-            intervals = []
-            for other in known:
-                # A claim covers part of this edge when it contains the
-                # just-outside probe line (``outside`` is the edge pushed
-                # one offset outward, so rects flush with the edge on the
-                # outer side count and rects flush on the inner side do
-                # not, for either edge orientation).
-                if vertical:
-                    touches = other.x <= outside <= other.x2
-                    span = (other.y, other.y2)
-                else:
-                    touches = other.y <= outside <= other.y2
-                    span = (other.x, other.x2)
-                if touches and span[1] > lo and span[0] < hi:
-                    intervals.append((max(lo, span[0]), min(hi, span[1])))
-            intervals.sort()
-            cursor = lo
-            for start, end in intervals:
-                if start > cursor + tol:
-                    break
-                cursor = max(cursor, end)
-            if cursor < hi - tol:
-                gap_hi = hi
-                for start, end in intervals:
-                    if start > cursor + tol:
-                        gap_hi = start
-                        break
-                mid = (cursor + gap_hi) / 2.0
-                point = (
-                    Point(outside, mid) if vertical else Point(mid, outside)
-                )
-                return (name, cursor, gap_hi, point)
-        return None
+        return perimeter_gap(rect, self.bounds, known)
 
     def _probe_perimeter_gap(self) -> None:
         """Probe an uncovered perimeter stretch that survived damping.
@@ -2307,12 +2253,16 @@ class ProtocolNode:
         self._send_claim(info.primary, gossip=True)
 
     def _send_peer_heartbeat(self) -> None:
-        if not self.alive or self.owned is None or self.owned.peer is None:
+        owned = self.owned
+        if not self.alive or owned is None or owned.peer is None:
             return
-        beat = m.HeartbeatBody(
-            rect=self.owned.rect, role=self.owned.role, stamp=self.owned.stamp
-        )
-        self.network.send(self.address, self.owned.peer, m.HEARTBEAT, beat)
+        # The body is a function of (rect, role, stamp) alone: reuse it.
+        key = (owned.rect, owned.role, owned.stamp)
+        if self._peer_beat is None or self._peer_beat[0] != key:
+            self._peer_beat = (key, m.HeartbeatBody(
+                rect=owned.rect, role=owned.role, stamp=owned.stamp
+            ))
+        self.network.send(self.address, owned.peer, m.HEARTBEAT, self._peer_beat[1])
 
     def _on_heartbeat(self, message: Message) -> None:
         body: m.HeartbeatBody = message.body
@@ -2354,10 +2304,19 @@ class ProtocolNode:
         # adjacent to ours, which self-heals tables after lost updates and
         # wrongly declared holes (e.g. a failover announcement that raced
         # our failure detector).
-        sender_info = m.NeighborInfo(
-            rect=body.rect, primary=message.source, secondary=body.secondary,
-            stamp=body.stamp,
-        )
+        source = message.source
+        memo = self._fold_memos.get(source)
+        sender_info = memo.sender if memo is not None else None
+        if (
+            sender_info is None
+            or sender_info.rect is not body.rect
+            or sender_info.secondary != body.secondary
+            or sender_info.stamp != body.stamp
+        ):
+            sender_info = m.NeighborInfo(
+                rect=body.rect, primary=source, secondary=body.secondary,
+                stamp=body.stamp,
+            )
         if self.caretaker_rects:
             self._release_holes(sender_info)
         # A newer claim on our own region from an address we did not
@@ -2389,7 +2348,6 @@ class ProtocolNode:
         # The rest is a function of the sender's advert and our own view:
         # when neither moved since the last fold of this sender's beats,
         # replay that fold's durable effects instead of re-deriving them.
-        source = message.source
         memo = self._fold_memos.get(source)
         if (
             memo is not None
@@ -2410,6 +2368,7 @@ class ProtocolNode:
             learned=tuple(
                 entry for entry in offered if cached(entry[0].rect) == entry[0]
             ),
+            sender=sender_info,
         )
 
     def _fold_key(
@@ -2438,11 +2397,9 @@ class ProtocolNode:
             heard[info.rect] = (info, now)
         if memo.witnessed and now < self._claims_oldest:
             self._claims_oldest = now
-        shortcuts = self.shortcuts
+        refresh = self.shortcuts.refresh
         for info, allow_adjacent in memo.learned:
-            if shortcuts.get(info.rect) == info:
-                shortcuts.touch(info.rect)
-            else:
+            if not refresh(info):
                 self._learn_shortcut(info, allow_adjacent=allow_adjacent)
         return True
 
@@ -2635,10 +2592,45 @@ class ProtocolNode:
             if seen is not None and now - seen > PEER_TIMEOUT:
                 self._take_over_primary()
                 return
-        # 2. Neighbor failure detection at the slow frequency.
+        # 2. Neighbor failure detection at the slow frequency.  The pass
+        #    acts only on a silent primary or one naming our peer; while
+        #    the table and peer are unchanged and the oldest primary
+        #    ``last_seen`` (which only grows) is inside the horizon, it
+        #    would do nothing and is skipped.
         if self.owned.role != "primary":
             return
         peer = self.owned.peer
+        if (
+            self._sweep_key != (self._view_epoch, peer)
+            or now - self._sweep_oldest > FAILURE_HORIZON
+        ):
+            self._sweep_neighbors(now, peer)
+        # 3. Expire stale neighbor workload statistics: an entry whose
+        #    heartbeats stopped (crash, departure, region re-granted
+        #    under a different rect) must not pin switch-candidate and
+        #    deflection decisions with its last-reported load forever.
+        #    Same timeout and clock-start discipline as the neighbor
+        #    sweep; skipped while no entry can have expired.
+        stats_at = self._neighbor_stats_at
+        if (
+            now - self._stats_oldest <= FAILURE_HORIZON
+            and len(stats_at) == len(self.neighbor_stats)
+        ):
+            return
+        for rect in list(self.neighbor_stats):
+            # An entry without a timestamp starts its clock now.
+            if now - stats_at.setdefault(rect, now) <= FAILURE_HORIZON:
+                continue
+            del self.neighbor_stats[rect]
+            stats_at.pop(rect, None)
+            self.neighbor_pressure.pop(rect, None)
+            obs.inc("adapt.stats.expired")
+        # Over an empty ledger the bound is ``now``, not ``inf``: an
+        # entry written later must still come up for expiry.
+        self._stats_oldest = min(stats_at.values(), default=now)
+
+    def _sweep_neighbors(self, now: float, peer: Optional[NodeAddress]) -> None:
+        """The failure sweep's pass over the neighbor table."""
         for rect, info in list(self.neighbor_table.items()):
             # Our secondary serves our region only, so a claim naming it
             # as another region's primary is stale whatever its clock says.
@@ -2679,25 +2671,18 @@ class ProtocolNode:
                 # secondaries promoted at once): the probe reaches it, and
                 # its newer claim releases the hole.
                 self._send_probe(rect.center)
-        # 3. Expire stale neighbor workload statistics: an entry whose
-        #    heartbeats stopped (crash, departure, region re-granted
-        #    under a different rect) must not pin switch-candidate and
-        #    deflection decisions with its last-reported load forever.
-        #    Same timeout and clock-start discipline as the neighbor
-        #    sweep above.
-        for rect in list(self.neighbor_stats):
-            heard = self._neighbor_stats_at.get(rect)
-            if heard is None:
-                # Entry predating the timestamp ledger (e.g. installed
-                # by state transfer): start its clock now.
-                self._neighbor_stats_at[rect] = now
-                continue
-            if now - heard <= FAILURE_HORIZON:
-                continue
-            del self.neighbor_stats[rect]
-            self._neighbor_stats_at.pop(rect, None)
-            self.neighbor_pressure.pop(rect, None)
-            obs.inc("adapt.stats.expired")
+        # An entry naming our peer is dropped whatever its clock says:
+        # ``-inf`` keeps the pass running while one is left.
+        last_seen = self.last_seen
+        self._sweep_key = (self._view_epoch, peer)
+        self._sweep_oldest = min(
+            (
+                -math.inf if info.primary == peer
+                else last_seen.get(info.primary, -math.inf)
+                for info in self.neighbor_table.values()
+            ),
+            default=math.inf,
+        )
 
     def _silent(self, address: NodeAddress, now: float) -> bool:
         """Whether ``address`` has been silent past the failure horizon.
@@ -3406,7 +3391,7 @@ class ProtocolNode:
         obs.inc("sub.node.notified")
         self.notifications.append(body)
         self._slo_observe(
-            "slo.sub.notify_latency", self.scheduler._now - body.matched_at
+            "slo.sub.notify_latency", self.scheduler.now - body.matched_at
         )
 
     def _on_sub_sync(self, message: Message) -> None:

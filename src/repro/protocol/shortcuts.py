@@ -17,8 +17,7 @@ stale entry is exercised anyway.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.node import NodeAddress
 from repro.geometry import Point, Rect
@@ -30,6 +29,11 @@ class ShortcutCache:
 
     Keys are region rectangles; values are :class:`~repro.protocol.
     messages.NeighborInfo` records naming the region's current owner(s).
+    The LRU order is the insertion order of a plain dict: a refresh pops
+    the key and re-inserts it at the end, and eviction deletes the first
+    key.  (An ``OrderedDict`` would do the same, but iterating its items
+    looks every key up again, which calls ``Rect.__hash__`` once per
+    entry on every :meth:`best`.)
     """
 
     def __init__(self, capacity: int = 32) -> None:
@@ -42,7 +46,7 @@ class ShortcutCache:
         self.misses = 0
         #: Stale entries repaired through a MISROUTE NACK.
         self.repairs = 0
-        self._entries: "OrderedDict[Rect, m.NeighborInfo]" = OrderedDict()
+        self._entries: Dict[Rect, m.NeighborInfo] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -76,22 +80,34 @@ class ShortcutCache:
         and are stale by construction).  Insertion past capacity evicts
         the least recently used entry.
         """
-        existing = self._entries.get(info.rect)
+        entries = self._entries
+        existing = entries.pop(info.rect, None)
         if existing is not None:
-            self._entries[info.rect] = info
-            self._entries.move_to_end(info.rect)
+            entries[info.rect] = info
             return existing != info
-        for rect in [r for r in self._entries if r.intersects(info.rect)]:
-            del self._entries[rect]
-        self._entries[info.rect] = info
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        for rect in [r for r in entries if r.intersects(info.rect)]:
+            del entries[rect]
+        entries[info.rect] = info
+        while len(entries) > self.capacity:
+            del entries[next(iter(entries))]
         return True
 
     def touch(self, rect: Rect) -> None:
         """Mark ``rect`` as most recently used (after a successful hop)."""
-        if rect in self._entries:
-            self._entries.move_to_end(rect)
+        info = self._entries.pop(rect, None)
+        if info is not None:
+            self._entries[rect] = info
+
+    def refresh(self, info: m.NeighborInfo) -> bool:
+        """Mark ``info.rect`` most recently used if the cache holds
+        exactly ``info``; returns whether it did."""
+        entries = self._entries
+        cached = entries.get(info.rect)
+        if cached is None or (cached is not info and cached != info):
+            return False
+        del entries[info.rect]
+        entries[info.rect] = cached
+        return True
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -151,13 +167,42 @@ class ShortcutCache:
         ``target``, provided that distance is strictly below
         ``better_than`` (the caller passes its best plain-neighbor
         distance, preserving the strict-progress termination argument).
+
+        The scan inlines :meth:`~repro.geometry.Rect.distance_to_point`
+        (the same sums and ``** 0.5``) and keeps its strict ``<`` first
+        minimum in LRU order.  An entry whose ``dx`` or ``dy`` alone
+        exceeds the best distance by a factor ``1 + 1e-12`` is skipped
+        without its root: the root is never below either term, so even
+        with ``** 0.5`` off by an ulp it could not have won.
         """
         best_info: Optional[m.NeighborInfo] = None
         best_dist = better_than - eps
+        limit = best_dist * (1.0 + 1e-12)
+        px = target.x
+        py = target.y
         for rect, info in self._entries.items():
-            distance = rect.distance_to_point(target)
+            x = rect.x
+            if px < x:
+                dx = x - px
+            else:
+                dx = px - (x + rect.width)
+                if dx < 0.0:
+                    dx = 0.0
+            if dx > limit:
+                continue
+            y = rect.y
+            if py < y:
+                dy = y - py
+            else:
+                dy = py - (y + rect.height)
+                if dy < 0.0:
+                    dy = 0.0
+            if dy > limit:
+                continue
+            distance = (dx * dx + dy * dy) ** 0.5
             if distance < best_dist:
                 best_info, best_dist = info, distance
+                limit = distance * (1.0 + 1e-12)
         return best_info
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -83,7 +83,10 @@ class EventScheduler:
     """A virtual clock driving callbacks in timestamp order."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+        #: The current virtual time.  A plain attribute, not a property:
+        #: it is read on nearly every event, and only :meth:`run_until`
+        #: moves it.
+        self.now = start_time
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._running = False
@@ -94,11 +97,6 @@ class EventScheduler:
         #: Number of cancellations over the scheduler's lifetime.
         self.cancelled_total = 0
 
-    @property
-    def now(self) -> float:
-        """The current virtual time."""
-        return self._now
-
     def pending(self) -> int:
         """Number of queued (non-cancelled) events; O(1)."""
         return len(self._queue) - self._cancelled_pending
@@ -108,9 +106,9 @@ class EventScheduler:
     # ------------------------------------------------------------------
     def at(self, time: float, callback: EventCallback) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past: now={self._now}, "
+                f"cannot schedule into the past: now={self.now}, "
                 f"requested={time}"
             )
         sequence = next(self._sequence)
@@ -124,7 +122,7 @@ class EventScheduler:
         """Schedule ``callback`` after a non-negative ``delay``."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.at(self._now + delay, callback)
+        return self.at(self.now + delay, callback)
 
     def every(
         self,
@@ -151,16 +149,20 @@ class EventScheduler:
             # them: heartbeats and sweeps are causal roots, otherwise every
             # firing for the rest of the run would accrete onto the trace
             # that happened to start the timer.  The re-arm happens while
-            # detached too, so the chain stays clean.
-            previous = causal.detach()
+            # detached too, so the chain stays clean.  (Module global set
+            # inline, as causal.detach/restore do, to spare two calls per
+            # firing; the re-arm still goes through ``at`` so anything
+            # wrapping it sees every event.)
+            previous = causal._current
+            causal._current = None
             try:
                 callback()
                 period = interval
                 if jitter > 0.0 and rng is not None:
                     period = max(1e-9, interval + rng.uniform(-jitter, jitter))
-                handle_box[0] = self.after(period, fire)
+                handle_box[0] = self.at(self.now + period, fire)
             finally:
-                causal.restore(previous)
+                causal._current = previous
 
         handle_box.append(self.after(interval, fire))
 
@@ -219,7 +221,7 @@ class EventScheduler:
                     self._cancelled_pending -= 1
                     continue
                 event._fired = True
-                self._now = when
+                self.now = when
                 if event.ctx is not None:
                     with causal.using(event.ctx):
                         event.callback()
@@ -228,14 +230,14 @@ class EventScheduler:
                 fired += 1
                 self.fired += 1
             if math.isfinite(time):
-                self._now = max(self._now, time)
+                self.now = max(self.now, time)
         finally:
             self._running = False
             registry = obs.active()
             if registry is not None:
                 registry.inc("scheduler.fired", fired)
                 registry.set_gauge("scheduler.pending", self.pending())
-                registry.set_gauge("scheduler.now", self._now)
+                registry.set_gauge("scheduler.now", self.now)
         return fired
 
     def run_all(self, max_events: int = 1_000_000) -> int:
@@ -243,4 +245,4 @@ class EventScheduler:
         return self.run_until(float("inf"), max_events=max_events)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"EventScheduler(now={self._now:g}, pending={self.pending()})"
+        return f"EventScheduler(now={self.now:g}, pending={self.pending()})"

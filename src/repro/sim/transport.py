@@ -294,10 +294,8 @@ class SimNetwork:
         self._one_way_blocks.clear()
 
     def _partitioned(self, a: NodeAddress, b: NodeAddress) -> bool:
-        # Checked on every send and delivery; with no cut armed (the
-        # common case) skip the three lookups.
-        if not self._partition_of and not self._one_way_blocks:
-            return False
+        # Callers on the send and delivery paths check first that a cut
+        # is armed at all (the common case is none), sparing the call.
         if (a, b) in self._one_way_blocks:
             return True
         group_a = self._partition_of.get(a)
@@ -371,7 +369,12 @@ class SimNetwork:
         protocol layer's job (heartbeats and timeouts).
         """
         self.stats.record_send(kind)
-        obs.inc("sim.transport.sent")
+        # The obs globals are read directly, not through obs.inc() and
+        # obs.flightrec(): this runs per message, and with collection off
+        # each facade call is pure overhead (likewise in _deliver).
+        registry = obs._active
+        if registry is not None:
+            registry.inc("sim.transport.sent")
         frame = self._send_frames.get(source)
         if frame is not None:
             # Inlined VitalsFrame.on_send (see set_send_frame): a bare
@@ -384,7 +387,7 @@ class SimNetwork:
                 frame.send_countdown = EVENT_SAMPLE
                 frame._sent_accounted += EVENT_SAMPLE
                 frame.sent_by_kind[kind] += EVENT_SAMPLE
-        recorder = obs.flightrec()
+        recorder = obs._flightrec
         span = None
         if recorder is not None:
             # Each message is one span of the sender's current trace (or a
@@ -400,13 +403,8 @@ class SimNetwork:
                 span_id=recorder.next_span_id(),
             )
         message = Message(
-            source=source,
-            destination=destination,
-            kind=kind,
-            body=body,
-            sent_at=self.scheduler.now,
-            msg_id=next(self._msg_ids),
-            span=span,
+            source, destination, kind, body, self.scheduler.now,
+            next(self._msg_ids), span,
         )
         if recorder is not None:
             recorder.record(
@@ -424,7 +422,9 @@ class SimNetwork:
                     else None
                 ),
             )
-        if self._partitioned(source, destination):
+        if (self._partition_of or self._one_way_blocks) and self._partitioned(
+            source, destination
+        ):
             self._drop(message, "partition")
             return
         if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
@@ -482,11 +482,13 @@ class SimNetwork:
         if endpoint is None or not endpoint.alive:
             self._drop(message, "dead")
             return
-        if self._partitioned(message.source, message.destination):
+        if (self._partition_of or self._one_way_blocks) and self._partitioned(
+            message.source, message.destination
+        ):
             self._drop(message, "partition")
             return
         self.stats.delivered += 1
-        registry = obs.active()
+        registry = obs._active
         if registry is not None:
             registry.inc("sim.transport.delivered")
             registry.observe(
@@ -500,7 +502,7 @@ class SimNetwork:
                 destination=str(message.destination),
                 latency=self.scheduler.now - message.sent_at,
             )
-        recorder = obs.flightrec()
+        recorder = obs._flightrec
         if recorder is not None:
             fields = {
                 "msg_id": message.msg_id,

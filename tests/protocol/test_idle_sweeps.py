@@ -6,7 +6,11 @@ Two per-tick sweeps skip their work while nothing relevant changed:
   the neighbor table and caretaken holes alone covered the perimeter
   (shortcuts only add cover, so the answer is then ``None``);
 * ``_check_failures`` rebuilds the claim ledger only once the lower
-  bound ``_claims_oldest`` on its stamps leaves the failure horizon.
+  bound ``_claims_oldest`` on its stamps leaves the failure horizon,
+  skips its neighbor-table pass while ``(_view_epoch, owned.peer)`` is
+  unchanged and the smallest ``last_seen`` of the table primaries is
+  inside the horizon, and skips its stats-expiry pass while a lower
+  bound on the stats timestamps is.
 
 The differential tests drive a live cluster through a crash and a join
 and check every sweep against the full computation it replaces; the
@@ -17,8 +21,11 @@ retire the perimeter memo.
 import math
 import random
 
+from repro.core.node import synthetic_address
 from repro.geometry import Point, Rect
+from repro.geometry.rect import perimeter_gap
 from repro.protocol import ProtocolCluster
+from repro.protocol import messages as m
 from repro.protocol.node import (
     FAILURE_HORIZON, HEARTBEAT_INTERVAL, ProtocolNode,
 )
@@ -43,7 +50,7 @@ def full_scan(node):
     known = [info.rect for info in node.neighbor_table.values()]
     known.extend(node.caretaker_rects)
     known.extend(info.rect for info in node.shortcuts.entries())
-    return node._perimeter_gap_of(node.owned.rect, known)
+    return perimeter_gap(node.owned.rect, node.bounds, known)
 
 
 def build(count, seed=SEED):
@@ -240,3 +247,170 @@ def test_view_helpers_and_rect_changes_retire_the_memo():
     node.owned.rect = owned
     assert find() is None and memo_current()
 
+
+def sweep_state(node):
+    """Everything the failure sweep's passes may change."""
+    return (
+        list(node.neighbor_table.items()),
+        set(node.suspected),
+        list(node.caretaker_rects.items()),
+        dict(node.last_seen),
+        node._view_epoch,
+        node.shortcuts.entries(),
+        node.network.stats.sent,
+        list(node.neighbor_stats.items()),
+        list(node._neighbor_stats_at.items()),
+        list(node.neighbor_pressure.items()),
+    )
+
+
+def full_stats_pass(node, now):
+    """The unbounded stats-expiry pass, as a ``(started, expired)`` pair
+    of the rects it would start a clock for and expire."""
+    started = [r for r in node.neighbor_stats if r not in node._neighbor_stats_at]
+    expired = [
+        r for r, heard in node._neighbor_stats_at.items()
+        if r in node.neighbor_stats and now - heard > FAILURE_HORIZON
+    ]
+    return started, expired
+
+
+def fault_run(cluster, rng):
+    """200 t of routed traffic with a secondary crash (t=40), a whole
+    region crashed (t=70: its primary and secondary) and a join (t=120)."""
+    def owners():
+        return [n for n in cluster.nodes.values() if n.alive and n.owned]
+
+    ids = sorted(cluster.nodes)
+    for step in range(200):
+        if step == 40:
+            victim = next(
+                n for n in owners()
+                if n.is_secondary() and n.owned.peer is not None
+            )
+            cluster.crash_node(victim.node.node_id)
+        if step == 70:
+            victim = next(
+                n for n in owners()
+                if n.is_primary() and n.owned.peer is not None
+            )
+            secondary = next(
+                n for n in owners() if n.address == victim.owned.peer
+            )
+            cluster.crash_node(victim.node.node_id)
+            cluster.crash_node(secondary.node.node_id)
+        if step == 120:
+            cluster.join_node(
+                Point(rng.uniform(1, 63), rng.uniform(1, 63)), capacity=5.0
+            )
+        live = [i for i in ids if cluster.nodes[i].alive]
+        origin = cluster.nodes[rng.choice(live)]
+        origin.send_to_point(Point(rng.uniform(0, 64), rng.uniform(0, 64)), step)
+        cluster.run_for(1.0)
+
+
+def test_failure_sweep_bounds_skip_only_no_op_passes(monkeypatch):
+    """At every tick where a bound skips a pass, running the full pass
+    there changes nothing."""
+    original = ProtocolNode._check_failures
+    full_pass = ProtocolNode._sweep_neighbors
+    tally = dict.fromkeys(
+        ("ticks", "neighbor_skips", "neighbor_passes", "stats_skips",
+         "stats_passes", "caretakes", "evictions", "expired", "suspects"),
+        0,
+    )
+
+    def counted(self, now, peer):
+        tally["neighbor_passes"] += 1
+        return full_pass(self, now, peer)
+
+    def checked(self):
+        if not self.alive or self.owned is None:
+            return original(self)
+        passes = tally["neighbor_passes"]
+        stats_bound = (
+            self.scheduler.now - self._stats_oldest <= FAILURE_HORIZON
+            and len(self._neighbor_stats_at) == len(self.neighbor_stats)
+        )
+        holes, peer = len(self.caretaker_rects), self.owned.peer
+        suspects = len(self.suspected)
+        stats = set(self.neighbor_stats)
+        original(self)
+        if not self.alive or self.owned is None or not self.is_primary():
+            return
+        now = self.scheduler.now
+        tally["ticks"] += 1
+        tally["caretakes"] += len(self.caretaker_rects) > holes
+        tally["evictions"] += peer is not None and self.owned.peer is None
+        tally["suspects"] += len(self.suspected) > suspects
+        expired = stats - set(self.neighbor_stats)
+        tally["expired"] += len(expired)
+        if tally["neighbor_passes"] == passes:
+            tally["neighbor_skips"] += 1
+            memo = (self._sweep_key, self._sweep_oldest)
+            before = sweep_state(self)
+            full_pass(self, now, self.owned.peer)
+            assert sweep_state(self) == before
+            self._sweep_key, self._sweep_oldest = memo
+        tally["stats_skips" if stats_bound else "stats_passes"] += 1
+        # Right after the sweep, skipped pass or not, nothing is left to
+        # expire or to clock: the full pass would change nothing.
+        assert not (stats_bound and expired)
+        assert full_stats_pass(self, now) == ([], [])
+        assert all(
+            heard >= self._stats_oldest
+            for heard in self._neighbor_stats_at.values()
+        )
+
+    monkeypatch.setattr(ProtocolNode, "_sweep_neighbors", counted)
+    monkeypatch.setattr(ProtocolNode, "_check_failures", checked)
+    cluster, rng = build(32)
+    fault_run(cluster, rng)
+    assert tally["neighbor_skips"] > tally["ticks"] // 2
+    assert tally["stats_skips"] > tally["ticks"] // 2
+    for key in ("neighbor_passes", "stats_passes", "caretakes", "evictions",
+                "expired", "suspects"):
+        assert tally[key] > 0, (key, tally)
+
+
+def test_failure_sweep_bound_follows_peer_claims_and_unclocked_stats():
+    """The cases a clean churn run rarely reaches: a claim naming our
+    peer as another region's primary is dropped however fresh its clock
+    (the bound must not skip it, before or after the peer changes), and
+    a stats entry without a timestamp gets its clock on the next tick."""
+    cluster = quiet_cluster()
+    node, sender = neighbor_pair(cluster)
+    now = cluster.scheduler.now
+    node._check_failures()
+    assert node._sweep_key == (node._view_epoch, node.owned.peer)
+    held = node.neighbor_table[sender.owned.rect]
+
+    # Our peer becomes the address a live entry names as primary.
+    node.owned.peer = held.primary
+    node._check_failures()
+    assert held.rect not in node.neighbor_table
+
+    # A claim naming our peer, kept while its own secondary is heard.
+    rect, other = next(
+        (r, i) for r, i in node.neighbor_table.items()
+        if i.primary != node.owned.peer
+    )
+    backup = synthetic_address(905)
+    node.last_seen[backup] = now
+    node._table_put(m.NeighborInfo(
+        rect=rect, primary=node.owned.peer, secondary=backup,
+        stamp=other.stamp + 1,
+    ))
+    for _ in range(3):
+        node._check_failures()
+        assert rect in node.neighbor_table
+    node.last_seen[backup] = now - 1_000.0
+    node._check_failures()
+    assert rect not in node.neighbor_table
+
+    # Stats written without a timestamp start their clock at this tick.
+    node._check_failures()
+    unclocked = Rect(60, 60, 1, 1)
+    node.neighbor_stats[unclocked] = (0.0, 1.0)
+    node._check_failures()
+    assert node._neighbor_stats_at[unclocked] == now

@@ -7,7 +7,9 @@ partition changes, caretaker-hole advertisement, and a seeded churn
 property at 1% message loss.
 """
 
+import math
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,206 @@ class TestShortcutCacheUnit:
         assert cache.best(Point(10, 12), better_than=100.0) == left
         cache.touch(left.rect)
         assert cache.best(Point(10, 12), better_than=100.0) == right
+
+
+class ReferenceCache:
+    """The cache as an ``OrderedDict`` LRU with the plain distance scan:
+    what :class:`ShortcutCache` must keep deciding, entry for entry."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = OrderedDict()
+
+    def learn(self, entry):
+        existing = self.entries.get(entry.rect)
+        if existing is not None:
+            self.entries[entry.rect] = entry
+            self.entries.move_to_end(entry.rect)
+            return existing != entry
+        for rect in [r for r in self.entries if r.intersects(entry.rect)]:
+            del self.entries[rect]
+        self.entries[entry.rect] = entry
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+        return True
+
+    def touch(self, rect):
+        if rect in self.entries:
+            self.entries.move_to_end(rect)
+
+    def refresh(self, entry):
+        if self.entries.get(entry.rect) != entry:
+            return False
+        self.entries.move_to_end(entry.rect)
+        return True
+
+    def invalidate_rect(self, rect):
+        return self.entries.pop(rect, None) is not None
+
+    def invalidate_overlapping(self, rect):
+        stale = [r for r in self.entries if r == rect or r.intersects(rect)]
+        for r in stale:
+            del self.entries[r]
+        return len(stale)
+
+    def invalidate_address(self, address):
+        removed = 0
+        for rect in list(self.entries):
+            entry = self.entries[rect]
+            if entry.primary == address:
+                del self.entries[rect]
+                removed += 1
+            elif entry.secondary == address:
+                self.entries[rect] = entry.with_secondary(None)
+        return removed
+
+    @staticmethod
+    def distance(rect, point):
+        dx = max(rect.x - point.x, 0.0, point.x - rect.x2)
+        dy = max(rect.y - point.y, 0.0, point.y - rect.y2)
+        return (dx * dx + dy * dy) ** 0.5
+
+    def best(self, target, better_than, eps=1e-12):
+        best_entry, best_dist = None, better_than - eps
+        for rect, entry in self.entries.items():
+            distance = self.distance(rect, target)
+            if distance < best_dist:
+                best_entry, best_dist = entry, distance
+        return best_entry
+
+
+class TestMatchesReferenceCache:
+    """Seeded random operation sequences through the cache and through
+    :class:`ReferenceCache`: every return value, ``best()`` pick,
+    ``entries()`` list and eviction order must agree.  (``refresh`` is
+    the fold-replay shorthand for ``touch`` when ``get`` equals.)"""
+
+    @staticmethod
+    def random_rect(rng):
+        # Quadtree cells of a 64 x 64 space, so learns overlap and evict.
+        size = 64.0 / 2 ** rng.randint(2, 5)
+        return Rect(
+            size * rng.randrange(int(64 / size)),
+            size * rng.randrange(int(64 / size)), size, size,
+        )
+
+    @staticmethod
+    def random_point(rng):
+        # Cell corners and centres give many exactly equal distances.
+        return Point(rng.randint(0, 32) * 2.0, rng.randint(0, 32) * 2.0)
+
+    def bounds_for(self, ref, target, rng):
+        """``better_than`` values around the cached distances: one that
+        puts a candidate exactly at ``better_than - eps``, ties, and
+        random and open bounds."""
+        bounds = [(math.inf, 1e-12), (0.0, 1e-12), (rng.uniform(0, 40), 1e-12)]
+        if ref.entries:
+            rect = rng.choice(list(ref.entries))
+            distance = ref.distance(rect, target)
+            bounds.append((distance, 0.0))
+            if (distance + 1e-12) - 1e-12 == distance:
+                bounds.append((distance + 1e-12, 1e-12))
+            bounds.append((distance + 1e-9, 1e-12))
+        return bounds
+
+    def check_state(self, cache, ref):
+        assert cache.entries() == list(ref.entries.values())
+        assert list(cache.rects()) == list(ref.entries)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_operation_sequences(self, seed):
+        rng = random.Random(seed)
+        capacity = rng.choice([1, 3, 8, 32])
+        cache, ref = ShortcutCache(capacity), ReferenceCache(capacity)
+        addresses = list(range(1, 7))
+        picks = 0
+        for _ in range(400):
+            op = rng.random()
+            if op < 0.4:
+                entry = info(
+                    self.random_rect(rng), rng.choice(addresses),
+                    rng.choice([None, *addresses]),
+                )
+                assert cache.learn(entry) == ref.learn(entry)
+            elif op < 0.5:
+                known = list(ref.entries)
+                rect = (
+                    rng.choice(known) if known and rng.random() < 0.8
+                    else self.random_rect(rng)
+                )
+                cache.touch(rect)
+                ref.touch(rect)
+            elif op < 0.55:
+                # A cached entry, an equal copy of one, or a changed one.
+                known = list(ref.entries.values())
+                entry = (
+                    rng.choice(known) if known
+                    else info(self.random_rect(rng), 1)
+                )
+                entry = rng.choice([
+                    entry, entry.with_secondary(entry.secondary),
+                    entry.with_secondary(synthetic_address(99)),
+                ])
+                assert cache.refresh(entry) == ref.refresh(entry)
+            elif op < 0.6:
+                rect = self.random_rect(rng)
+                assert cache.invalidate_rect(rect) == ref.invalidate_rect(rect)
+            elif op < 0.65:
+                rect = self.random_rect(rng)
+                assert cache.invalidate_overlapping(rect) == (
+                    ref.invalidate_overlapping(rect)
+                )
+            elif op < 0.7:
+                address = synthetic_address(rng.choice(addresses))
+                assert cache.invalidate_address(address) == (
+                    ref.invalidate_address(address)
+                )
+            else:
+                target = self.random_point(rng)
+                for better_than, eps in self.bounds_for(ref, target, rng):
+                    # No two entries share a rect, so equality pins
+                    # which entry was picked.
+                    got = cache.best(target, better_than, eps)
+                    want = ref.best(target, better_than, eps)
+                    assert got == want, (target, better_than, eps)
+                    picks += want is not None
+            self.check_state(cache, ref)
+        assert picks > 0
+
+    def test_candidate_at_the_bound_is_not_taken(self):
+        cache, ref = ShortcutCache(4), ReferenceCache(4)
+        entry = info(Rect(8, 0, 8, 8), 1)
+        cache.learn(entry)
+        ref.learn(entry)
+        target = Point(4, 4)
+        distance = ref.distance(entry.rect, target)
+        assert distance == 4.0
+        for better_than, eps in ((4.0, 0.0), (4.0 + 1e-12, 1e-12)):
+            assert better_than - eps == distance
+            assert cache.best(target, better_than, eps) is None
+            assert ref.best(target, better_than, eps) is None
+        assert cache.best(target, math.nextafter(4.0, 5.0), 0.0) is entry
+
+    def test_equal_distances_keep_the_lru_first(self):
+        """Four cells around one point tie exactly; the pick follows LRU
+        order through touches and re-learns."""
+        cache, ref = ShortcutCache(8), ReferenceCache(8)
+        target = Point(16, 16)
+        cells = [
+            info(Rect(x, y, 4, 4), n)
+            for n, (x, y) in enumerate(
+                [(20, 20), (8, 20), (8, 8), (20, 8)], 1
+            )
+        ]
+        for entry in cells:
+            cache.learn(entry)
+            ref.learn(entry)
+        for rect in [cells[0].rect, cells[2].rect, cells[1].rect]:
+            assert cache.best(target, 100.0) is ref.best(target, 100.0)
+            cache.touch(rect)
+            ref.touch(rect)
+        assert cache.best(target, 100.0) is cells[3]
+        self.check_state(cache, ref)
 
 
 def build_cluster(count=10, seed=11, drop=0.0, latency=None):
