@@ -9,14 +9,18 @@ of the cells it covers.
 :class:`CellGrid` stores one float per cell and answers "total workload
 inside rectangle R" in O(1) through a two-dimensional prefix-sum table,
 which is what makes the 16 000-node experiments tractable in Python.
+
+numpy is imported by the methods that build arrays, not by the module:
+the protocol layer imports this package but never builds a grid.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -48,7 +52,9 @@ class CellGrid:
         self.cell_size = float(cell_size)
         self.nx = max(1, int(math.ceil(bounds.width / cell_size - _INDEX_NUDGE)))
         self.ny = max(1, int(math.ceil(bounds.height / cell_size - _INDEX_NUDGE)))
-        self._loads = np.zeros((self.nx, self.ny), dtype=np.float64)
+        import numpy
+
+        self._loads = numpy.zeros((self.nx, self.ny), dtype=numpy.float64)
         self._loads_view = self._loads.view()
         self._loads_view.flags.writeable = False
         #: Bumped by every load change.  The prefix table and the
@@ -132,12 +138,14 @@ class CellGrid:
         iy1 = min(self.ny - 1, int((hi_y - self.bounds.y) / self.cell_size))
         if ix0 > ix1 or iy0 > iy1:
             return
-        xs = self.bounds.x + (np.arange(ix0, ix1 + 1) + 0.5) * self.cell_size
-        ys = self.bounds.y + (np.arange(iy0, iy1 + 1) + 0.5) * self.cell_size
+        import numpy
+
+        xs = self.bounds.x + (numpy.arange(ix0, ix1 + 1) + 0.5) * self.cell_size
+        ys = self.bounds.y + (numpy.arange(iy0, iy1 + 1) + 0.5) * self.cell_size
         dx = xs[:, None] - hotspot.center.x
         dy = ys[None, :] - hotspot.center.y
-        d = np.sqrt(dx * dx + dy * dy)
-        contribution = np.clip(1.0 - d / hotspot.radius, 0.0, None)
+        d = numpy.sqrt(dx * dx + dy * dy)
+        contribution = numpy.clip(1.0 - d / hotspot.radius, 0.0, None)
         self._loads[ix0 : ix1 + 1, iy0 : iy1 + 1] += contribution
         self._changed()
 
@@ -152,9 +160,11 @@ class CellGrid:
     # ------------------------------------------------------------------
     def _ensure_prefix(self) -> np.ndarray:
         if self._prefix is None:
-            prefix = np.zeros((self.nx + 1, self.ny + 1), dtype=np.float64)
-            np.cumsum(self._loads, axis=0, out=prefix[1:, 1:])
-            np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
+            import numpy
+
+            prefix = numpy.zeros((self.nx + 1, self.ny + 1), dtype=numpy.float64)
+            numpy.cumsum(self._loads, axis=0, out=prefix[1:, 1:])
+            numpy.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
             self._prefix = prefix
         return self._prefix
 

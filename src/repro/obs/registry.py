@@ -92,9 +92,9 @@ class Histogram:
         self.maximum = -math.inf
         self._sample: List[float] = []
         self._limit = reservoir
-        # Seeded per histogram from a process-independent hash (str hash
-        # is randomized per process): snapshots are deterministic across runs.
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
+        #: Built at the first draw, once the reservoir is full: most
+        #: histograms never draw, and a ``Random`` weighs 2.5 KB.
+        self._rng: Optional[random.Random] = None
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -112,7 +112,13 @@ class Histogram:
         else:
             # Algorithm R, drawn with one C-level random() call: slot is
             # uniform over [0, count), kept when it lands in the reservoir.
-            slot = int(self._rng.random() * count)
+            rng = self._rng
+            if rng is None:
+                # Seeded per histogram from a process-independent hash
+                # (str hash is randomized per process): snapshots are
+                # deterministic across runs.
+                rng = self._rng = random.Random(zlib.crc32(self.name.encode("utf-8")))
+            slot = int(rng.random() * count)
             if slot < self._limit:
                 sample[slot] = value
 

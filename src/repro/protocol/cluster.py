@@ -90,7 +90,7 @@ class ProtocolCluster:
     ) -> ProtocolNode:
         """Spawn a node, run its join to completion, and return it."""
         pnode = self.spawn_node(coord, capacity)
-        if len([n for n in self.nodes.values() if n.alive]) == 0:
+        if not any(n.alive for n in self.nodes.values()):
             pnode.start_as_first(self.bounds)
             return pnode
         pnode.start_join()

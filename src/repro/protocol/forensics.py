@@ -28,12 +28,8 @@ from repro.obs import causal
 from repro.obs.audit import AuditViolation, InvariantAuditor
 from repro.obs.flightrec import FlightRecorder, render_events
 from repro.protocol.cluster import ProtocolCluster
-from repro.protocol.node import (
-    FAILURE_HORIZON,
-    HEARTBEAT_INTERVAL,
-    PEER_TIMEOUT,
-    ProtocolNode,
-)
+from repro.protocol.failure import FAILURE_HORIZON, HEARTBEAT_INTERVAL, PEER_TIMEOUT
+from repro.protocol.node import ProtocolNode
 from repro.sim.latency import DistanceLatency
 
 __all__ = ["ForensicsReport", "run_split_brain_repro"]

@@ -33,12 +33,19 @@ from repro.obs import causal
 from repro.obs.health import HealthScorer, NeighborHealthView
 from repro.obs.registry import Histogram
 from repro.obs.telemetry import EVENT_SAMPLE, VitalsFrame
-from repro.sim.scheduler import EventScheduler
+from repro.sim.scheduler import EventScheduler, Periodic
 from repro.sim.transport import Message, SimNetwork
 from repro.store.spatial import GridIndex, ObjectRecord, touches
 from repro.sub import SubRecord
 from repro.protocol import messages as m
 from repro.protocol import overload
+from repro.protocol.failure import (
+    CHECK_INTERVAL,
+    FAILURE_HORIZON,
+    HEARTBEAT_INTERVAL,
+    PEER_HEARTBEAT_INTERVAL,
+    FailureSweep,
+)
 from repro.protocol.region import OwnedRegion, note_handover, written_since
 from repro.protocol.reliable import ReliableChannel, RetryPolicy
 from repro.protocol.shortcuts import ShortcutCache
@@ -59,25 +66,8 @@ RELIABLE_ROUTED_KINDS = frozenset({m.STORE_UPDATE, m.SUBSCRIBE})
 #: entries (lost requests that never completed) fall off the LRU.
 SLO_PENDING_LIMIT = 1024
 
-#: Interval of heartbeats between neighbor primaries.
-HEARTBEAT_INTERVAL = 5.0
-#: Interval of heartbeats inside a dual-peer pair ("higher frequency
-#: than among the primary nodes of different regions", Section 2.3).
-PEER_HEARTBEAT_INTERVAL = 2.0
-#: A peer is suspected after this many missed intervals.
-FAILURE_TIMEOUT_MULTIPLIER = 4.0
-#: How long a silent neighbor primary stays credible: past it the
-#: neighbor is suspected, its stats expire, and its claims and split
-#: announcements are forgotten.
-FAILURE_HORIZON = HEARTBEAT_INTERVAL * FAILURE_TIMEOUT_MULTIPLIER
-#: How long a silent dual-peer partner stays credible.  Must exceed one
-#: round trip across the service area, or a freshly granted secondary
-#: gets evicted before its first heartbeat can arrive.
-PEER_TIMEOUT = PEER_HEARTBEAT_INTERVAL * FAILURE_TIMEOUT_MULTIPLIER
 #: Primary-to-secondary full state sync period.
 SYNC_INTERVAL = 10.0
-#: Period of the local failure-detection sweep.
-CHECK_INTERVAL = 1.0
 #: A joiner that has not been granted a region after this long retries
 #: through a fresh entry node (join messages are best-effort like
 #: everything else and can be lost).
@@ -197,7 +187,7 @@ class NodeConfig:
     overload_enabled: bool = False
 
 
-class ProtocolNode:
+class ProtocolNode(FailureSweep):
     """A GeoGrid middleware instance on one simulated host."""
 
     def __init__(
@@ -352,6 +342,8 @@ class ProtocolNode:
         #: :meth:`_check_failures`.
         self._sweep_key: Optional[Tuple[int, Optional[NodeAddress]]] = None
         self._sweep_oldest = -math.inf
+        #: The failure sweep's timer, which sleeps through idle ticks.
+        self._sweep_timer: Optional[Periodic] = None
         #: Latest ingress backpressure advertised by neighbor primaries
         #: (rect -> pressure in [0, 1]); only written when the overload
         #: plane is on.  Routing deflects around entries at or above
@@ -682,9 +674,10 @@ class ProtocolNode:
                 cfg.adaptation_interval * 0.2,
             ))
         for interval, callback, jitter in timers:
-            self._timers.append(
-                self.scheduler.every(interval, callback, jitter=jitter, rng=self.rng)
-            )
+            timer = self.scheduler.every(interval, callback, jitter=jitter, rng=self.rng)
+            self._timers.append(timer)
+            if callback == self._check_failures:
+                self._sweep_timer = timer
 
     # ------------------------------------------------------------------
     # Workload statistics (Section 2.4: periodic stat exchange)
@@ -962,7 +955,7 @@ class ProtocolNode:
         self.last_seen[message.source] = self.scheduler.now
         if message.source in self.suspected:
             self.suspected.discard(message.source)
-            self._view_epoch += 1
+            self._bump_view()
         if self._overload and not self._overload_admit(message):
             return
         handler = self._handlers.get(message.kind)
@@ -1461,7 +1454,7 @@ class ProtocolNode:
             joiner=str(body.joiner),
             rect=str(self.owned.rect),
         )
-        self.owned.peer = body.joiner
+        self._set_peer(body.joiner)
         # Start the liveness clock now: the joiner cannot heartbeat before
         # the grant completes its round trip.
         self.last_seen[body.joiner] = self.scheduler.now
@@ -1699,7 +1692,7 @@ class ProtocolNode:
         for held_rect in beaten:
             del table[held_rect]
         table[rect] = info
-        self._view_epoch += 1
+        self._bump_view()
         self.shortcuts.invalidate_overlapping(rect)
         if old is None or old.primary != info.primary:
             # The failure sweep times a claim from its first sight: an
@@ -1707,15 +1700,21 @@ class ProtocolNode:
             self.last_seen[info.primary] = self.scheduler.now
         return None
 
+    def _bump_view(self) -> None:
+        """Retire the memos keyed on the view and wake the failure sweep,
+        whose neighbor pass keys on it too."""
+        self._view_epoch += 1
+        self._wake_sweep()
+
     def _table_drop(self, rect: Rect) -> None:
         """Remove the neighbor-table entry for ``rect``, if any."""
         if self.neighbor_table.pop(rect, None) is not None:
-            self._view_epoch += 1
+            self._bump_view()
 
     def _set_table(self, entries: Iterable[m.NeighborInfo]) -> None:
         """Replace the whole neighbor table with ``entries``."""
         self.neighbor_table = {}
-        self._view_epoch += 1
+        self._bump_view()
         for info in entries:
             self._table_put(info)
 
@@ -1728,7 +1727,7 @@ class ProtocolNode:
         if address in self.suspected:
             return
         self.suspected.add(address)
-        self._view_epoch += 1
+        self._bump_view()
         self._fold_memos.pop(address, None)
         self.shortcuts.invalidate_address(address)
 
@@ -1736,12 +1735,12 @@ class ProtocolNode:
         """Start serving the orphaned ``rect`` (claimed at ``stamp``)."""
         if rect not in self.caretaker_rects:
             self.caretaker_rects[rect] = stamp
-            self._view_epoch += 1
+            self._bump_view()
 
     def _release_hole(self, rect: Rect) -> None:
         """Stop caretaking ``rect`` (an owner has turned up)."""
         if self.caretaker_rects.pop(rect, None) is not None:
-            self._view_epoch += 1
+            self._bump_view()
 
     def _release_holes(self, info: m.NeighborInfo) -> None:
         """Stop caretaking the holes ``info`` claims.
@@ -2328,7 +2327,7 @@ class ProtocolNode:
             and body.rect == self.owned.rect
             and body.stamp > self.owned.stamp
         ):
-            self.owned.peer = message.source
+            self._set_peer(message.source)
             self.owned.stamp = body.stamp
         # A primary heartbeat is first-hand: its rect is the sender's own
         # territory right now, so an overlap with ours is a real conflict.
@@ -2535,166 +2534,11 @@ class ProtocolNode:
             return
         if self.owned.peer != message.source:
             # The region's primary changed (switch or takeover); follow it.
-            self.owned.peer = message.source
+            self._set_peer(message.source)
         self.owned.rect = body.rect
         self.owned.stamp = body.stamp
         self.owned.items = list(body.items)
         self._replicated_neighbors = body.neighbors
-
-    def _check_failures(self) -> None:
-        if not self.alive or self.owned is None:
-            return
-        now = self.scheduler.now
-        # Expire witnessed claims older than the failure horizon (the
-        # witness itself ignores them; this only bounds the ledger).
-        # Every stamp is >= _claims_oldest, so while that bound is inside
-        # the horizon nothing can expire and the rebuild is skipped.
-        if now - self._claims_oldest > FAILURE_HORIZON:
-            self._claims_heard = {
-                rect: claim for rect, claim in self._claims_heard.items()
-                if now - claim[1] <= FAILURE_HORIZON
-            }
-            self._claims_oldest = min(
-                (claim[1] for claim in self._claims_heard.values()),
-                default=math.inf,
-            )
-        # 0. A primary evicts a silent secondary so the slot can be
-        #    refilled by a later join (the paper: the region is marked
-        #    "half full" again).
-        if (
-            self.owned.role == "primary"
-            and self.owned.peer is not None
-        ):
-            seen = self.last_seen.get(self.owned.peer)
-            if seen is not None and now - seen > PEER_TIMEOUT:
-                causal.annotate(
-                    "peer_evicted",
-                    primary=str(self.address),
-                    peer=str(self.owned.peer),
-                    rect=str(self.owned.rect),
-                )
-                self._suspect(self.owned.peer)
-                self.owned.peer = None
-                self._announce_self()
-        # 0b. Drop the shortcuts whose delivery ack did not come back
-        #     within the failure timeout (see _route_forward).
-        if self._shortcut_unacked:
-            for request_id, (rect, sent) in list(
-                self._shortcut_unacked.items()
-            ):
-                if now - sent > FAILURE_HORIZON:
-                    del self._shortcut_unacked[request_id]
-                    self.shortcuts.invalidate_rect(rect)
-        # 1. Dual-peer failover: the secondary watches its primary at the
-        #    fast heartbeat frequency.
-        if self.owned.role == "secondary" and self.owned.peer is not None:
-            seen = self.last_seen.get(self.owned.peer)
-            if seen is not None and now - seen > PEER_TIMEOUT:
-                self._take_over_primary()
-                return
-        # 2. Neighbor failure detection at the slow frequency.  The pass
-        #    acts only on a silent primary or one naming our peer; while
-        #    the table and peer are unchanged and the oldest primary
-        #    ``last_seen`` (which only grows) is inside the horizon, it
-        #    would do nothing and is skipped.
-        if self.owned.role != "primary":
-            return
-        peer = self.owned.peer
-        if (
-            self._sweep_key != (self._view_epoch, peer)
-            or now - self._sweep_oldest > FAILURE_HORIZON
-        ):
-            self._sweep_neighbors(now, peer)
-        # 3. Expire stale neighbor workload statistics: an entry whose
-        #    heartbeats stopped (crash, departure, region re-granted
-        #    under a different rect) must not pin switch-candidate and
-        #    deflection decisions with its last-reported load forever.
-        #    Same timeout and clock-start discipline as the neighbor
-        #    sweep; skipped while no entry can have expired.
-        stats_at = self._neighbor_stats_at
-        if (
-            now - self._stats_oldest <= FAILURE_HORIZON
-            and len(stats_at) == len(self.neighbor_stats)
-        ):
-            return
-        for rect in list(self.neighbor_stats):
-            # An entry without a timestamp starts its clock now.
-            if now - stats_at.setdefault(rect, now) <= FAILURE_HORIZON:
-                continue
-            del self.neighbor_stats[rect]
-            stats_at.pop(rect, None)
-            self.neighbor_pressure.pop(rect, None)
-            obs.inc("adapt.stats.expired")
-        # Over an empty ledger the bound is ``now``, not ``inf``: an
-        # entry written later must still come up for expiry.
-        self._stats_oldest = min(stats_at.values(), default=now)
-
-    def _sweep_neighbors(self, now: float, peer: Optional[NodeAddress]) -> None:
-        """The failure sweep's pass over the neighbor table."""
-        for rect, info in list(self.neighbor_table.items()):
-            # Our secondary serves our region only, so a claim naming it
-            # as another region's primary is stale whatever its clock says.
-            if info.primary != peer:
-                if not self._silent(info.primary, now):
-                    continue
-                # Only the transition matters: an entry whose secondary
-                # keeps it (below) stays in the table, and re-suspecting
-                # its primary every tick would rescan the cache for
-                # nothing.
-                self._suspect(info.primary)
-            # Neither we nor our own secondary can be promoted into
-            # another region.
-            backed = info.secondary not in (None, self.address, peer)
-            if backed and not self._silent(info.secondary, now):
-                # The secondary will promote itself and announce; route via
-                # the secondary in the meantime.  A promotion announces a
-                # newer claim well inside the horizon, so a secondary
-                # still unheard of past it died with its primary.
-                continue
-            self._table_drop(rect)
-            if self._outclaimed(rect, info.stamp):
-                # Not a dead region: a stale claim a newer one replaced.
-                continue
-            # Last owner of the region is gone: become a caretaker until a
-            # join fills the hole.
-            causal.annotate(
-                "caretake_adopt",
-                caretaker=str(self.address),
-                rect=str(rect),
-                suspect=str(info.primary),
-            )
-            self._caretake(rect, info.stamp)
-            if backed:
-                # Both owners fell silent.  If the secondary was promoted
-                # after all, it announced itself to its replicated table,
-                # which can name a dead neighbor instead of us (two
-                # secondaries promoted at once): the probe reaches it, and
-                # its newer claim releases the hole.
-                self._send_probe(rect.center)
-        # An entry naming our peer is dropped whatever its clock says:
-        # ``-inf`` keeps the pass running while one is left.
-        last_seen = self.last_seen
-        self._sweep_key = (self._view_epoch, peer)
-        self._sweep_oldest = min(
-            (
-                -math.inf if info.primary == peer
-                else last_seen.get(info.primary, -math.inf)
-                for info in self.neighbor_table.values()
-            ),
-            default=math.inf,
-        )
-
-    def _silent(self, address: NodeAddress, now: float) -> bool:
-        """Whether ``address`` has been silent past the failure horizon.
-
-        An address never heard from starts its clock now, so a neighbor
-        that never speaks still times out eventually.
-        """
-        seen = self.last_seen.get(address)
-        if seen is None:
-            self.last_seen[address] = now
-            return False
-        return now - seen > FAILURE_HORIZON
 
     def _take_over_primary(self) -> None:
         """Dual-peer failover: activate the backup (Section 2.3)."""
@@ -2709,7 +2553,7 @@ class ProtocolNode:
         )
         note_handover("failover", failed, self.address, self.owned.snapshot())
         self.owned.role = "primary"
-        self.owned.peer = None
+        self._set_peer(None)
         self.owned.stamp += 1
         # Entries were learned in the secondary role; the rebuilt neighbor
         # table may now contain rects the cache also holds.  Start fresh.
@@ -3077,7 +2921,7 @@ class ProtocolNode:
             return
         if body.role == "secondary":
             if self.owned.peer == message.source:
-                self.owned.peer = None
+                self._set_peer(None)
                 self._announce_self()
             return
         if self._outclaimed(body.rect, body.stamp):

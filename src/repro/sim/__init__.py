@@ -20,7 +20,7 @@ this; the overlay model used by the paper-scale experiments does not need
 it (it is synchronous by construction).
 """
 
-from repro.sim.scheduler import Event, EventScheduler
+from repro.sim.scheduler import Event, EventScheduler, Periodic
 from repro.sim.rng import RngStreams
 from repro.sim.latency import (
     ConstantLatency,
@@ -40,6 +40,7 @@ from repro.sim.churn import ChurnConfig, ChurnProcess
 __all__ = [
     "Event",
     "EventScheduler",
+    "Periodic",
     "RngStreams",
     "LatencyModel",
     "ConstantLatency",

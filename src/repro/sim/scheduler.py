@@ -70,11 +70,14 @@ class Event:
 
         Idempotent, and a no-op after the event has fired.  The entry may
         linger in the owning scheduler's queue until it is popped or
-        lazily purged, but it no longer counts as pending.
+        lazily purged, but it no longer counts as pending, and the
+        callback is dropped at once so it stops pinning what it closed
+        over.
         """
         if self.cancelled or self._fired:
             return
         self.cancelled = True
+        self.callback = None
         if self._scheduler is not None:
             self._scheduler._on_cancel()
 
@@ -130,48 +133,17 @@ class EventScheduler:
         callback: EventCallback,
         jitter: float = 0.0,
         rng=None,
-    ) -> Event:
+    ) -> "Periodic":
         """Schedule a periodic callback (heartbeats, stat exchanges).
 
-        Re-arms itself after each firing; cancel the *returned* event's
-        most recent incarnation through the returned handle's ``cancel``
-        (the handle is refreshed in place on each re-arm).  With ``jitter``
-        > 0 and an ``rng``, each period is perturbed uniformly by up to
-        ``+- jitter`` to avoid lock-step synchronization artifacts.
+        Returns the timer's :class:`Periodic` handle; its ``cancel``
+        stops the timer.  With ``jitter`` > 0 and an ``rng``, each period
+        is perturbed uniformly by up to ``+- jitter`` to avoid lock-step
+        synchronization artifacts.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
-
-        handle_box: List[Event] = []
-
-        def fire() -> None:
-            # Periodic timers run *detached* from whatever context armed
-            # them: heartbeats and sweeps are causal roots, otherwise every
-            # firing for the rest of the run would accrete onto the trace
-            # that happened to start the timer.  The re-arm happens while
-            # detached too, so the chain stays clean.  (Module global set
-            # inline, as causal.detach/restore do, to spare two calls per
-            # firing; the re-arm still goes through ``at`` so anything
-            # wrapping it sees every event.)
-            previous = causal._current
-            causal._current = None
-            try:
-                callback()
-                period = interval
-                if jitter > 0.0 and rng is not None:
-                    period = max(1e-9, interval + rng.uniform(-jitter, jitter))
-                handle_box[0] = self.at(self.now + period, fire)
-            finally:
-                causal._current = previous
-
-        handle_box.append(self.after(interval, fire))
-
-        class _PeriodicHandle:
-            def cancel(self) -> None:
-                handle_box[0].cancel()
-
-        handle = _PeriodicHandle()
-        return handle  # type: ignore[return-value]
+        return Periodic(self, interval, callback, jitter, rng)
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -246,3 +218,133 @@ class EventScheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EventScheduler(now={self.now:g}, pending={self.pending()})"
+
+
+class Periodic:
+    """The handle of one periodic timer (see :meth:`EventScheduler.every`).
+
+    Each firing re-arms the timer at ``now + period`` through the
+    scheduler's ``at``, so a jitter-free timer ticks on a fixed lattice
+    of floats: the origin plus the interval, added once per tick.
+
+    A jitter-free timer can also ``sleep`` through lattice ticks its
+    callback knows to be no-ops and be woken back onto the lattice; it
+    then fires on exactly the floats an uninterrupted timer would, minus
+    the ticks slept through.  The callback's return value is ignored.
+    """
+
+    __slots__ = (
+        "interval", "_scheduler", "_callback", "_jitter", "_rng", "_event",
+        "_last", "_skip", "_cancelled",
+    )
+
+    def __init__(
+        self,
+        scheduler: EventScheduler,
+        interval: float,
+        callback: EventCallback,
+        jitter: float,
+        rng,
+    ) -> None:
+        self.interval = interval
+        self._scheduler = scheduler
+        self._callback = callback
+        self._jitter = jitter
+        #: Only a jittered timer draws on ``rng``; ``None`` marks the
+        #: jitter-free (lattice) timers that may sleep.
+        self._rng = rng if jitter > 0.0 else None
+        #: The last tick fired (the lattice origin before the first).
+        self._last = scheduler.now
+        #: Ticks the re-arm skips; set by ``sleep`` from the callback.
+        self._skip = 0
+        self._cancelled = False
+        #: The armed event; ``None`` while the callback runs.
+        self._event: Optional[Event] = scheduler.after(interval, self._fire)
+
+    def _fire(self) -> None:
+        # Periodic timers run *detached* from whatever context armed
+        # them: heartbeats and sweeps are causal roots, otherwise every
+        # firing for the rest of the run would accrete onto the trace
+        # that happened to start the timer.  The re-arm happens while
+        # detached too, so the chain stays clean.  (Module global set
+        # inline, as causal.detach/restore do, to spare two calls per
+        # firing; the re-arm still goes through ``at`` so anything
+        # wrapping it sees every event.)
+        previous = causal._current
+        causal._current = None
+        scheduler = self._scheduler
+        self._last = scheduler.now
+        self._event = None
+        try:
+            self._callback()
+            if self._cancelled:
+                return
+            period = self.interval
+            if self._rng is not None:
+                period = max(1e-9, period + self._rng.uniform(-self._jitter, self._jitter))
+            when = scheduler.now + period
+            for _ in range(self._skip):
+                when += period
+            self._skip = 0
+            self._event = scheduler.at(when, self._fire)
+        finally:
+            causal._current = previous
+
+    @property
+    def due(self) -> float:
+        """The time of the next tick that will fire (jitter-free timers)."""
+        self._check_lattice()
+        if self._event is not None:
+            return self._event.time
+        when = self._last + self.interval
+        for _ in range(self._skip):
+            when += self.interval
+        return when
+
+    def sleep(self, ticks: int) -> None:
+        """Skip the next ``ticks`` lattice ticks that have not fired yet."""
+        self._check_lattice()
+        if ticks <= 0 or self._cancelled:
+            return
+        event = self._event
+        if event is None:
+            # Called from the callback: the re-arm skips them.
+            self._skip += ticks
+            return
+        when = event.time
+        for _ in range(ticks):
+            when += self.interval
+        self._rearm(when)
+
+    def wake(self) -> None:
+        """Pull the timer back to the first lattice tick strictly after
+        ``now`` (a no-op unless it is asleep)."""
+        self._check_lattice()
+        if self._cancelled:
+            return
+        event = self._event
+        if event is None:
+            self._skip = 0
+            return
+        now = self._scheduler.now
+        when = self._last + self.interval
+        while when <= now:
+            when += self.interval
+        if when < event.time:
+            self._rearm(when)
+
+    def cancel(self) -> None:
+        """Stop the timer, also from inside its own callback."""
+        self._cancelled = True
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _rearm(self, when: float) -> None:
+        assert self._event is not None
+        self._event.cancel()
+        self._event = self._scheduler.at(when, self._fire)
+
+    def _check_lattice(self) -> None:
+        if self._rng is not None:
+            raise SimulationError("only a jitter-free timer can sleep")

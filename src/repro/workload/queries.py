@@ -12,14 +12,15 @@ Used by the routing-workload experiments and the example applications.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from repro.geometry import Point
 from repro.core.node import Node
 from repro.core.query import LocationQuery
 from repro.workload.hotspot import HotspotField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QueryGenerator:
@@ -70,7 +71,7 @@ class QueryGenerator:
                 rng.uniform(bounds.y, bounds.y2),
             )
         u = rng.random() * weights[-1]
-        flat_index = int(np.searchsorted(weights, u, side="right"))
+        flat_index = int(weights.searchsorted(u, side="right"))
         flat_index = min(flat_index, weights.shape[0] - 1)
         grid = self.field.grid
         ix, iy = divmod(flat_index, grid.ny)
@@ -112,6 +113,6 @@ class QueryGenerator:
             if flat.sum() <= 0.0:
                 self._cumulative = None
             else:
-                self._cumulative = np.cumsum(flat)
+                self._cumulative = flat.cumsum()
             self._cumulative_version = version
         return self._cumulative

@@ -1,12 +1,37 @@
 """Tests for repro.geometry.grid -- the discretized workload field."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.geometry import CellGrid, Circle, Point, Rect
+
+#: Run in a fresh interpreter: numpy stays unloaded through the protocol
+#: and deployment imports, and the first grid loads it.
+LAZY_NUMPY = """
+import sys
+import repro.protocol
+import repro.experiments.build
+assert "numpy" not in sys.modules, "numpy loaded at import"
+from repro.geometry import CellGrid, Rect
+CellGrid(Rect(0, 0, 4, 4), 1.0)
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_loads_with_the_first_grid():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMPY], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Tests for repro.obs -- the metrics registry and the no-op facade."""
 
 import json
+import random
+import zlib
 
 import pytest
 
@@ -75,6 +77,21 @@ class TestHistogram:
             b.observe(float(value))
         assert a._sample == b._sample
         assert a.summary() == b.summary()
+
+    def test_rng_is_built_at_the_first_draw_with_the_name_seed(self):
+        histogram = Histogram("lazy", reservoir=8)
+        for value in range(8):
+            histogram.observe(float(value))
+        assert histogram._rng is None
+        # Algorithm R over the same stream with the rng built up front.
+        rng = random.Random(zlib.crc32(b"lazy"))
+        expected = [float(value) for value in range(8)]
+        for count, value in enumerate(range(8, 200), 9):
+            histogram.observe(float(value))
+            slot = int(rng.random() * count)
+            if slot < 8:
+                expected[slot] = float(value)
+        assert histogram._sample == expected
 
     def test_invalid_reservoir_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ Two per-tick sweeps skip their work while nothing relevant changed:
   skips its neighbor-table pass while ``(_view_epoch, owned.peer)`` is
   unchanged and the smallest ``last_seen`` of the table primaries is
   inside the horizon, and skips its stats-expiry pass while a lower
-  bound on the stats timestamps is.
+  bound on the stats timestamps is; its timer then sleeps through the
+  ticks at which none of its guards can act.
 
 The differential tests drive a live cluster through a crash and a join
 and check every sweep against the full computation it replaces; the
@@ -26,6 +27,7 @@ from repro.geometry import Point, Rect
 from repro.geometry.rect import perimeter_gap
 from repro.protocol import ProtocolCluster
 from repro.protocol import messages as m
+from repro.protocol.failure import CHECK_INTERVAL, PEER_TIMEOUT
 from repro.protocol.node import (
     FAILURE_HORIZON, HEARTBEAT_INTERVAL, ProtocolNode,
 )
@@ -371,6 +373,141 @@ def test_failure_sweep_bounds_skip_only_no_op_passes(monkeypatch):
     for key in ("neighbor_passes", "stats_passes", "caretakes", "evictions",
                 "expired", "suspects"):
         assert tally[key] > 0, (key, tally)
+
+
+def full_sweep_state(node):
+    """Everything a full ``_check_failures`` may change, its bounds too."""
+    return sweep_state(node) + (
+        node._sweep_key, node._sweep_oldest, node._stats_oldest,
+        node._claims_oldest, list(node._claims_heard.items()),
+        dict(node._shortcut_unacked), node.owned.peer, node.owned.role,
+    )
+
+
+def sweep_can_act(node, now, tick):
+    """Whether the sweep, with the node's state as it is at ``now``, can
+    act at ``tick``: the guards of ``_check_failures`` one by one, with a
+    claim, shortcut or peer stamp not yet written taken as written at
+    ``now`` (it can be no older)."""
+    owned = node.owned
+
+    def past(stamp, timeout):
+        return tick - stamp > timeout
+
+    stamps = [now, node._claims_oldest]
+    stamps.extend(sent for _, sent in node._shortcut_unacked.values())
+    if any(past(stamp, FAILURE_HORIZON) for stamp in stamps):
+        return True
+    if owned.peer is not None and past(node.last_seen.get(owned.peer, now), PEER_TIMEOUT):
+        return True
+    if owned.role != "primary":
+        return False
+    return (
+        node._sweep_key != (node._view_epoch, owned.peer)
+        or past(node._sweep_oldest, FAILURE_HORIZON)
+        or past(node._stats_oldest, FAILURE_HORIZON)
+        or len(node._neighbor_stats_at) != len(node.neighbor_stats)
+    )
+
+
+def next_tick(tick, after):
+    """The first lattice tick past ``tick`` strictly after ``after``."""
+    tick += CHECK_INTERVAL
+    while tick <= after:
+        tick += CHECK_INTERVAL
+    return tick
+
+
+def test_failure_sweep_sleeps_exactly_through_no_op_ticks(monkeypatch):
+    """The sweep's timer fires on exactly the lattice tick at which the
+    sweep can next act, or the first one after a wake; at every tick it
+    sleeps through, a full ``_check_failures`` changes nothing."""
+    original = ProtocolNode._check_failures
+    original_wake = ProtocolNode._wake_sweep
+    watch = {}
+    firing = set()
+    tally = dict.fromkeys(("fires", "slept", "probes", "wakes"), 0)
+
+    def wake(self):
+        entry = watch.get(self)
+        if entry is not None and self not in firing and entry["woken"] is None:
+            entry["woken"] = self.scheduler.now
+            tally["wakes"] += 1
+        original_wake(self)
+
+    def probe(node, tick, entry):
+        if watch.get(node) is not entry or not node.alive or node.owned is None:
+            return
+        if node._sweep_timer.due <= tick:
+            return  # woken onto this very tick
+        tally["probes"] += 1
+        before = full_sweep_state(node)
+        node._sweep_failures(tick)
+        assert full_sweep_state(node) == before, (node.address, tick)
+
+    def checked(self):
+        now = self.scheduler.now
+        entry = watch.pop(self, None)
+        if entry is not None and entry["timer"] is self._sweep_timer:
+            expected = entry["due"]
+            if entry["woken"] is not None:
+                expected = min(expected, next_tick(entry["tick"], entry["woken"]))
+            assert now == expected, (self.address, entry)
+            tally["fires"] += 1
+        firing.add(self)
+        try:
+            original(self)
+        finally:
+            firing.discard(self)
+        if not self.alive or self.owned is None:
+            return
+        due = now + CHECK_INTERVAL
+        while not sweep_can_act(self, now, due):
+            due += CHECK_INTERVAL
+        entry = {"tick": now, "due": due, "woken": None, "timer": self._sweep_timer}
+        watch[self] = entry
+        tick = now + CHECK_INTERVAL
+        while tick < due:
+            tally["slept"] += 1
+            self.scheduler.at(tick, lambda t=tick: probe(self, t, entry))
+            tick += CHECK_INTERVAL
+
+    monkeypatch.setattr(ProtocolNode, "_check_failures", checked)
+    monkeypatch.setattr(ProtocolNode, "_wake_sweep", wake)
+    cluster, rng = build(32)
+    fault_run(cluster, rng)
+    assert tally["fires"] > 1000
+    assert tally["slept"] > tally["fires"]
+    assert tally["probes"] > tally["slept"] // 2
+    assert tally["wakes"] > 100
+
+
+def test_failure_sweep_sleep_is_capped_for_stamps_not_yet_written():
+    """A claim, shortcut or peer stamp written while the sweep sleeps is
+    no older than the sleep, so the sweep is back by the first tick past
+    each timeout from there; those writes need no wake."""
+    cluster, _ = build(12)
+    cluster.settle(30)
+    node = next(n for n in cluster.nodes.values() if n.alive and n.is_secondary())
+    timer = node._sweep_timer
+    now = cluster.scheduler.now
+    node._claims_heard, node._claims_oldest = {}, math.inf
+    node._shortcut_unacked.clear()
+
+    def capped(timeout):
+        tick = timer.due
+        while not tick - now > timeout:
+            tick += CHECK_INTERVAL
+        return tick
+
+    del node.last_seen[node.owned.peer]
+    expected = capped(PEER_TIMEOUT)
+    node._sleep_sweep(now)
+    assert timer.due == expected
+    node.owned.peer = None
+    expected = capped(FAILURE_HORIZON)
+    node._sleep_sweep(now)
+    assert timer.due == expected
 
 
 def test_failure_sweep_bound_follows_peer_claims_and_unclocked_stats():

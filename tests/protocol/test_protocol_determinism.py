@@ -28,8 +28,11 @@ BOUNDS = Rect(0, 0, 64, 64)
 #: split parents), which drew heartbeats, longer routes and fan-outs, and
 #: five lookups were answered twice by the same region.  The distinct
 #: answering regions (90) and the delivered routes (99) are unchanged.
+#: ``fired`` was re-recorded (16976 -> 12229) when the failure sweep's
+#: timer began sleeping through its idle ticks: only the scheduler's
+#: event count moved, every send and answer is the same.
 EXPECTED = {
-    "fired": 16976,
+    "fired": 12229,
     "sent": 5886,
     "delivered": 99,
     "hop_sum": 128,

@@ -1,6 +1,8 @@
 """Tests for repro.sim.scheduler."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -153,6 +155,143 @@ class TestPeriodic:
         scheduler = EventScheduler()
         with pytest.raises(SimulationError):
             scheduler.every(0.0, lambda: None)
+
+    def test_every_cancel_from_its_own_callback_stops(self):
+        scheduler = EventScheduler()
+        fired = []
+
+        def tick():
+            fired.append(scheduler.now)
+            if len(fired) == 2:
+                handle.cancel()
+
+        handle = scheduler.every(1.0, tick)
+        scheduler.run_until(10.0)
+        assert fired == [1.0, 2.0]
+        assert scheduler.pending() == 0
+
+
+def lattice_run(drive, until=12.0):
+    """Fire times of a 0.3-period timer started at 0.1 (a lattice whose
+    floats are inexact, so a re-derived tick would show); ``drive(
+    scheduler, handle, fired)`` may put the timer to sleep and wake it."""
+    scheduler = EventScheduler(start_time=0.1)
+    fired = []
+
+    def tick():
+        fired.append(scheduler.now)
+        drive(scheduler, handle, fired)
+
+    handle = scheduler.every(0.3, tick)
+    scheduler.run_until(until)
+    return fired
+
+
+class TestPeriodicSleep:
+    def setup_method(self):
+        self.plain = lattice_run(lambda *_: None)
+
+    def test_sleep_then_wake_fires_on_the_uninterrupted_ticks(self):
+        plain = self.plain
+        wake_at = (plain[9] + plain[10]) / 2
+
+        def drive(scheduler, handle, fired):
+            if len(fired) == 3:
+                handle.sleep(20)
+                scheduler.at(wake_at, handle.wake)
+
+        assert lattice_run(drive) == plain[:3] + plain[10:]
+
+    def test_wake_on_a_tick_pulls_to_the_next_one(self):
+        plain = self.plain
+
+        def drive(scheduler, handle, fired):
+            if len(fired) == 3:
+                handle.sleep(20)
+                scheduler.at(plain[7], handle.wake)
+
+        assert lattice_run(drive) == plain[:3] + plain[8:]
+
+    def test_sleep_outside_the_callback_skips_armed_ticks(self):
+        plain = self.plain
+
+        def drive(scheduler, handle, fired):
+            if len(fired) == 2:
+                # Runs after the re-arm: the timer is armed at plain[2].
+                scheduler.after(0.0, lambda: handle.sleep(4))
+
+        assert lattice_run(drive) == plain[:2] + plain[6:]
+
+    def test_wake_from_the_callback_cancels_its_sleep(self):
+        def drive(scheduler, handle, fired):
+            handle.sleep(5)
+            handle.wake()
+
+        assert lattice_run(drive) == self.plain
+
+    def test_due_names_the_next_tick(self):
+        plain = self.plain
+        seen = []
+
+        def drive(scheduler, handle, fired):
+            if len(fired) == 1:
+                handle.sleep(2)
+                seen.append(handle.due)
+
+        assert lattice_run(drive)[1] == seen[0] == plain[3]
+
+    def test_cancel_after_sleep_stops(self):
+        fired = []
+        scheduler = EventScheduler()
+        handle = scheduler.every(1.0, lambda: fired.append(scheduler.now))
+        scheduler.run_until(1.5)
+        handle.sleep(3)
+        handle.cancel()
+        handle.wake()
+        scheduler.run_until(20.0)
+        assert fired == [1.0]
+        assert scheduler.pending() == 0
+
+    def test_jittered_timer_cannot_sleep(self):
+        scheduler = EventScheduler()
+        handle = scheduler.every(1.0, lambda: None, jitter=0.1, rng=random.Random(1))
+        for call in (lambda: handle.sleep(1), handle.wake):
+            with pytest.raises(SimulationError):
+                call()
+
+
+class TestCancelReleases:
+    class Payload:
+        pass
+
+    def test_cancelled_event_drops_its_callback(self):
+        scheduler = EventScheduler()
+        payload = self.Payload()
+        ref = weakref.ref(payload)
+        event = scheduler.at(1.0, lambda payload=payload: None)
+        del payload
+        gc.disable()
+        try:
+            assert ref() is not None
+            event.cancel()
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_cancelled_periodic_is_freed_without_the_collector(self):
+        scheduler = EventScheduler()
+        payload = self.Payload()
+        ref = weakref.ref(payload)
+        handle = scheduler.every(1.0, lambda payload=payload: None)
+        scheduler.run_until(2.5)
+        del payload
+        gc.disable()
+        try:
+            handle.cancel()
+            del handle
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestGuards:
