@@ -29,7 +29,7 @@ adaptations fail".  :class:`MergeWithNeighbor` (c) and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AdaptationError
 from repro.core.region import Region
@@ -210,6 +210,31 @@ class StealSecondary(_Paired):
         _install_secondary(plan, ctx, plan.region, event)
 
 
+def switch_partner(
+    load: float, capacity: float,
+    candidates: Sequence[Tuple[float, float]], margin: float,
+) -> Optional[int]:
+    """Mechanism (b)'s choice for a region carrying ``load`` on a primary
+    of ``capacity``, among candidate regions' ``(load, capacity)`` pairs.
+
+    Only a stronger candidate qualifies, and only when the swap brings the
+    pair's maximum index strictly below ``margin`` times what it was, so
+    the reverse swap can never fire right after (no two-region
+    oscillation).  Returns the position of the lowest resulting maximum
+    (the first wins a tie), or ``None``.  Both layers' switch decides here.
+    """
+    index = load / capacity
+    best, best_after = None, float("inf")
+    for position, (other_load, other_capacity) in enumerate(candidates):
+        if other_capacity <= capacity:
+            continue
+        before = max(index, other_load / other_capacity)
+        after = max(load / other_capacity, other_load / capacity)
+        if after < before * margin and after < best_after:
+            best, best_after = position, after
+    return best
+
+
 class SwitchPrimaries(_Paired):
     """(b) Switch Primary Owners / (h) Switch Primary with a Remote Primary.
 
@@ -226,11 +251,8 @@ class SwitchPrimaries(_Paired):
     overloaded primary owner will switch its position with the discovered
     remote primary owner."
 
-    Initiated by the overloaded region: it looks for a primary that is
-    *stronger* and whose load is lower, and swaps primaries with it.  The
-    swap is only taken when it strictly lowers the pairwise maximum index,
-    which also guarantees the reverse swap can never fire right after (no
-    two-region oscillation).
+    Initiated by the overloaded region, which :func:`switch_partner`
+    pairs with a stronger primary, or with none.
     """
 
     keys = ("b", "h")
@@ -240,21 +262,18 @@ class SwitchPrimaries(_Paired):
         if primary is None or (self.remote and not region.is_full):
             return None
         my_load = ctx.region_load(region)
-        my_index = my_load / primary.capacity
-        best, best_pair_after = None, float("inf")
-        for candidate in self.candidates(region, ctx):
-            other = candidate.primary
-            other_load = ctx.region_load(candidate)
-            pair_before = max(my_index, other_load / other.capacity)
-            pair_after = max(my_load / other.capacity, other_load / primary.capacity)
-            if not self.improves_enough(pair_before, pair_after, ctx):
-                continue
-            if pair_after < best_pair_after:
-                best, best_pair_after = candidate, pair_after
-        if best is None:
+        candidates = self.candidates(region, ctx)
+        choice = switch_partner(
+            my_load, primary.capacity,
+            [(ctx.region_load(c), c.primary.capacity) for c in candidates],
+            ctx.config.improvement_margin,
+        )
+        if choice is None:
             return None
+        best = candidates[choice]
         return AdaptationPlan(
-            self.key, region, best, my_index, my_load / best.primary.capacity,
+            self.key, region, best, my_load / primary.capacity,
+            my_load / best.primary.capacity,
             f"switch primaries of region {region.region_id} (cap "
             f"{primary.capacity:g}) and {self.where}region {best.region_id} "
             f"(cap {best.primary.capacity:g})",

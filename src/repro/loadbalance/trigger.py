@@ -15,7 +15,7 @@ triggering on measurement noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from repro.core.node import Node
 from repro.loadbalance.config import TRIGGER_RATIO
@@ -47,6 +47,13 @@ class TriggerRule:
         if self.min_index < 0.0:
             raise ValueError(f"min_index must be >= 0, got {self.min_index!r}")
 
+    def fires(self, index: float, lowest: Optional[float]) -> bool:
+        """The trigger over plain numbers: a node's ``index`` against the
+        lowest among its neighbors' (``None``: no neighbors)."""
+        if index <= self.min_index or lowest is None:
+            return False
+        return index > self.ratio * lowest
+
     def should_adapt(
         self, node: Node, calc: Union[WorkloadIndexCalculator, IndexTable]
     ) -> bool:
@@ -54,8 +61,5 @@ class TriggerRule:
         calculator, or the engine's per-round :class:`IndexTable`."""
         index = calc.node_index(node)
         if index <= self.min_index:
-            return False
-        lowest = calc.min_neighbor_index(node)
-        if lowest is None:
-            return False
-        return index > self.ratio * lowest
+            return False  # skip the neighbor scan: the floor already refuses
+        return self.fires(index, calc.min_neighbor_index(node))

@@ -262,10 +262,10 @@ class HeartbeatBody:
     role: str
     secondary: Optional[NodeAddress] = None
     neighbors: Tuple["NeighborInfo", ...] = ()
-    #: The sender's workload index (served load / capacity) and raw
-    #: capacity -- the "workload statistic information" nodes periodically
-    #: exchange with their neighbors (Section 2.4).
-    index: float = 0.0
+    #: The sender's region load (served per time unit) and raw capacity --
+    #: the "workload statistic information" nodes periodically exchange
+    #: with their neighbors (Section 2.4).
+    load: float = 0.0
     capacity: float = 0.0
     #: Holes the sender is currently caretaking.  A hole has no owner to
     #: heartbeat it into anyone's neighbor table, so this is the only
@@ -520,6 +520,10 @@ class RegionStateBody:
     data: RegionData = RegionData()
     #: The shipped claim's stamp; the installer claims it one higher.
     stamp: int = 0
+    #: The region's load (served per time unit over the last stat window)
+    #: and its served count in the open window: the load moves with it.
+    load_rate: float = 0.0
+    served: int = 0
 
 
 @dataclass(frozen=True)
@@ -527,10 +531,10 @@ class SwitchRequestBody:
     """Mechanism (b) over messages: an overloaded primary proposes to
     switch positions with a stronger, cooler neighbor primary."""
 
-    #: The initiator's region state, ready to install on acceptance.
+    #: The initiator's region state, ready to install on acceptance; its
+    #: ``load_rate`` is the load the target re-checks the pair with.
     state: RegionStateBody
     initiator_capacity: float
-    initiator_index: float
 
 
 @dataclass(frozen=True)
@@ -546,7 +550,7 @@ class SwitchAcceptBody:
 
 @dataclass(frozen=True)
 class SwitchRejectBody:
-    """The proposal was declined (capacity, load, or a concurrent swap)."""
+    """The proposal was declined (no better pair, a swap or a cooldown)."""
 
     reason: str
 

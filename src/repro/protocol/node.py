@@ -27,7 +27,9 @@ from repro.geometry import Point, Rect
 from repro.geometry.rect import perimeter_gap
 from repro.bootstrap import BootstrapServer, HostCache
 from repro.core.node import Node, NodeAddress
-from repro.loadbalance.config import TRIGGER_RATIO
+from repro.loadbalance.config import AdaptationConfig
+from repro.loadbalance.mechanisms import switch_partner
+from repro.loadbalance.trigger import TriggerRule
 from repro import obs
 from repro.obs import causal
 from repro.obs.health import HealthScorer, NeighborHealthView
@@ -68,6 +70,20 @@ SLO_PENDING_LIMIT = 1024
 
 #: Primary-to-secondary full state sync period.
 SYNC_INTERVAL = 10.0
+#: Window over which served requests are counted into ``load_rate``.
+STAT_INTERVAL = 10.0
+#: Period of a primary's switch check when adaptation is enabled.
+ADAPTATION_INTERVAL = 15.0
+#: The model's adaptation settings: the primary switch uses their trigger,
+#: pair margin and cooldown, so both layers follow one rule.
+ADAPTATION = AdaptationConfig()
+SWITCH_TRIGGER = TriggerRule(ADAPTATION.trigger_ratio, ADAPTATION.min_index)
+#: A node installed by a switch takes part in no other for this long: the
+#: model's ``cooldown_rounds`` plus the round it adapted in.
+SWITCH_COOLDOWN = (ADAPTATION.cooldown_rounds + 1) * ADAPTATION_INTERVAL
+#: Period of a subscriber's lease re-assertion
+#: (:meth:`ProtocolNode._sub_renewals`).
+SUB_RENEW_INTERVAL = 30.0
 #: A joiner that has not been granted a region after this long retries
 #: through a fresh entry node (join messages are best-effort like
 #: everything else and can be lost).
@@ -158,24 +174,10 @@ class NodeConfig:
 
     #: Whether joins fill empty secondary slots (dual peer) or always split.
     dual_peer: bool = True
-    #: Length of the sliding window over which served requests are counted
-    #: toward the node's workload index.
-    stat_interval: float = 10.0
     #: Whether the distributed load adaptation (message-level mechanism
     #: (b): switch primary owners) runs; the paper-scale adaptation study
     #: uses the overlay model, so this is opt-in.
     adaptation_enabled: bool = False
-    #: How often an overloaded primary considers proposing a switch.
-    adaptation_interval: float = 15.0
-    #: Interval at which a subscriber re-asserts each live lease it
-    #: originated.  Registrations are soft state like store records: a
-    #: region can lose every copy at once (a primary with no standing
-    #: secondary crashes), and the renewal re-routes the same record --
-    #: version bumped, ``registered_at``/``duration`` untouched, so the
-    #: absolute expiry stands -- onto whoever covers the ground now.
-    #: Renewal repairs placement; it never extends the lease, so a
-    #: subscriber that stops renewing still lapses on schedule.
-    sub_renew_interval: float = 30.0
     #: Whether the overload control plane runs: capacity-scaled ingress
     #: admission with priority classes (control > acks > data > queries
     #: > gossip), SHED NACKs with retry-after hints, backpressure
@@ -324,9 +326,10 @@ class ProtocolNode(FailureSweep):
         #: Requests served in the current statistics window.
         self._window_served = 0
         #: Served-per-time-unit rate measured over the last full window.
+        #: Both belong to the owned region: a switch ships them with it.
         self.load_rate = 0.0
         #: Latest workload statistics gossiped by neighbor primaries:
-        #: rect -> (index, capacity).
+        #: rect -> (load, capacity).
         self.neighbor_stats: Dict[Rect, Tuple[float, float]] = {}
         #: When each :attr:`neighbor_stats` entry was last refreshed by a
         #: heartbeat.  Entries whose heartbeats stop are expired by the
@@ -351,8 +354,11 @@ class ProtocolNode(FailureSweep):
         self.neighbor_pressure: Dict[Rect, float] = {}
         #: Set while a primary switch we take part in is in flight: the
         #: initiator's until the accept, the target's until the initiator
-        #: can have installed (both at most ``adaptation_interval``).
+        #: can have installed (both at most :data:`ADAPTATION_INTERVAL`).
         self._switch_pending = False
+        #: Until when a switch this node installed keeps it out of the
+        #: next one (:data:`SWITCH_COOLDOWN`).
+        self._switch_quiet_until = -math.inf
         #: The region data shipped with the pending switch request; what
         #: is written after it is replayed once the switch completes.
         self._switch_capture: Optional[m.RegionData] = None
@@ -462,7 +468,7 @@ class ProtocolNode(FailureSweep):
             m.SECONDARY_RELEASED: self._on_secondary_released,
             m.SWITCH_REQUEST: self._on_switch_request,
             m.SWITCH_ACCEPT: self._on_switch_accept,
-            m.SWITCH_REJECT: self._on_switch_reject,
+            m.SWITCH_REJECT: self._clear_pending_switch,
             m.ROUTE_DELIVERED: self._on_answer,
             m.QUERY_FANOUT: self._on_query_fanout,
             m.QUERY_RESULT: self._on_answer,
@@ -657,7 +663,6 @@ class ProtocolNode(FailureSweep):
             self.network.crash(self.address)
 
     def _start_timers(self) -> None:
-        cfg = self.config
         # (interval, callback, jitter); only jittered timers draw on rng.
         timers = [
             (HEARTBEAT_INTERVAL, self._send_neighbor_heartbeats,
@@ -666,12 +671,12 @@ class ProtocolNode(FailureSweep):
              PEER_HEARTBEAT_INTERVAL * 0.1),
             (SYNC_INTERVAL, self._send_sync, 0.0),
             (CHECK_INTERVAL, self._check_failures, 0.0),
-            (cfg.stat_interval, self._roll_stat_window, 0.0),
+            (STAT_INTERVAL, self._roll_stat_window, 0.0),
         ]
-        if cfg.adaptation_enabled:
+        if self.config.adaptation_enabled:
             timers.append((
-                cfg.adaptation_interval, self._consider_switch,
-                cfg.adaptation_interval * 0.2,
+                ADAPTATION_INTERVAL, self._consider_switch,
+                ADAPTATION_INTERVAL * 0.2,
             ))
         for interval, callback, jitter in timers:
             timer = self.scheduler.every(interval, callback, jitter=jitter, rng=self.rng)
@@ -682,25 +687,17 @@ class ProtocolNode(FailureSweep):
     # ------------------------------------------------------------------
     # Workload statistics (Section 2.4: periodic stat exchange)
     # ------------------------------------------------------------------
-    @property
-    def workload_index(self) -> float:
-        """Requests served per time unit, normalized by capacity."""
-        return self.load_rate / self.node.capacity
-
     def _roll_stat_window(self) -> None:
         if not self.alive:
             return
-        self.load_rate = self._window_served / self.config.stat_interval
+        self.load_rate = self._window_served / STAT_INTERVAL
         self._window_served = 0
         if self._overload:
             # Escalation: shedding buys time, adaptation fixes the
             # cause.  A primary that shed in ``overload.ESCALATE_WINDOWS``
             # consecutive stat windows is persistently over budget --
-            # bring the sqrt(2) switch check forward instead of waiting
-            # out the adaptation timer.  _consider_switch re-applies its
-            # own guards (alive, primary, trigger ratio, no pending
-            # proposal), so an early call can only propose a switch the
-            # periodic check would also have proposed.
+            # bring the switch check forward.  It re-applies all its
+            # guards, so it can only propose what the timer's would.
             if self._shed_window:
                 self._shed_streak += 1
                 if (
@@ -1904,7 +1901,7 @@ class ProtocolNode(FailureSweep):
         owned = self.owned
         beat = m.HeartbeatBody(
             rect=owned.rect, role="primary", secondary=owned.peer,
-            index=self.workload_index, capacity=self.node.capacity,
+            load=self.load_rate, capacity=self.node.capacity,
             stamp=owned.stamp,
         )
         if gossip:
@@ -2073,7 +2070,7 @@ class ProtocolNode(FailureSweep):
         beat = m.HeartbeatBody(
             rect=self.owned.rect, role="primary", secondary=self.owned.peer,
             neighbors=gossip,
-            index=self.workload_index, capacity=self.node.capacity,
+            load=self.load_rate, capacity=self.node.capacity,
             caretaken=caretaken,
             vitals=vitals,
             pressure=pressure,
@@ -2335,7 +2332,7 @@ class ProtocolNode(FailureSweep):
             return
         owned = self.owned
         if owned is not None and body.rect != owned.rect:
-            self.neighbor_stats[body.rect] = (body.index, body.capacity)
+            self.neighbor_stats[body.rect] = (body.load, body.capacity)
             self._neighbor_stats_at[body.rect] = self.scheduler.now
             if self._overload:
                 self.neighbor_pressure[body.rect] = body.pressure
@@ -2722,6 +2719,8 @@ class ProtocolNode(FailureSweep):
             neighbors=tuple(self.neighbor_table.values()),
             data=self.owned.snapshot(),
             stamp=self.owned.stamp,
+            load_rate=self.load_rate,
+            served=self._window_served,
         )
 
     def _install_state(
@@ -2735,7 +2734,8 @@ class ProtocolNode(FailureSweep):
         The installed claim is stamped one above the shipped one, and the
         region this node gives away becomes ``counterpart``'s claim one
         above ours; when the two swapped regions are adjacent, that claim
-        replaces the transferred table's stale self-entry for it.
+        replaces the transferred table's stale self-entry for it.  The
+        region's load comes with it, and :data:`SWITCH_COOLDOWN` starts.
         ``unshipped`` holds records written to the given-away region
         after its state was captured: they are adopted here, and the
         rehome sweep of the sync below routes them to the region's new
@@ -2755,6 +2755,8 @@ class ProtocolNode(FailureSweep):
             # yet: its liveness clock starts now, not at its last beat to
             # us from some earlier role.
             self.last_seen[state.peer] = self.scheduler.now
+        self.load_rate, self._window_served = state.load_rate, state.served
+        self._switch_quiet_until = self.scheduler.now + SWITCH_COOLDOWN
         self.owned.absorb(state.data)
         note_handover("switch", counterpart, self.address, state.data)
         self.owned.absorb(unshipped)
@@ -2785,41 +2787,35 @@ class ProtocolNode(FailureSweep):
         self._send_sync()
         self._send_neighbor_heartbeats()
 
-    def _consider_switch(self) -> None:
-        """The periodic adaptation check of an overloaded primary."""
-        if (
-            not self.alive
-            or self.owned is None
-            or self.owned.role != "primary"
-            or self._switch_pending
-        ):
-            return
-        my_index = self.workload_index
-        stats = [
-            (rect, index, capacity)
-            for rect, (index, capacity) in self.neighbor_stats.items()
-            if rect in self.neighbor_table
-        ]
-        if not stats:
-            return
-        lowest = min(index for _, index, _ in stats)
-        if my_index <= TRIGGER_RATIO * lowest:
-            return
-        candidates = [
-            (rect, index, capacity)
-            for rect, index, capacity in stats
-            if capacity > self.node.capacity and index < my_index
-        ]
-        if not candidates:
-            return
-        rect, _, _ = max(
-            candidates, key=lambda entry: (entry[2], -entry[1])
+    def _switch_ready(self) -> bool:
+        """Whether this node may propose or accept a primary switch."""
+        return (
+            self.owned is not None
+            and self.owned.role == "primary"
+            and not self._switch_pending
+            and self.scheduler.now >= self._switch_quiet_until
         )
-        target = self.neighbor_table[rect].primary
+
+    def _consider_switch(self) -> None:
+        """The periodic adaptation check of an overloaded primary: the
+        model's trigger, then its pair test over the neighbor stats."""
+        if not self.alive or not self._switch_ready():
+            return
+        table = self.neighbor_table
+        rects = [rect for rect in self.neighbor_stats if rect in table]
+        stats = [self.neighbor_stats[rect] for rect in rects]
+        capacity = self.node.capacity
+        lowest = min((load / cap for load, cap in stats), default=None)
+        if not SWITCH_TRIGGER.fires(self.load_rate / capacity, lowest):
+            return
+        choice = switch_partner(
+            self.load_rate, capacity, stats, ADAPTATION.improvement_margin
+        )
+        if choice is None:
+            return
+        target = table[rects[choice]].primary
         request = m.SwitchRequestBody(
-            state=self._capture_state(),
-            initiator_capacity=self.node.capacity,
-            initiator_index=my_index,
+            state=self._capture_state(), initiator_capacity=capacity
         )
         self._switch_pending = True
         self._switch_capture = request.state.data
@@ -2832,39 +2828,31 @@ class ProtocolNode(FailureSweep):
         self.network.send(self.address, target, m.SWITCH_REQUEST, request)
         # Clear the pending flag if no answer ever arrives (lost message,
         # crashed counterpart) so adaptation is not wedged forever.
-        self.scheduler.after(
-            self.config.adaptation_interval, self._clear_pending_switch
-        )
+        self.scheduler.after(ADAPTATION_INTERVAL, self._clear_pending_switch)
 
-    def _clear_pending_switch(self) -> None:
+    def _clear_pending_switch(self, message: Optional[Message] = None) -> None:
+        """A reject, or the timeout of a switch that got no answer."""
         self._switch_pending = False
 
     def _on_switch_request(self, message: Message) -> None:
         body: m.SwitchRequestBody = message.body
-        rejection: Optional[str] = None
-        if (
-            self.owned is None
-            or self.owned.role != "primary"
-            or self._switch_pending
-        ):
-            rejection = "not an available primary"
-        elif body.initiator_capacity >= self.node.capacity:
-            rejection = "initiator is not weaker"
-        elif body.initiator_index <= self.workload_index:
-            rejection = "initiator is not hotter"
-        if rejection is not None:
+        # The initiator decided on our last gossiped load; the pair is
+        # re-checked with the load we measure now.
+        if not self._switch_ready() or switch_partner(
+            body.state.load_rate, body.initiator_capacity,
+            [(self.load_rate, self.node.capacity)], ADAPTATION.improvement_margin,
+        ) is None:
             self.network.send(
                 self.address, message.source, m.SWITCH_REJECT,
-                m.SwitchRejectBody(reason=rejection),
+                m.SwitchRejectBody(reason="not available, or no better pair"),
             )
             return
-        my_state = self._capture_state()
         # The accept carries this node's entire region state; losing it
         # strands the swap half-done (we install the initiator's region
         # below, it keeps believing it owns it).  Ride the reliable
         # channel so the handoff survives drops.
         accept = m.SwitchAcceptBody(
-            state=my_state,
+            state=self._capture_state(),
             replaced=body.state.rect,
             replaced_stamp=body.state.stamp,
         )
@@ -2874,9 +2862,7 @@ class ProtocolNode(FailureSweep):
         # installs it: take part in no other switch meanwhile, or our
         # next hand-off would ship a table still naming us its owner.
         self._switch_pending = True
-        self.scheduler.after(
-            self.config.adaptation_interval, self._clear_pending_switch
-        )
+        self.scheduler.after(ADAPTATION_INTERVAL, self._clear_pending_switch)
 
     def _on_switch_accept(self, message: Message) -> None:
         body: m.SwitchAcceptBody = message.body
@@ -2910,9 +2896,6 @@ class ProtocolNode(FailureSweep):
             self._execute(m.PUBLISH, m.PublishBody(
                 origin=self.address, point=point, item=item
             ))
-
-    def _on_switch_reject(self, message: Message) -> None:
-        self._switch_pending = False
 
     def _on_grant_decline(self, message: Message) -> None:
         """Take back a region (or slot) a joiner refused."""
@@ -3273,7 +3256,7 @@ class ProtocolNode(FailureSweep):
         copy at once (its primary crashes while the secondary slot is
         empty), and no amount of handoff bookkeeping can resurrect a
         record nobody holds.  So the subscriber itself re-routes each of
-        its live registrations every :attr:`NodeConfig.sub_renew_interval`
+        its live registrations every :data:`SUB_RENEW_INTERVAL`
         -- the same record with a bumped version (last-writer-wins makes
         this idempotent at holders that never lost it) and an untouched
         ``registered_at``/``duration``, so the absolute expiry stands and
@@ -3290,7 +3273,7 @@ class ProtocolNode(FailureSweep):
                 self._my_sub_asserted.pop(sub_id, None)
                 continue
             asserted = self._my_sub_asserted.get(sub_id, 0.0)
-            if now - asserted < self.config.sub_renew_interval:
+            if now - asserted < SUB_RENEW_INTERVAL:
                 continue
             renewed = replace(record, version=record.version + 1)
             self._my_subs[sub_id] = renewed

@@ -222,7 +222,7 @@ class TestHeartbeatWithStreak:
             rect=Rect(0, 0, 32, 32),
             role="primary",
             secondary=addr(2),
-            index=0.5,
+            load=1.0,
             capacity=2.0,
             vitals_streak=1,
         )

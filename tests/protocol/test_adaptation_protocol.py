@@ -8,6 +8,7 @@ hot region migrate onto the strong node.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,12 +18,7 @@ from repro.protocol import NodeConfig, ProtocolCluster
 
 BOUNDS = Rect(0, 0, 64, 64)
 
-ADAPTIVE = NodeConfig(
-    dual_peer=False,
-    adaptation_enabled=True,
-    stat_interval=5.0,
-    adaptation_interval=12.0,
-)
+ADAPTIVE = NodeConfig(dual_peer=False, adaptation_enabled=True)
 
 
 def build_hot_cluster(seed=33, count=8, config=ADAPTIVE):
@@ -71,7 +67,6 @@ class TestStatExchange:
                                     closed_low_y=True)
         )
         assert server.load_rate > 0.0
-        assert server.workload_index > 0.0
 
     def test_neighbors_learn_stats(self):
         cluster, nodes, rng = build_hot_cluster()
@@ -204,8 +199,9 @@ class TestTriggerUnderLoss:
 
 
 class TestHotspotSwitches:
-    """A long hotspot on a dual-peer cluster keeps switching primaries;
-    every switch must hand its region over without a conflict.
+    """A long hotspot on a dual-peer cluster switches primaries; every
+    switch must hand its region over without a conflict, and the pair
+    test and cooldown keep any one node from switching over and over.
 
     Each switch installs the shipped claim one stamp up, so the
     initiator's heartbeats for the region it is giving away are stale on
@@ -231,10 +227,13 @@ class TestHotspotSwitches:
         cluster.settle(30)
         cluster.check_partition()
         seen = []
+        installs = Counter()
         annotate = causal.annotate
 
         def recording(event, *args, **fields):
             seen.append(event)
+            if event == "switch_installed":
+                installs[fields["owner"]] += 1
             annotate(event, *args, **fields)
 
         monkeypatch.setattr(causal, "annotate", recording)
@@ -251,6 +250,7 @@ class TestHotspotSwitches:
             cluster.run_for(1.0)
         monkeypatch.undo()
         assert seen.count("switch_installed") > 0
+        assert max(installs.values()) <= 6
         assert seen.count("ownership_yield") == 0
         assert seen.count("caretake_adopt") == 0
         cluster.run_for(5.0)

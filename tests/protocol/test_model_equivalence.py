@@ -9,17 +9,27 @@ implement the same system rather than two similar ones.  At the default
 latency a join's grant and split announcements overlap the next join's
 routing, so only the ownership-claim rule keeps stale split parents from
 being caretaken and re-granted there.
+
+The primary switch (mechanism (b)) is checked the same way: handed the
+same neighbor ``(load, capacity)`` stats, the model's trigger and
+:class:`~repro.loadbalance.mechanisms.SwitchPrimaries` and the protocol's
+``_consider_switch`` pick the same partner or refuse alike.
 """
 
 import random
 
 import pytest
 
+from repro.core.node import NodeAddress
 from repro.core.overlay import BasicGeoGrid
 from repro.geometry import Point, Rect
+from repro.loadbalance import AdaptationConfig, TriggerRule
+from repro.loadbalance.mechanisms import SwitchPrimaries
 from repro.protocol import NodeConfig, ProtocolCluster
+from repro.protocol import messages as m
 from repro.sim.latency import ConstantLatency
 from tests.conftest import make_node
+from tests.loadbalance.conftest import make_row_scenario
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -110,3 +120,79 @@ def test_same_owner_for_same_rect():
         if pnode.alive and pnode.is_primary():
             rect_key = pnode.owned.rect.as_tuple()
             assert overlay_owner_by_rect[rect_key] == pnode.node.node_id
+
+
+MARGIN = AdaptationConfig().improvement_margin
+#: A neighbor load that makes ``after == before * margin`` exactly for a
+#: cap-1 region carrying 1000: the swap misses the strict improvement.
+AT_MARGIN = 1000.0 * MARGIN
+
+
+def model_switch(specs, hot):
+    """The model's decision for region ``hot`` of a row built from
+    ``specs``: the partner's rect, or ``None`` for a refusal."""
+    s = make_row_scenario(specs)
+    region = s.region(hot)
+    if not TriggerRule().should_adapt(region.primary, s.calc):
+        return None, s
+    plan = SwitchPrimaries().plan(region, s.ctx)
+    return (None if plan is None else plan.partner.rect), s
+
+
+def protocol_switch(s, hot):
+    """``_consider_switch`` of a node holding region ``hot``'s load and
+    capacity, with its neighbors' stats in the model's neighbor order."""
+    region = s.region(hot)
+    cluster = ProtocolCluster(BOUNDS, seed=0, config=NodeConfig(dual_peer=False))
+    pnode = cluster.spawn_node(region.rect.center, capacity=region.primary.capacity)
+    pnode.start_as_first(BOUNDS)
+    pnode.load_rate = s.ctx.region_load(region)
+    owners = {}
+    for i, neighbor in enumerate(s.overlay.space.neighbors(region)):
+        address = NodeAddress(f"10.9.0.{i}", 7000)
+        owners[address] = neighbor.rect
+        pnode.neighbor_table[neighbor.rect] = m.NeighborInfo(neighbor.rect, address)
+        pnode.neighbor_stats[neighbor.rect] = (
+            s.ctx.region_load(neighbor), neighbor.primary.capacity,
+        )
+    sent = []
+    pnode.network.send = lambda src, dst, kind, body: sent.append((dst, kind))
+    pnode._consider_switch()
+    requests = [dst for dst, kind in sent if kind == m.SWITCH_REQUEST]
+    assert len(requests) <= 1
+    return owners[requests[0]] if requests else None
+
+
+@pytest.mark.parametrize(
+    "specs, hot, expect",
+    [
+        # (primary capacity, secondary, load) per region, west to east.
+        pytest.param([(1, None, 5.0), (100, None, 1.0)], 0, 1, id="swap"),
+        pytest.param([(100, None, 0.0), (1, None, 8.0), (100, None, 0.0)],
+                     1, "first", id="tie-first-neighbor-wins"),
+        pytest.param([(100, None, 90.0), (1, None, 10.0), (10, None, 0.0)],
+                     1, 2, id="strongest-is-not-the-best-pair"),
+        pytest.param([(1, None, 1000.0), (100, None, AT_MARGIN)], 0, None,
+                     id="after-equals-before-times-margin"),
+        pytest.param([(1, None, 1000.0), (100, None, AT_MARGIN - 1.0)], 0, 1,
+                     id="after-below-the-margin"),
+        pytest.param([(1, None, 2.0), (100, None, 500.0)], 0, None,
+                     id="pair-would-get-worse"),
+        pytest.param([(10, None, 50.0), (10, None, 0.0)], 0, None,
+                     id="equal-capacity-neighbor"),
+        pytest.param([(1, None, 1e-9), (100, None, 0.0)], 0, None,
+                     id="at-min-index-next-to-idle"),
+        pytest.param([(1, None, 5e-10), (100, None, 0.0)], 0, None,
+                     id="below-min-index-next-to-idle"),
+    ],
+)
+def test_switch_decision_matches_model(specs, hot, expect):
+    partner, s = model_switch(specs, hot)
+    if expect == "first":
+        expect = next(iter(s.overlay.space.neighbors(s.region(hot))))
+        assert partner == expect.rect
+    elif expect is None:
+        assert partner is None
+    else:
+        assert partner == s.region(expect).rect
+    assert protocol_switch(s, hot) == partner

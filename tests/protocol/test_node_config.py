@@ -13,9 +13,6 @@ from repro.protocol import NodeConfig
 def test_fields_are_the_settings_callers_turn():
     assert {f.name: f.default for f in dataclasses.fields(NodeConfig)} == {
         "dual_peer": True,
-        "stat_interval": 10.0,
         "adaptation_enabled": False,
-        "adaptation_interval": 15.0,
-        "sub_renew_interval": 30.0,
         "overload_enabled": False,
     }

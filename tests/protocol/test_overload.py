@@ -11,9 +11,12 @@ seeded runs are identical to the pre-plane behavior.
 import random
 from types import SimpleNamespace
 
+import pytest
+
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.protocol import node as node_module
 from repro.protocol import overload
 from repro.protocol.node import FAILURE_HORIZON
 from repro.sim.transport import Message
@@ -287,11 +290,13 @@ class TestDeflection:
 
 class TestEscalation:
     CONFIG = NodeConfig(
-        dual_peer=False,
-        overload_enabled=True,
-        adaptation_enabled=True,
-        adaptation_interval=10_000.0,
+        dual_peer=False, overload_enabled=True, adaptation_enabled=True
     )
+
+    @pytest.fixture(autouse=True)
+    def _no_periodic_switch_check(self, monkeypatch):
+        # Only escalation may call _consider_switch in these tests.
+        monkeypatch.setattr(node_module, "ADAPTATION_INTERVAL", 10_000.0)
 
     def test_sustained_shedding_calls_consider_switch(self):
         cluster, nodes = build_cluster(config=self.CONFIG)
@@ -436,7 +441,7 @@ class TestVitalsSurface:
         beat = m.HeartbeatBody(
             rect=node.owned.rect,
             role="primary",
-            index=node.workload_index,
+            load=node.load_rate,
             capacity=node.node.capacity,
             pressure=0.9,
         )

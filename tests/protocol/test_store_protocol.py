@@ -155,11 +155,7 @@ class TestEndToEnd:
         updates survive splits (joins), merges (departures), load-balance
         switches, and a primary crash -- every one still retrievable and
         zero store-invariant violations."""
-        config = NodeConfig(
-            adaptation_enabled=True,
-            stat_interval=5.0,
-            adaptation_interval=12.0,
-        )
+        config = NodeConfig(adaptation_enabled=True)
         cluster, nodes, rng = build_cluster(count=8, seed=33, config=config)
         positions = scatter_objects(cluster, nodes, rng, 40)
 

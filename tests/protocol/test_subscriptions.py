@@ -13,7 +13,7 @@ import random
 
 from repro import obs
 from repro.geometry import Point, Rect
-from repro.protocol import NodeConfig, ProtocolCluster
+from repro.protocol import ProtocolCluster
 from repro.protocol import messages as m
 
 BOUNDS = Rect(0, 0, 64, 64)
@@ -277,14 +277,13 @@ class TestLease:
         assert cluster.nodes[origin].notifications == []
 
     def test_renewal_keeps_bumping_the_version(self):
-        config = NodeConfig(sub_renew_interval=20.0)
-        cluster, nodes, rng = build_cluster(config=config)
+        cluster, nodes, rng = build_cluster()
         origin = nodes[0].node.node_id
         sub_id, _ = cluster.subscribe(
             origin, Rect(20, 20, 8, 8), duration=500.0
         )
         cluster.settle(15)
-        cluster.run_for(100.0)
+        cluster.run_for(160.0)
         holders = holders_of(cluster, sub_id)
         assert holders
         # ~5 renewal intervals elapsed; every holder converged past v0.
@@ -317,8 +316,7 @@ class TestLease:
         phantom-re-registers -- not from renewal, not from anti-entropy,
         not from a handoff.
         """
-        config = NodeConfig(sub_renew_interval=25.0)
-        cluster, nodes, rng = build_cluster(count=4, seed=11, config=config)
+        cluster, nodes, rng = build_cluster(count=4, seed=11)
         origin = nodes[0].node.node_id
         sub_id, _ = cluster.subscribe(
             origin, Rect(20, 20, 10, 10), duration=420.0

@@ -7,6 +7,7 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.protocol import NodeConfig, ProtocolCluster
 from repro.protocol import messages as m
+from repro.protocol.node import SWITCH_COOLDOWN
 
 BOUNDS = Rect(0, 0, 64, 64)
 
@@ -22,7 +23,7 @@ def two_primaries(seed=41, weak_cap=1, strong_cap=100):
     return cluster, weak, strong
 
 
-def make_request(node, index=5.0):
+def make_request(node, load=5.0):
     return m.SwitchRequestBody(
         state=m.RegionStateBody(
             rect=node.owned.rect,
@@ -30,9 +31,9 @@ def make_request(node, index=5.0):
             neighbors=tuple(node.neighbor_table.values()),
             data=node.owned.snapshot(),
             stamp=node.owned.stamp,
+            load_rate=load,
         ),
         initiator_capacity=node.node.capacity,
-        initiator_index=index,
     )
 
 
@@ -40,7 +41,7 @@ class TestRejections:
     def test_stronger_initiator_rejected(self):
         cluster, weak, strong = two_primaries(weak_cap=100, strong_cap=1)
         # "weak" is actually stronger here; its proposal must be refused.
-        request = make_request(weak, index=5.0)
+        request = make_request(weak, load=5.0)
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )
@@ -53,7 +54,7 @@ class TestRejections:
         # Heat up the receiver so the initiator is not hotter.
         strong._window_served = 1_000
         strong._roll_stat_window()
-        request = make_request(weak, index=0.001)
+        request = make_request(weak, load=0.001)
         cluster.network.send(
             weak.address, strong.address, m.SWITCH_REQUEST, request
         )
@@ -66,7 +67,7 @@ class TestRejections:
         second = cluster.join_node(Point(50, 30), capacity=1)
         cluster.settle(20)
         assert second.is_secondary()
-        request = make_request(first, index=9.0)
+        request = make_request(first, load=9.0)
         cluster.network.send(
             first.address, second.address, m.SWITCH_REQUEST, request
         )
@@ -89,7 +90,7 @@ class TestAcceptedSwitch:
         cluster, weak, strong = two_primaries()
         weak_rect = weak.owned.rect
         strong_rect = strong.owned.rect
-        request = make_request(weak, index=9.0)
+        request = make_request(weak, load=9.0)
         weak._switch_pending = True
         weak._switch_capture = request.state.data
         cluster.network.send(
@@ -107,7 +108,7 @@ class TestAcceptedSwitch:
         cluster, weak, strong = two_primaries()
         point = weak.owned.rect.center
         weak.owned.items.append((point, "cargo"))
-        request = make_request(weak, index=9.0)
+        request = make_request(weak, load=9.0)
         weak._switch_pending = True
         weak._switch_capture = request.state.data
         cluster.network.send(
@@ -115,6 +116,34 @@ class TestAcceptedSwitch:
         )
         cluster.run_for(20)
         assert ("cargo" in [item for _, item in strong.owned.items])
+
+    def test_load_travels_with_region(self):
+        """Each side installs the load rate and open-window count the
+        other shipped with the region, not its own old region's."""
+        cluster, weak, strong = two_primaries()
+        weak._window_served = 1_000
+        weak._roll_stat_window()
+        weak._window_served = 7
+        strong._window_served = 20
+        strong._roll_stat_window()
+        strong._window_served = 3
+        weak.neighbor_stats[strong.owned.rect] = (
+            strong.load_rate, strong.node.capacity
+        )
+        shipped, installed = {}, {}
+        for node in (weak, strong):
+            def spy(state, counterpart, unshipped=m.RegionData(),
+                    node=node, install=node._install_state):
+                install(state, counterpart, unshipped)
+                shipped[node.address] = (state.load_rate, state.served)
+                installed[node.address] = (node.load_rate, node._window_served)
+            node._install_state = spy
+        weak._consider_switch()
+        cluster.run_for(20)
+        assert weak.switches_completed == strong.switches_completed == 1
+        assert shipped[strong.address] == (100.0, 7)
+        assert installed == shipped
+
 
     def test_neighbors_learn_new_owner(self):
         cluster = ProtocolCluster(
@@ -147,7 +176,7 @@ class TestAcceptedSwitch:
         if strong is None:
             pytest.skip("random layout has no strong neighbor")
         weak_rect = weak.owned.rect
-        request = make_request(weak, index=9.0)
+        request = make_request(weak, load=9.0)
         weak._switch_pending = True
         weak._switch_capture = request.state.data
         cluster.network.send(
@@ -160,3 +189,42 @@ class TestAcceptedSwitch:
             info = witness.neighbor_table.get(weak_rect)
             if info is not None:
                 assert info.primary == strong.address
+
+
+class TestCooldown:
+    def test_no_switch_inside_the_cooldown(self):
+        """A node installed by a switch neither proposes nor accepts
+        another until its cooldown has passed."""
+        cluster, weak, strong = two_primaries()
+        request = make_request(weak, load=9.0)
+        weak._switch_pending = True
+        weak._switch_capture = request.state.data
+        cluster.network.send(
+            weak.address, strong.address, m.SWITCH_REQUEST, request
+        )
+        # Past the target's in-flight flag, inside both cooldowns.
+        cluster.run_for(20)
+        assert weak.switches_completed == strong.switches_completed == 1
+        assert not strong._switch_pending
+
+        def propose():
+            weak.load_rate = 9.0
+            weak.neighbor_stats[strong.owned.rect] = (
+                0.0, strong.node.capacity
+            )
+            weak._consider_switch()
+
+        propose()
+        assert not weak._switch_pending
+        cluster.network.send(
+            weak.address, strong.address, m.SWITCH_REQUEST,
+            make_request(weak, load=9.0),
+        )
+        cluster.run_for(5)
+        assert weak.switches_completed == strong.switches_completed == 1
+        # Once the cooldown has passed, the same proposal goes out.
+        cluster.run_for(SWITCH_COOLDOWN)
+        propose()
+        assert weak._switch_pending
+        cluster.run_for(20)
+        assert weak.switches_completed == strong.switches_completed == 2
