@@ -63,8 +63,9 @@ class GeoPubSub:
         #: Notifications delivered, newest last (the "inbox" the examples
         #: and tests read; a deployment would send these over the wire).
         self.delivered: List[Notification] = []
-        overlay.split_listeners.append(self._on_region_split)
-        overlay.merge_listeners.append(self._on_region_merge)
+        overlay.add_listeners(
+            on_split=self._on_region_split, on_merge=self._on_region_merge
+        )
 
     # ------------------------------------------------------------------
     # Subscribe

@@ -16,6 +16,7 @@ subclasses :class:`BasicGeoGrid`.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
@@ -45,6 +46,19 @@ LoadFunction = Callable[[Region], float]
 
 def _zero_load(region: Region) -> float:
     return 0.0
+
+
+def _notify(listeners: List[weakref.WeakMethod], *args) -> None:
+    """Call every live listener in registration order; forget dead ones."""
+    dead = False
+    for ref in listeners:
+        listener = ref()
+        if listener is None:
+            dead = True
+        else:
+            listener(*args)
+    if dead:
+        listeners[:] = [ref for ref in listeners if ref() is not None]
 
 
 @dataclass
@@ -106,33 +120,52 @@ class BasicGeoGrid:
         self._primary_of: Dict[Node, Set[Region]] = {}
         self._secondary_of: Dict[Node, Set[Region]] = {}
         self.stats = OverlayStats()
-        #: Structural-change listeners: ``on_split(parent, child)`` fires
-        #: after a region split (parent kept one half, child is new);
-        #: ``on_merge(survivor, absorbed)`` fires after a merge.  The
-        #: application layer (e.g. the pub/sub service) uses these to
-        #: re-home per-region state.
-        self.split_listeners: List[Callable[[Region, Region], None]] = []
-        self.merge_listeners: List[Callable[[Region, Region], None]] = []
-        #: Ownership-motion listeners: ``on_ownership(region, event)``
-        #: fires when a region's serving state moves between *nodes*
-        #: without the region itself changing -- primary switches
-        #: (``"switch"``), primary/secondary role swaps (``"role_swap"``),
-        #: secondary steals (``"replica_seed"``/``"replica_drop"``), and
-        #: failure promotions (``"promote"``).  The location store counts
-        #: these as state migrations.
-        self.ownership_listeners: List[Callable[[Region, str], None]] = []
+        #: Listeners registered through :meth:`add_listeners`.
+        self._split_listeners: List[weakref.WeakMethod] = []
+        self._merge_listeners: List[weakref.WeakMethod] = []
+        self._ownership_listeners: List[weakref.WeakMethod] = []
+
+    def add_listeners(
+        self,
+        on_split: Optional[Callable[[Region, Region], None]] = None,
+        on_merge: Optional[Callable[[Region, Region], None]] = None,
+        on_ownership: Optional[Callable[[Region, str], None]] = None,
+    ) -> None:
+        """Register a subscriber's bound-method listeners.
+
+        ``on_split(parent, child)`` fires after a region split (parent
+        kept one half, child is new); ``on_merge(survivor, absorbed)``
+        fires after a merge.  The application layer (e.g. the pub/sub
+        service) uses these to re-home per-region state.
+        ``on_ownership(region, event)`` fires when a region's serving
+        state moves between *nodes* without the region itself changing
+        -- primary switches (``"switch"``), primary/secondary role swaps
+        (``"role_swap"``), secondary steals (``"replica_seed"`` /
+        ``"replica_drop"``), and failure promotions (``"promote"``).  The
+        location store counts these as state migrations.
+
+        The overlay holds them weakly (``weakref.WeakMethod``): the
+        subscriber keeps the overlay alive, not the other way round, so
+        a dropped overlay and its store or pub/sub service form no
+        reference cycle and are freed at once.  A listener whose object
+        is gone is skipped and forgotten.
+        """
+        for listeners, method in (
+            (self._split_listeners, on_split),
+            (self._merge_listeners, on_merge),
+            (self._ownership_listeners, on_ownership),
+        ):
+            if method is not None:
+                listeners.append(weakref.WeakMethod(method))
 
     def _notify_split(self, parent: Region, child: Region) -> None:
-        for listener in self.split_listeners:
-            listener(parent, child)
+        _notify(self._split_listeners, parent, child)
 
     def _notify_merge(self, survivor: Region, absorbed: Region) -> None:
-        for listener in self.merge_listeners:
-            listener(survivor, absorbed)
+        _notify(self._merge_listeners, survivor, absorbed)
 
     def _notify_ownership(self, region: Region, event: str) -> None:
-        for listener in self.ownership_listeners:
-            listener(region, event)
+        _notify(self._ownership_listeners, region, event)
 
     # ------------------------------------------------------------------
     # Ownership registry

@@ -10,17 +10,19 @@ of the cells it covers.
 inside rectangle R" in O(1) through a two-dimensional prefix-sum table,
 which is what makes the 16 000-node experiments tractable in Python.
 
-numpy is imported by the methods that build arrays, not by the module:
-the protocol layer imports this package but never builds a grid.
+The grid uses only the standard library.  Its loads are a flat row-major
+list (cell ``(ix, iy)`` at ``ix * ny + iy``) and the prefix table is
+built with the same float operations, in the same order, as numpy's
+``cumsum`` along axis 0 and then axis 1; ``itertools.accumulate`` and
+``map(operator.add, ...)`` keep those loops in C.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Tuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import accumulate
+from operator import add
+from typing import Dict, List, Tuple
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -30,6 +32,10 @@ from repro.geometry.rect import Rect
 #: and cell boundaries are dyadic rationals (exact in binary floating
 #: point), the nudge only protects hand-fed off-grid rectangles.
 _INDEX_NUDGE = 1e-9
+
+
+def _add_rows(left: List[float], right: List[float]) -> List[float]:
+    return list(map(add, left, right))
 
 
 class CellGrid:
@@ -52,16 +58,14 @@ class CellGrid:
         self.cell_size = float(cell_size)
         self.nx = max(1, int(math.ceil(bounds.width / cell_size - _INDEX_NUDGE)))
         self.ny = max(1, int(math.ceil(bounds.height / cell_size - _INDEX_NUDGE)))
-        import numpy
-
-        self._loads = numpy.zeros((self.nx, self.ny), dtype=numpy.float64)
-        self._loads_view = self._loads.view()
-        self._loads_view.flags.writeable = False
+        self._loads: List[float] = [0.0] * (self.nx * self.ny)
         #: Bumped by every load change.  The prefix table and the
         #: ``rect -> load`` memo both belong to one version, so readers
         #: keyed on it (query-density weights) can never see stale loads.
         self.version = 0
-        self._prefix: "np.ndarray | None" = None
+        #: ``_prefix[ix][iy]``: total load of the cells below ``ix`` and
+        #: ``iy``; ``None`` until a lookup needs it.
+        self._prefix: "List[List[float]] | None" = None
         self._rect_loads: Dict[Rect, float] = {}
 
     # ------------------------------------------------------------------
@@ -91,32 +95,40 @@ class CellGrid:
     # Loads
     # ------------------------------------------------------------------
     @property
-    def loads(self) -> np.ndarray:
-        """A read-only view of the per-cell loads (shape ``(nx, ny)``).
+    def loads(self) -> Tuple[Tuple[float, ...], ...]:
+        """A read-only copy of the per-cell loads: ``loads[ix][iy]``.
 
         Writes go through :meth:`set_load` and friends, which bump
         :attr:`version`.
         """
-        return self._loads_view
+        loads, ny = self._loads, self.ny
+        return tuple(
+            tuple(loads[start : start + ny]) for start in range(0, len(loads), ny)
+        )
 
     @property
     def total_load(self) -> float:
-        """Sum of all cell loads."""
-        return float(self._loads.sum())
+        """Sum of all cell loads, exactly rounded."""
+        return math.fsum(self._loads)
 
     def clear(self) -> None:
         """Reset all cell loads to zero."""
-        self._loads.fill(0.0)
+        self._loads = [0.0] * (self.nx * self.ny)
         self._changed()
+
+    def _flat_index(self, ix: int, iy: int) -> int:
+        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
+            raise IndexError(f"cell index ({ix}, {iy}) out of range")
+        return ix * self.ny + iy
 
     def set_load(self, ix: int, iy: int, value: float) -> None:
         """Set the load of a single cell."""
-        self._loads[ix, iy] = value
+        self._loads[self._flat_index(ix, iy)] = float(value)
         self._changed()
 
     def add_load(self, ix: int, iy: int, value: float) -> None:
         """Add ``value`` to the load of a single cell."""
-        self._loads[ix, iy] += value
+        self._loads[self._flat_index(ix, iy)] += float(value)
         self._changed()
 
     def add_hotspot(self, hotspot: Circle) -> None:
@@ -138,15 +150,21 @@ class CellGrid:
         iy1 = min(self.ny - 1, int((hi_y - self.bounds.y) / self.cell_size))
         if ix0 > ix1 or iy0 > iy1:
             return
-        import numpy
-
-        xs = self.bounds.x + (numpy.arange(ix0, ix1 + 1) + 0.5) * self.cell_size
-        ys = self.bounds.y + (numpy.arange(iy0, iy1 + 1) + 0.5) * self.cell_size
-        dx = xs[:, None] - hotspot.center.x
-        dy = ys[None, :] - hotspot.center.y
-        d = numpy.sqrt(dx * dx + dy * dy)
-        contribution = numpy.clip(1.0 - d / hotspot.radius, 0.0, None)
-        self._loads[ix0 : ix1 + 1, iy0 : iy1 + 1] += contribution
+        x0, y0, size = self.bounds.x, self.bounds.y, self.cell_size
+        cx, cy, radius = hotspot.center.x, hotspot.center.y, hotspot.radius
+        dy2s = []
+        for iy in range(iy0, iy1 + 1):
+            dy = (y0 + (iy + 0.5) * size) - cy
+            dy2s.append(dy * dy)
+        loads, ny, sqrt = self._loads, self.ny, math.sqrt
+        for ix in range(ix0, ix1 + 1):
+            dx = (x0 + (ix + 0.5) * size) - cx
+            dx2 = dx * dx
+            # max(1 - sqrt(dx*dx + dy*dy) / r, 0); adding the 0 is a no-op.
+            for k, dy2 in enumerate(dy2s, ix * ny + iy0):
+                contribution = 1.0 - sqrt(dx2 + dy2) / radius
+                if contribution > 0.0:
+                    loads[k] += contribution
         self._changed()
 
     def _changed(self) -> None:
@@ -158,13 +176,16 @@ class CellGrid:
     # ------------------------------------------------------------------
     # Region queries
     # ------------------------------------------------------------------
-    def _ensure_prefix(self) -> np.ndarray:
+    def _ensure_prefix(self) -> List[List[float]]:
         if self._prefix is None:
-            import numpy
-
-            prefix = numpy.zeros((self.nx + 1, self.ny + 1), dtype=numpy.float64)
-            numpy.cumsum(self._loads, axis=0, out=prefix[1:, 1:])
-            numpy.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
+            loads, ny = self._loads, self.ny
+            rows = (loads[start : start + ny] for start in range(0, len(loads), ny))
+            prefix = [[0.0] * (ny + 1)]
+            # Running column sums over ix, then a running sum over iy.
+            for column in accumulate(rows, _add_rows):
+                row = [0.0]
+                row.extend(accumulate(column))
+                prefix.append(row)
             self._prefix = prefix
         return self._prefix
 
@@ -191,7 +212,7 @@ class CellGrid:
 
         Memoized per load version: between two load changes the
         adaptation engine asks for the same region rects hundreds of
-        times, and a dict hit is far cheaper than four numpy scalar reads.
+        times, and a dict hit is far cheaper than four table reads.
         """
         load = self._rect_loads.get(rect)
         if load is not None:
@@ -201,12 +222,8 @@ class CellGrid:
             load = 0.0
         else:
             prefix = self._ensure_prefix()
-            load = float(
-                prefix[ix1 + 1, iy1 + 1]
-                - prefix[ix0, iy1 + 1]
-                - prefix[ix1 + 1, iy0]
-                + prefix[ix0, iy0]
-            )
+            high, low = prefix[ix1 + 1], prefix[ix0]
+            load = high[iy1 + 1] - low[iy1 + 1] - high[iy0] + low[iy0]
         self._rect_loads[rect] = load
         return load
 
@@ -220,7 +237,7 @@ class CellGrid:
         for ix in range(self.nx):
             for iy in range(self.ny):
                 if rect.covers(self.cell_center(ix, iy)):
-                    total += float(self._loads[ix, iy])
+                    total += self._loads[ix * self.ny + iy]
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -72,9 +72,11 @@ class OverlayStore:
         #: the adaptation context drains this right after an execute, so
         #: ``ctx.store_motion`` counts objects migrated per mechanism.
         self.pending_motion = 0
-        overlay.split_listeners.append(self._on_split)
-        overlay.merge_listeners.append(self._on_merge)
-        overlay.ownership_listeners.append(self._on_ownership_change)
+        overlay.add_listeners(
+            on_split=self._on_split,
+            on_merge=self._on_merge,
+            on_ownership=self._on_ownership_change,
+        )
 
     # ------------------------------------------------------------------
     # Data plane

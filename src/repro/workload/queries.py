@@ -12,15 +12,14 @@ Used by the routing-workload experiments and the example applications.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from bisect import bisect_right
+from itertools import accumulate, chain
+from typing import Iterator, List, Optional, Tuple
 
 from repro.geometry import Point
 from repro.core.node import Node
 from repro.core.query import LocationQuery
 from repro.workload.hotspot import HotspotField
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class QueryGenerator:
@@ -55,7 +54,7 @@ class QueryGenerator:
         self.field = field
         self.radius_range = radius_range
         self.background_fraction = background_fraction
-        self._cumulative: Optional[np.ndarray] = None
+        self._cumulative: Optional[List[float]] = None
         self._cumulative_version: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -71,8 +70,7 @@ class QueryGenerator:
                 rng.uniform(bounds.y, bounds.y2),
             )
         u = rng.random() * weights[-1]
-        flat_index = int(weights.searchsorted(u, side="right"))
-        flat_index = min(flat_index, weights.shape[0] - 1)
+        flat_index = min(bisect_right(weights, u), len(weights) - 1)
         grid = self.field.grid
         ix, iy = divmod(flat_index, grid.ny)
         cell_center = grid.cell_center(ix, iy)
@@ -105,14 +103,15 @@ class QueryGenerator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _weights(self) -> Optional[np.ndarray]:
-        """Flattened cumulative cell loads; None when the field is empty."""
-        version = self.field.grid.version
-        if self._cumulative_version != version:
-            flat = self.field.grid.loads.reshape(-1)
-            if flat.sum() <= 0.0:
-                self._cumulative = None
-            else:
-                self._cumulative = flat.cumsum()
-            self._cumulative_version = version
+    def _weights(self) -> Optional[List[float]]:
+        """Row-major running sums of the cell loads; None when all are zero.
+
+        Cell loads are non-negative, so the last running sum is positive
+        exactly when some cell carries load.
+        """
+        grid = self.field.grid
+        if self._cumulative_version != grid.version:
+            cumulative = list(accumulate(chain.from_iterable(grid.loads)))
+            self._cumulative = cumulative if cumulative[-1] > 0.0 else None
+            self._cumulative_version = grid.version
         return self._cumulative

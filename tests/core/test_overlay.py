@@ -1,13 +1,20 @@
 """Tests for repro.core.overlay -- the basic GeoGrid system."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.pubsub import GeoPubSub
 from repro.errors import MembershipError
 from repro.core.overlay import BasicGeoGrid
+from repro.experiments.build import build_network
+from repro.experiments.config import ExperimentConfig, SystemVariant
+from repro.sim.rng import RngStreams
+from repro.store.overlay_store import OverlayStore
 from repro.geometry import Point, Rect
 from tests.conftest import make_node
 
@@ -160,6 +167,48 @@ class TestOwnershipRegistry:
         region = grid.join(node)
         loads[region.region_id] = 4.0
         assert grid.available_capacity(node) == 6.0
+
+
+class _SplitRecorder:
+    def __init__(self):
+        self.calls = []
+
+    def on_split(self, parent, child):
+        self.calls.append((parent, child))
+
+
+class TestListeners:
+    def test_dropped_network_is_freed_without_the_collector(self):
+        """Store and pub/sub listeners do not tie the overlay into a cycle."""
+        gc.disable()
+        try:
+            network = build_network(
+                SystemVariant.DUAL_PEER_ADAPTATION,
+                128,
+                ExperimentConfig(trials=1),
+                RngStreams(20070625),
+            )
+            store = OverlayStore(network.overlay)
+            service = GeoPubSub(network.overlay)
+            store.update(network.nodes[0], "obj", Point(10.0, 10.0), version=1)
+            network.field.migrate(random.Random(1), steps=1)
+            network.engine.run_until_stable(max_rounds=2)
+            overlay = weakref.ref(network.overlay)
+            del network, store, service
+            assert overlay() is None
+        finally:
+            gc.enable()
+
+    def test_listener_of_a_dropped_subscriber_is_forgotten(self):
+        grid = fresh_grid()
+        grid.join(make_node(0, 10, 10))
+        kept, dropped = _SplitRecorder(), _SplitRecorder()
+        grid.add_listeners(on_split=kept.on_split)
+        grid.add_listeners(on_split=dropped.on_split)
+        del dropped
+        grid.join(make_node(1, 50, 50))
+        assert len(kept.calls) == 1
+        assert len(grid._split_listeners) == 1
 
 
 class TestRoutingApi:

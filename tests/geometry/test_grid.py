@@ -12,24 +12,34 @@ from hypothesis import strategies as st
 import repro
 from repro.geometry import CellGrid, Circle, Point, Rect
 
-#: Run in a fresh interpreter: numpy stays unloaded through the protocol
-#: and deployment imports, and the first grid loads it.
-LAZY_NUMPY = """
+#: Run in a fresh interpreter: the paper's model network builds, migrates
+#: its field, answers region loads and draws query centers without numpy.
+STDLIB_ONLY = """
+import random
 import sys
-import repro.protocol
-import repro.experiments.build
-assert "numpy" not in sys.modules, "numpy loaded at import"
-from repro.geometry import CellGrid, Rect
-CellGrid(Rect(0, 0, 4, 4), 1.0)
-assert "numpy" in sys.modules
+from repro.experiments.build import build_network
+from repro.experiments.config import ExperimentConfig, SystemVariant
+from repro.sim.rng import RngStreams
+from repro.workload.queries import QueryGenerator
+network = build_network(
+    SystemVariant.DUAL_PEER_ADAPTATION, 64, ExperimentConfig(trials=1), RngStreams(1)
+)
+rng = random.Random(1)
+network.field.migrate(rng, steps=1)
+assert network.field.grid.load_in_rect(network.field.bounds) > 0.0
+generator = QueryGenerator(network.field, background_fraction=0.0)
+centers = [generator.sample_center(rng) for _ in range(20)]
+bounds = network.field.bounds
+assert all(bounds.covers(center, True, True) for center in centers)
+assert "numpy" not in sys.modules, "numpy loaded"
 """
 
 
-def test_numpy_loads_with_the_first_grid():
+def test_model_layer_runs_without_numpy():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", LAZY_NUMPY], env=env, capture_output=True, text=True
+        [sys.executable, "-c", STDLIB_ONLY], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
 
@@ -85,7 +95,7 @@ class TestLoads:
     def test_hotspot_center_cell_near_one(self, grid):
         # Center exactly at a cell center: that cell receives workload 1.
         grid.add_hotspot(Circle(Point(8.5, 8.5), 3.0))
-        assert grid.loads[8, 8] == pytest.approx(1.0)
+        assert grid.loads[8][8] == pytest.approx(1.0)
 
     def test_hotspot_off_grid_part_ignored(self):
         g = CellGrid(Rect(0, 0, 8, 8), cell_size=1.0)
@@ -102,9 +112,34 @@ class TestLoads:
         grid.add_hotspot(hotspot)
         for ix, iy in [(8, 8), (6, 8), (8, 10), (5, 5)]:
             center = grid.cell_center(ix, iy)
-            assert grid.loads[ix, iy] == pytest.approx(
+            assert grid.loads[ix][iy] == pytest.approx(
                 hotspot.workload_at(center)
             )
+
+    def test_total_load_is_exactly_rounded(self, grid):
+        for ix in range(grid.nx):
+            for iy in range(grid.ny):
+                grid.set_load(ix, iy, 0.1)
+        # 256 times the double 0.1 is exactly the double 25.6 (a power-of-two
+        # multiple); a running sum drifts from it.
+        assert grid.total_load == 25.6
+        grid.clear()
+        grid.set_load(0, 0, 1e16)
+        grid.set_load(0, 1, 1.0)
+        grid.set_load(0, 2, -1e16)
+        assert grid.total_load == 1.0
+
+    def test_loads_are_rows_of_cells(self):
+        g = CellGrid(Rect(0, 0, 3, 2), cell_size=1.0)
+        g.set_load(2, 1, 4.0)
+        g.add_load(0, 1, 0.5)
+        assert g.loads == ((0.0, 0.5), (0.0, 0.0), (0.0, 4.0))
+
+    def test_cell_index_out_of_range(self, grid):
+        with pytest.raises(IndexError):
+            grid.set_load(0, 16, 1.0)
+        with pytest.raises(IndexError):
+            grid.add_load(16, 0, 1.0)
 
     def test_two_hotspots_superimpose(self, grid):
         h = Circle(Point(8.5, 8.5), 2.0)

@@ -13,17 +13,17 @@ import math
 import random
 from collections import deque
 
-import numpy as np
 import pytest
 
 from repro.experiments.build import build_network
 from repro.experiments.config import ExperimentConfig, SystemVariant
-from repro.geometry import Circle, Point
+from repro.geometry import CellGrid, Circle, Point, Rect
 from repro.core.node import Node
 from repro.loadbalance import AdaptationEngine, AdaptationPlan, ttl_search
 from repro.loadbalance.mechanisms import MergeWithNeighbor
 from repro.loadbalance.search import RingMemo
 from repro.sim.rng import RngStreams
+from repro.workload.queries import QueryGenerator
 
 _PROGRESS_EPS = 1e-12
 
@@ -236,7 +236,8 @@ class TestTtlSearch:
 # (c) region-load memo
 # ----------------------------------------------------------------------
 def reference_load(grid, rect):
-    """The prefix-sum lookup, recomputed from the current loads."""
+    """The prefix-sum lookup, recomputed from the current loads by numpy."""
+    np = pytest.importorskip("numpy")
     ix0, ix1, iy0, iy1 = grid.covered_index_ranges(rect)
     if ix0 > ix1 or iy0 > iy1:
         return 0.0
@@ -292,8 +293,72 @@ class TestRegionLoadMemo:
 
     def test_loads_view_is_read_only(self, network):
         grid = network.field.grid
-        with pytest.raises(ValueError):
-            grid.loads[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            grid.loads[0][0] = 1.0
+        with pytest.raises(TypeError):
+            grid.loads[0] = (1.0,) * grid.ny
+
+
+def reference_hotspot(grid, loads, hotspot):
+    """Deposit ``hotspot`` onto the numpy array ``loads`` as numpy does."""
+    np = pytest.importorskip("numpy")
+    c, r, size = hotspot.center, hotspot.radius, grid.cell_size
+    ix0 = max(0, int((c.x - r - grid.bounds.x) / size))
+    ix1 = min(grid.nx - 1, int((c.x + r - grid.bounds.x) / size))
+    iy0 = max(0, int((c.y - r - grid.bounds.y) / size))
+    iy1 = min(grid.ny - 1, int((c.y + r - grid.bounds.y) / size))
+    if ix0 > ix1 or iy0 > iy1:
+        return
+    xs = grid.bounds.x + (np.arange(ix0, ix1 + 1) + 0.5) * size
+    ys = grid.bounds.y + (np.arange(iy0, iy1 + 1) + 0.5) * size
+    dx = xs[:, None] - c.x
+    dy = ys[None, :] - c.y
+    d = np.sqrt(dx * dx + dy * dy)
+    loads[ix0 : ix1 + 1, iy0 : iy1 + 1] += np.clip(1.0 - d / r, 0.0, None)
+
+
+class TestHotspotDeposit:
+    def test_loads_match_numpy(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(11)
+        for cell_size in (0.5, 0.3, 1.0):
+            grid = CellGrid(Rect(0, 0, 64, 64), cell_size=cell_size)
+            reference = np.zeros((grid.nx, grid.ny))
+            for _ in range(12):
+                hotspot = Circle(
+                    Point(rng.uniform(-5, 69), rng.uniform(-5, 69)),
+                    rng.uniform(0.1, 10.0),
+                )
+                grid.add_hotspot(hotspot)
+                reference_hotspot(grid, reference, hotspot)
+            assert grid.loads == tuple(map(tuple, reference.tolist()))
+            assert grid.total_load > 0.0
+
+
+class TestQueryWeights:
+    def test_weights_and_draws_match_numpy(self, network):
+        """Running sums and drawn centers equal numpy's cumsum/searchsorted."""
+        np = pytest.importorskip("numpy")
+        field, grid = network.field, network.field.grid
+        generator = QueryGenerator(field, background_fraction=0.0)
+        rng = random.Random(5)
+        for _ in range(3):
+            field.migrate(rng, steps=1)
+            reference = np.array(grid.loads).reshape(-1).cumsum()
+            assert generator._weights() == reference.tolist()
+            for seed in range(100):
+                center = generator.sample_center(random.Random(seed))
+                draw = random.Random(seed)
+                draw.random()  # the background-fraction test
+                u = draw.random() * reference[-1]
+                index = int(reference.searchsorted(u, side="right"))
+                ix, iy = divmod(min(index, reference.shape[0] - 1), grid.ny)
+                cell, half = grid.cell_center(ix, iy), grid.cell_size / 2.0
+                expected = Point(
+                    cell.x + draw.uniform(-half, half),
+                    cell.y + draw.uniform(-half, half),
+                ).clamped(field.bounds.x, field.bounds.y, field.bounds.x2, field.bounds.y2)
+                assert center == expected
 
 
 # ----------------------------------------------------------------------
