@@ -7,8 +7,8 @@ until it expires.  A publication is a geo-tagged event routed to the
 region covering its coordinate; the owning region matches it against its
 registered subscriptions and notifies the focal nodes.
 
-The service survives overlay restructuring: when a region splits, the new
-half inherits the subscriptions overlapping it; when regions merge, the
+The service survives overlay restructuring: when a region splits, each
+half keeps the subscriptions it can own a point of; when regions merge, the
 survivor absorbs the absorbed region's subscriptions.  (In the deployed
 system this state travels with the region hand-off messages; here it hooks
 the overlay's structural listeners.)
@@ -78,17 +78,22 @@ class GeoPubSub:
     ) -> Subscription:
         """Register a standing location query for ``duration`` time units.
 
-        The subscription is installed at every region overlapping the
-        query rectangle, mirroring the paper's fan-out example (regions 2
-        and 3 receive the subscription whose center lies in region 5).
+        The subscription is installed at every region that can own a
+        point of the query rectangle, mirroring the paper's fan-out
+        example (regions 2 and 3 receive the subscription whose center
+        lies in region 5).  The fan-out also reaches regions that touch
+        the rectangle only with their own south or west edge, or their
+        south-west corner; those own none of its points and are skipped.
         Returns the subscription handle.
         """
         subscription = Subscription(
             query=query, registered_at=now, duration=duration
         )
         outcome = self.overlay.submit_query(query)
+        hosts = self.overlay.space.region_owns_part_of
         for region in outcome.covered:
-            self._by_region.setdefault(region, []).append(subscription)
+            if hosts(region, query.query_rect):
+                self._by_region.setdefault(region, []).append(subscription)
         self.stats.subscriptions += 1
         return subscription
 
@@ -175,17 +180,18 @@ class GeoPubSub:
     # Overlay restructuring hooks
     # ------------------------------------------------------------------
     def _on_region_split(self, parent: Region, child: Region) -> None:
-        """The new half inherits the subscriptions overlapping it."""
+        """Each half keeps the subscriptions it can own a point of."""
         subscriptions = self._by_region.get(parent)
         if not subscriptions:
             return
+        hosts = self.overlay.space.region_owns_part_of
         parent_keep: List[Subscription] = []
         child_list: List[Subscription] = []
         for subscription in subscriptions:
             rect = subscription.query.query_rect
-            if rect.intersects(parent.rect):
+            if hosts(parent, rect):
                 parent_keep.append(subscription)
-            if rect.intersects(child.rect):
+            if hosts(child, rect):
                 child_list.append(subscription)
                 self.stats.rehomed_on_split += 1
         if parent_keep:
@@ -209,18 +215,21 @@ class GeoPubSub:
                 self.stats.absorbed_on_merge += 1
 
     def check_consistency(self, now: Optional[float] = None) -> None:
-        """Assert every stored subscription overlaps its host region.
+        """Assert every host region can own a point of its subscriptions.
 
         Used by tests after churn: restructuring must never leave a
         subscription registered at a region its query cannot match in.
         """
+        space = self.overlay.space
         for region, subscriptions in self._by_region.items():
-            if region not in self.overlay.space.regions:
+            if region not in space.regions:
                 raise AssertionError(
                     f"subscriptions registered at dead region {region!r}"
                 )
             for subscription in subscriptions:
-                if not subscription.query.query_rect.intersects(region.rect):
+                if not space.region_owns_part_of(
+                    region, subscription.query.query_rect
+                ):
                     raise AssertionError(
                         f"subscription {subscription.query.query_id} does "
                         f"not overlap its host region {region!r}"

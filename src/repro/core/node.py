@@ -12,7 +12,7 @@ network bandwidth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, NamedTuple
+from typing import Any, Dict, NamedTuple, Optional
 
 from repro.geometry import Point
 
@@ -52,6 +52,23 @@ def synthetic_address(node_id: int) -> NodeAddress:
     return NodeAddress(ip=f"10.{(node_id // 65536) % 256}.{octet3}.{octet4}", port=7000)
 
 
+class _SyntheticAddress:
+    """The default of :attr:`Node.address`: ``synthetic_address(node_id)``,
+    made on first read and then kept on the node.
+
+    A non-data descriptor, so an address passed to the constructor, or
+    made here once, is an instance attribute and shadows it.  Most model
+    nodes never need an address; a paper-size network saves one named
+    tuple and one ip string per node.
+    """
+
+    def __get__(self, node: Optional["Node"], owner: type) -> Optional[NodeAddress]:
+        if node is None:
+            return None  # the dataclass field's default
+        address = node.address = synthetic_address(node.node_id)
+        return address
+
+
 @dataclass(eq=False)
 class Node:
     """A GeoGrid proxy node.
@@ -66,14 +83,15 @@ class Node:
     node_id: int
     coord: Point
     capacity: float
-    address: NodeAddress = None  # type: ignore[assignment]
+    address: NodeAddress = _SyntheticAddress()  # type: ignore[assignment]
     properties: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity!r}")
         if self.address is None:
-            self.address = synthetic_address(self.node_id)
+            # Unset: the class-level :class:`_SyntheticAddress` answers.
+            del self.address
 
     def __hash__(self) -> int:
         return hash(self.node_id)

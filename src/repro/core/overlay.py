@@ -48,6 +48,18 @@ def _zero_load(region: Region) -> float:
     return 0.0
 
 
+def _unregister(
+    registry: Dict[Node, Set[Region]], node: Node, region: Region
+) -> None:
+    """Take ``region`` out of ``node``'s registry set; drop the set once
+    it is empty, so the registry holds only nodes that own something."""
+    regions = registry.get(node)
+    if regions is not None:
+        regions.discard(region)
+        if not regions:
+            del registry[node]
+
+
 def _notify(listeners: List[weakref.WeakMethod], *args) -> None:
     """Call every live listener in registration order; forget dead ones."""
     dead = False
@@ -196,7 +208,7 @@ class BasicGeoGrid:
         """Make ``node`` the primary owner of ``region`` (registry-aware)."""
         old = region.primary
         if old is not None:
-            self._primary_of[old].discard(region)
+            _unregister(self._primary_of, old, region)
         region.set_primary(node)
         self._primary_of.setdefault(node, set()).add(region)
 
@@ -204,7 +216,7 @@ class BasicGeoGrid:
         """Make ``node`` the secondary owner of ``region`` (registry-aware)."""
         old = region.secondary
         if old is not None:
-            self._secondary_of[old].discard(region)
+            _unregister(self._secondary_of, old, region)
         region.set_secondary(node)
         self._secondary_of.setdefault(node, set()).add(region)
 
@@ -212,7 +224,7 @@ class BasicGeoGrid:
         """Vacate the secondary slot of ``region``; returns the old holder."""
         node = region.clear_secondary()
         if node is not None:
-            self._secondary_of[node].discard(region)
+            _unregister(self._secondary_of, node, region)
         return node
 
     def release_primary(self, region: Region) -> Optional[Node]:
@@ -223,7 +235,7 @@ class BasicGeoGrid:
         """
         node = region.primary
         if node is not None:
-            self._primary_of[node].discard(region)
+            _unregister(self._primary_of, node, region)
             region.primary = None
         return node
 
@@ -251,8 +263,8 @@ class BasicGeoGrid:
             raise MembershipError(
                 f"region {region.region_id} is not full; cannot swap roles"
             )
-        self._primary_of[primary].discard(region)
-        self._secondary_of[secondary].discard(region)
+        _unregister(self._primary_of, primary, region)
+        _unregister(self._secondary_of, secondary, region)
         region.swap_owner_roles()
         self._primary_of.setdefault(secondary, set()).add(region)
         self._secondary_of.setdefault(primary, set()).add(region)
@@ -417,8 +429,8 @@ class BasicGeoGrid:
         for region in list(self.primary_regions(node)):
             if region.secondary is not None:
                 promoted = region.secondary
-                self._secondary_of[promoted].discard(region)
-                self._primary_of[node].discard(region)
+                _unregister(self._secondary_of, promoted, region)
+                _unregister(self._primary_of, node, region)
                 region.promote_secondary()
                 self._primary_of.setdefault(promoted, set()).add(region)
                 self.stats.promotions += 1
@@ -499,7 +511,7 @@ class BasicGeoGrid:
                 for b in regions[i + 1 :]:
                     if a.rect.can_merge_with(b.rect) and b.secondary is None:
                         self.space.merge_regions(a, b)
-                        self._primary_of[node].discard(b)
+                        _unregister(self._primary_of, node, b)
                         self.stats.merges += 1
                         self._notify_merge(a, b)
                         changed = True
@@ -586,12 +598,16 @@ class BasicGeoGrid:
                         f"registry out of sync for secondary of {region!r}"
                     )
         for node, regions in self._primary_of.items():
+            if not regions:
+                raise PartitionError(f"empty primary registry entry {node!r}")
             for region in regions:
                 if region not in self.space.regions or region.primary != node:
                     raise PartitionError(
                         f"stale primary registry entry {node!r} -> {region!r}"
                     )
         for node, regions in self._secondary_of.items():
+            if not regions:
+                raise PartitionError(f"empty secondary registry entry {node!r}")
             for region in regions:
                 if region not in self.space.regions or region.secondary != node:
                     raise PartitionError(

@@ -65,6 +65,12 @@ class Region:
     edges: Optional[Tuple[float, float, float, float]] = field(
         default=None, init=False
     )
+    #: ``edges + (region_id,)``: this region's row in its neighbors'
+    #: entries of the space's link table (:attr:`Space.links`), one tuple
+    #: shared by all of them.  ``None`` outside a space.
+    link: Optional[Tuple[float, float, float, float, int]] = field(
+        default=None, init=False
+    )
 
     # ------------------------------------------------------------------
     # Occupancy

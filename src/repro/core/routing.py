@@ -21,6 +21,7 @@ from typing import List, Optional
 from repro import obs
 from repro.errors import RoutingError
 from repro.geometry import Point, Rect
+from repro.geometry.rect import EDGE_TOLERANCE
 from repro.core.query import LocationQuery
 from repro.core.region import Region
 from repro.core.space import Space
@@ -83,18 +84,22 @@ def route_to_point(
         raise RoutingError(f"start region {start!r} is not part of the space")
     if not space.covers_point(target):
         raise RoutingError(f"destination {target} lies outside the service area")
-    path: List[Region] = []
+    registry = obs.active()
+    if registry is None:
+        # Both checks above are the walk's preconditions: go straight to
+        # it instead of through ``locate``, which validates again.
+        path: List[Region] = [start]
+        return RouteResult(path=path, executor=space._walk(start, target, path))
+    path = []
     executor = space.locate(target, hint=start, path=path)
     result = RouteResult(path=path, executor=executor)
-    registry = obs.active()
-    if registry is not None:
-        registry.observe("routing.route.hops", result.hops)
-        registry.trace(
-            "route",
-            source=start.region_id,
-            executor=executor.region_id,
-            hops=result.hops,
-        )
+    registry.observe("routing.route.hops", result.hops)
+    registry.trace(
+        "route",
+        source=start.region_id,
+        executor=executor.region_id,
+        hops=result.hops,
+    )
     return result
 
 
@@ -148,16 +153,28 @@ def _fanout(space: Space, executor: Region, query_rect: Rect) -> List[Region]:
         # border of the executor without even touching it; the executor
         # still answers it alone.
         return [executor]
+    # Rect.touches(query_rect) on each link row's edges, with the query
+    # side's sums taken once.
+    tol = EDGE_TOLERANCE
+    qx, qy = query_rect.x, query_rect.y
+    qx2 = query_rect.x2 + tol
+    qy2 = query_rect.y2 + tol
+    links = space.links
+    by_id = space.by_id
     covered: List[Region] = []
-    seen = {executor}
-    frontier = deque((executor,))
+    seen = {executor.region_id}
+    frontier = deque((executor.region_id,))
     while frontier:
-        region = frontier.popleft()
-        covered.append(region)
-        for neighbor in space.neighbors(region):
-            if neighbor not in seen and neighbor.rect.touches(query_rect):
-                seen.add(neighbor)
-                frontier.append(neighbor)
+        region_id = frontier.popleft()
+        covered.append(by_id[region_id])
+        for x, x2, y, y2, neighbor_id in links[region_id]:
+            if (
+                neighbor_id not in seen
+                and x <= qx2 and qx <= x2 + tol
+                and y <= qy2 and qy <= y2 + tol
+            ):
+                seen.add(neighbor_id)
+                frontier.append(neighbor_id)
     return covered
 
 

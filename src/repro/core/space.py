@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Set as AbstractSet
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import GeometryError, PartitionError
@@ -41,10 +42,20 @@ _GROUP_SIZE = 8
 _GROUP_DEPTH = 48
 
 
+#: One row of the link table: a neighbor's edges and id.
+Link = Tuple[float, float, float, float, int]
+
+_link_of = attrgetter("link")
+
+
 def _set_rect(region: Region, rect: Rect) -> None:
-    """Give ``region`` the rect ``rect`` and the matching edge tuple."""
+    """Give ``region`` the rect ``rect`` and the matching edge tuple and
+    link-table row."""
     region.rect = rect
-    region.edges = (rect.x, rect.x + rect.width, rect.y, rect.y + rect.height)
+    x2 = rect.x + rect.width
+    y2 = rect.y + rect.height
+    region.edges = (rect.x, x2, rect.y, y2)
+    region.link = (rect.x, x2, rect.y, y2, region.region_id)
 
 
 def _touching_groups(bounds: Rect, regions: List[Region]) -> Iterator[List[Region]]:
@@ -128,7 +139,8 @@ class Space:
     2. region rectangles are pairwise interior-disjoint;
     3. the adjacency relation equals the geometric neighbor predicate.
 
-    ``check_invariants`` verifies all three (tests call it constantly).
+    ``check_invariants`` verifies all three (tests call it constantly),
+    and that the link table (:attr:`links`) mirrors the adjacency sets.
     """
 
     def __init__(self, bounds: Rect, index_resolution: int = 128) -> None:
@@ -143,6 +155,20 @@ class Space:
         self._index_cell_h = bounds.height / index_resolution
         self._cell_hint: List[Optional[Region]] = [None] * (index_resolution * index_resolution)
         self._regions_view = RegionSetView(self._regions)
+        #: The link table, read by the model layer's adjacency loops
+        #: (the greedy walk, query fan-out, TTL rings, the trigger's
+        #: neighbor scan): for every region id, the
+        #: :attr:`Region.link` rows ``(x, x2, y, y2, neighbor_id)`` of its
+        #: neighbors, in the iteration order of its adjacency set, which
+        #: decides every tie.  A split or merge rebuilds the entry of each
+        #: region whose neighbor set or neighbors' edges it changed.
+        #: Rows hold ids, not regions: tuples of floats and ints are not
+        #: tracked by the cyclic collector, and the table adds no
+        #: region-to-region reference.  Read-only for callers.
+        self.links: Dict[int, Tuple[Link, ...]] = {}
+        #: ``region_id -> Region`` for every region of the space; turns
+        #: a link row back into its region.  Read-only for callers.
+        self.by_id: Dict[int, Region] = {}
         #: Cumulative counter of greedy-walk hops, exposed for experiments.
         self.walk_hops = 0
         #: Structural counter: every split and merge bumps it and stamps
@@ -201,6 +227,8 @@ class Space:
         _set_rect(region, region.rect)
         self._regions.add(region)
         self._adjacency[region] = set()
+        self.by_id[region.region_id] = region
+        self.links[region.region_id] = ()
         self._reindex_rect(region.rect, region)
 
     def split_region(
@@ -241,29 +269,30 @@ class Space:
         new_region = Region(rect=new_rect)
         _set_rect(new_region, new_rect)
         self._regions.add(new_region)
+        self.by_id[new_region.region_id] = new_region
 
         # The new region's neighbors are a subset of the old neighbors plus
         # the kept half; the kept half loses the old neighbors that only
         # touched the handed-off half.
         new_neighbors: Set[Region] = set()
+        kept_neighbors: Set[Region] = set()
         for candidate in old_neighbors:
-            touches_new = new_rect.is_neighbor_of(candidate.rect)
-            touches_kept = kept_rect.is_neighbor_of(candidate.rect)
-            if touches_new:
+            if new_rect.is_neighbor_of(candidate.rect):
                 new_neighbors.add(candidate)
                 self._adjacency[candidate].add(new_region)
-            if not touches_kept:
+            if kept_rect.is_neighbor_of(candidate.rect):
+                kept_neighbors.add(candidate)
+            else:
                 self._adjacency[candidate].discard(region)
+        # The copy is part of the seeded behavior: a set copied from a
+        # grown set can iterate in another order than the original.
         new_neighbors_frozen = set(new_neighbors)
-        kept_neighbors = {
-            candidate
-            for candidate in old_neighbors
-            if kept_rect.is_neighbor_of(candidate.rect)
-        }
         kept_neighbors.add(new_region)
         new_neighbors_frozen.add(region)
         self._adjacency[region] = kept_neighbors
         self._adjacency[new_region] = new_neighbors_frozen
+        self._relink(old_neighbors)
+        self._relink((region, new_region))
         self.stamp += 1
         region.stamp = new_region.stamp = self.stamp
 
@@ -278,14 +307,16 @@ class Space:
                 axis=axis.value,
                 child_area=new_rect.area,
             )
-        obs.record(
-            "region_split",
-            None,
-            parent=region.region_id,
-            child=new_region.region_id,
-            kept=str(kept_rect),
-            rect=str(new_rect),
-        )
+        recorder = obs.flightrec()
+        if recorder is not None:
+            recorder.record(
+                "region_split",
+                None,
+                parent=region.region_id,
+                child=new_region.region_id,
+                kept=str(kept_rect),
+                rect=str(new_rect),
+            )
         return new_region
 
     def merge_regions(self, survivor: Region, absorbed: Region) -> Region:
@@ -311,6 +342,8 @@ class Space:
             self._adjacency[candidate].discard(absorbed)
             self._adjacency[candidate].discard(survivor)
         del self._adjacency[absorbed]
+        del self.links[absorbed.region_id]
+        del self.by_id[absorbed.region_id]
         self._regions.discard(absorbed)
 
         _set_rect(survivor, merged_rect)
@@ -322,6 +355,8 @@ class Space:
         self._adjacency[survivor] = new_neighbors
         for candidate in new_neighbors:
             self._adjacency[candidate].add(survivor)
+        self._relink(candidates)
+        self._relink((survivor,))
         self.stamp += 1
         survivor.stamp = absorbed.stamp = self.stamp
 
@@ -335,14 +370,23 @@ class Space:
                 absorbed=absorbed.region_id,
                 merged_area=merged_rect.area,
             )
-        obs.record(
-            "region_merge",
-            None,
-            survivor=survivor.region_id,
-            absorbed=absorbed.region_id,
-            rect=str(merged_rect),
-        )
+        recorder = obs.flightrec()
+        if recorder is not None:
+            recorder.record(
+                "region_merge",
+                None,
+                survivor=survivor.region_id,
+                absorbed=absorbed.region_id,
+                rect=str(merged_rect),
+            )
         return survivor
+
+    def _relink(self, regions: Iterable[Region]) -> None:
+        """Rebuild the link-table entries of ``regions`` from their
+        current adjacency sets."""
+        adjacency, links = self._adjacency, self.links
+        for region in regions:
+            links[region.region_id] = tuple(map(_link_of, adjacency[region]))
 
     # ------------------------------------------------------------------
     # Point location
@@ -358,6 +402,23 @@ class Space:
             point,
             closed_low_x=region.rect.x <= self.bounds.x,
             closed_low_y=region.rect.y <= self.bounds.y,
+        )
+
+    def region_owns_part_of(self, region: Region, rect: Rect) -> bool:
+        """Whether ``region`` owns a point of the closed rect ``rect``.
+
+        :meth:`region_covers` over a whole rect: the region's half-open
+        extent, with the low edge closed on the space's west/south
+        border, meets the closed ``rect``.  A region that shares only its
+        own south or west edge with ``rect`` owns none of its points; one
+        that shares its north or east edge owns the points on that edge.
+        """
+        r = region.rect
+        return (
+            rect.x <= r.x2
+            and (r.x < rect.x2 or r.x <= self.bounds.x and r.x <= rect.x2)
+            and rect.y <= r.y2
+            and (r.y < rect.y2 or r.y <= self.bounds.y and r.y <= rect.y2)
         )
 
     def covers_point(self, point: Point) -> bool:
@@ -404,32 +465,58 @@ class Space:
             current = self.any_region()
         if path is not None:
             path.append(current)
-        current_dist = current.rect.distance_to_point(point)
+        return self._walk(current, point, path)
+
+    def _walk(
+        self,
+        start: Region,
+        point: Point,
+        path: Optional[List[Region]] = None,
+    ) -> Region:
+        """The greedy walk from ``start``, a region of the space, to the
+        region covering ``point``, a point inside the bounds.
+
+        No validation: :meth:`_locate` and
+        :func:`~repro.core.routing.route_to_point` check both first.  If
+        ``path`` is given, every region visited after ``start`` is
+        appended to it.
+        """
         px = point.x
         py = point.y
         bx = self.bounds.x
         by = self.bounds.y
-        adjacency = self._adjacency
+        links = self.links
+        by_id = self.by_id
+        # The walk reads link-table rows: ``current`` is the current
+        # region's own row, so its edges and id come with one unpack.
+        current = start.link
+        x, x2, y, y2, _ = current
+        # Rect.distance_to_point's arithmetic on the edge tuple.
+        dx = max(x - px, 0.0, px - x2)
+        dy = max(y - py, 0.0, py - y2)
+        current_dist = (dx * dx + dy * dy) ** 0.5
+        hops = 0
         # The walk terminates: every step strictly decreases the distance
         # to the target, and there are finitely many regions.
         max_steps = len(self._regions) + 4
         for _ in range(max_steps):
             # region_covers on the edge tuple: half-open, with the low
             # edge closed on the space's own west/south border.
-            x, x2, y, y2 = current.edges
+            x, x2, y, y2, current_id = current
             if (x < px <= x2 or px == x <= bx) and (y < py <= y2 or py == y <= by):
-                return current
+                self.walk_hops += hops
+                return by_id[current_id]
             best = None
             best_dist = best_bound = math.inf
-            for neighbor in adjacency[current]:
-                # Rect.distance_to_point, inlined on the edge tuple: this
+            for row in links[current_id]:
+                # Rect.distance_to_point, inlined on the row's edges: this
                 # loop is the hot path of every route and store update.
                 # The edge sums and the ``** 0.5`` match the method bit
                 # for bit, so the first-minimum choice below is unchanged.
                 # The root is only taken when the square could win: a
                 # square more than _ROOT_SLACK above the best one has a
                 # larger root even with ``** 0.5`` off by an ulp either way.
-                x, x2, y, y2 = neighbor.edges
+                x, x2, y, y2, _ = row
                 if px < x:
                     dx = x - px
                 elif px > x2:
@@ -446,28 +533,31 @@ class Space:
                 if square <= best_bound:
                     d = square ** 0.5
                     if d < best_dist:
-                        best, best_dist = neighbor, d
+                        best, best_dist = row, d
                         best_bound = square * _ROOT_SLACK
             if best is not None and best_dist < current_dist - _PROGRESS_EPS:
                 current, current_dist = best, best_dist
-                self.walk_hops += 1
+                hops += 1
                 if path is not None:
-                    path.append(current)
+                    path.append(by_id[best[4]])
                 continue
+            self.walk_hops += hops
             # Stalled with zero progress: the point sits exactly on a
             # region boundary.  The covering region is then either a
             # neighbor (shared edge) or a corner-touching region; check the
             # neighbors first, then fall back to the scan of last resort.
-            for neighbor in adjacency[current]:
+            region = by_id[current_id]
+            for neighbor in self._adjacency[region]:
                 if self.region_covers(neighbor, point):
                     if path is not None:
                         path.append(neighbor)
                     self.walk_hops += 1
                     return neighbor
             located = self._scan(point)
-            if path is not None and located is not current:
+            if path is not None and located is not region:
                 path.append(located)
             return located
+        self.walk_hops += hops
         raise PartitionError(
             f"greedy walk failed to converge locating {point}; the partition "
             f"is corrupt"
@@ -522,7 +612,9 @@ class Space:
         Overlapping regions share an interior point and neighbors share an
         edge piece, so every such pair is compared; a recorded adjacency
         pair that was never compared is not a geometric neighbor pair.
-        Each region's edge tuple must also match its rect.
+        Each region's edge tuple and link row must also match its rect,
+        and each link-table entry must list its region's neighbors' rows
+        in the order of its adjacency set.
         """
         if not self._regions:
             return
@@ -540,6 +632,8 @@ class Space:
                 raise PartitionError(f"{a!r} sticks out of the bounds")
             if a.edges != (rect.x, rect.x2, rect.y, rect.y2):
                 raise PartitionError(f"{a!r} carries stale edges {a.edges}")
+            if a.link != (*a.edges, a.region_id):
+                raise PartitionError(f"{a!r} carries a stale link row {a.link}")
         adjacency = self._adjacency
         if set(adjacency) != self._regions:
             raise PartitionError("adjacency keys do not match the region set")
@@ -571,6 +665,18 @@ class Space:
                 "adjacency records a pair of regions that are not geometric "
                 "neighbors"
             )
+        if len(self.by_id) != len(regions) or any(
+            self.by_id.get(a.region_id) is not a for a in regions
+        ):
+            raise PartitionError("the id map does not match the region set")
+        if self.links.keys() != self.by_id.keys():
+            raise PartitionError("link-table keys do not match the region set")
+        for a in regions:
+            if self.links[a.region_id] != tuple(map(_link_of, adjacency[a])):
+                raise PartitionError(
+                    f"the link-table entry of {a!r} does not list its "
+                    f"neighbors' rows in adjacency order"
+                )
 
     def iter_regions_intersecting(self, rect: Rect) -> Iterable[Region]:
         """All regions touching ``rect`` (edge and corner contact included).

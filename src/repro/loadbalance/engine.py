@@ -15,6 +15,7 @@ and per individual adaptation (Figures 9/10).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence
 
 from repro import obs
@@ -37,6 +38,8 @@ from repro.loadbalance.workload import IndexTable, WorkloadIndexCalculator
 #: Called after each executed adaptation with the running total count and
 #: the record; Figures 9/10 hook in here.
 AdaptationCallback = Callable[[int, AdaptationRecord], None]
+
+_node_id = attrgetter("node_id")
 
 
 @dataclass
@@ -137,10 +140,10 @@ class AdaptationEngine:
             table = IndexTable(self.calc)
         self.table = table
         indices = table.indices
-        ordered = sorted(
-            indices,
-            key=lambda node: (-indices[node], node.node_id),
-        )
+        # Ascending ids, then a stable sort by descending index: the
+        # order of ``key=(-index, node_id)`` without a tuple per node.
+        ordered = sorted(indices, key=_node_id)
+        ordered.sort(key=indices.__getitem__, reverse=True)
         triggered = 0
         records: List[AdaptationRecord] = []
         for node in ordered:

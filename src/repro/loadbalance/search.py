@@ -92,27 +92,28 @@ def ttl_ring(space: Space, origin: Region, ttl: int) -> Ring:
         raise ValueError(f"ttl must be >= 1, got {ttl}")
     if origin not in space:
         raise ValueError(f"origin {origin!r} is not part of the space")
-    # Visited is keyed on region ids (C-level int hashing); the frontier
-    # lists expand level by level, which is exactly the FIFO order of a
-    # (region, depth) queue.
+    # The BFS runs on region ids over the space's link table (C-level int
+    # hashing); the frontier lists expand level by level, which is
+    # exactly the FIFO order of a (region, depth) queue.
+    links = space.links
     visited = {origin.region_id}
-    regions: List[Region] = []
-    frontier = [origin]
-    neighbors = space.neighbors
+    ids: List[int] = []
+    frontier = [origin.region_id]
     direct = 0
     expanded = 0
     for depth in range(ttl):
-        level_start = len(regions)
-        for region in frontier:
+        level_start = len(ids)
+        for region_id in frontier:
             expanded += 1
-            for neighbor in neighbors(region):
-                region_id = neighbor.region_id
-                if region_id not in visited:
-                    visited.add(region_id)
-                    regions.append(neighbor)
+            for row in links[region_id]:
+                neighbor_id = row[4]
+                if neighbor_id not in visited:
+                    visited.add(neighbor_id)
+                    ids.append(neighbor_id)
         if depth == 0:
-            direct = len(regions)
-        frontier = regions[level_start:]
+            direct = len(ids)
+        frontier = ids[level_start:]
+    regions = list(map(space.by_id.__getitem__, ids))
     return Ring(origin, ttl, regions, direct, expanded, space.stamp)
 
 

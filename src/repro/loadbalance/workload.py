@@ -172,15 +172,17 @@ class IndexTable:
 
         :meth:`WorkloadIndexCalculator.min_neighbor_index` over the table,
         without its generator and dedup set: an owner met twice repeats
-        its own index, which cannot change a strict ``<`` minimum.
+        its own index, which cannot change a strict ``<`` minimum.  The
+        neighbors come from the space's link table, in adjacency order.
         """
         indices = self.indices
         overlay = self.calc.overlay
-        neighbors = overlay.space.neighbors
+        links, by_id = overlay.space.links, overlay.space.by_id
         node_id = node.node_id
         lowest: Optional[float] = None
         for region in overlay.primary_regions(node):
-            for neighbor in neighbors(region):
+            for row in links[region.region_id]:
+                neighbor = by_id[row[4]]
                 for owner in (neighbor.primary, neighbor.secondary):
                     if owner is not None and owner.node_id != node_id:
                         index = indices[owner]

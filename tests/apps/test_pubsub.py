@@ -223,6 +223,74 @@ class TestRestructuring:
         service.check_consistency()
 
 
+def two_band_service():
+    """A 64 x 64 space cut at y = 32 into a south and a north band."""
+    grid = BasicGeoGrid(BOUNDS, rng=random.Random(0))
+    grid.join(make_node(0, 10.0, 10.0))
+    grid.join(make_node(1, 10.0, 50.0))
+    south = grid.space.locate(Point(10.0, 10.0))
+    north = grid.space.locate(Point(10.0, 50.0))
+    assert (south.rect, north.rect) == (Rect(0, 0, 64, 32), Rect(0, 32, 64, 32))
+    return GeoPubSub(grid), grid, south, north
+
+
+class TestHostRegions:
+    """A subscription lives exactly at the regions that can own a point
+    of its closed query rect (half-open regions, low edge closed on the
+    space border)."""
+
+    def test_region_sharing_its_south_edge_is_not_a_host(self):
+        service, grid, south, north = two_band_service()
+        query = LocationQuery(query_rect=Rect(5, 20, 6, 12), focal=south.primary)
+        covered = grid.submit_query(query).covered
+        assert north in covered  # the fan-out reaches it by edge contact
+        service.subscribe(query, duration=60.0)
+        assert service.subscriptions_at(north) == []
+        assert [s.query for s in service.subscriptions_at(south)] == [query]
+        service.check_consistency()
+
+    def test_region_sharing_its_north_edge_survives_a_split(self):
+        service, grid, south, north = two_band_service()
+        query = LocationQuery(query_rect=Rect(5, 32, 6, 10), focal=north.primary)
+        service.subscribe(query, duration=60.0)
+        # The south band owns the query's south edge y = 32.
+        assert [s.query for s in service.subscriptions_at(south)] == [query]
+        grid.join(make_node(2, 10.0, 5.0))  # splits the south band
+        service.check_consistency()
+        edge_owner = grid.space.locate(Point(8.0, 32.0))
+        assert edge_owner.rect.y2 == 32.0
+        assert [s.query for s in service.subscriptions_at(edge_owner)] == [query]
+        hits = service.publish(north.primary, Point(8.0, 32.0), "on the edge")
+        assert [n.subscription.query for n in hits] == [query]
+
+    def test_event_notification_example_subscription(self):
+        """The grid of ``examples/event_notification.py``: its
+        ``Rect(5, 50, 6, 6)`` subscription fans out to regions along
+        y = 56 that own none of its points."""
+        rng = random.Random(1985)
+        grid = DualPeerGeoGrid(BOUNDS, rng=random.Random(11))
+        nodes = []
+        for node_id in range(120):
+            node = make_node(
+                node_id, rng.uniform(0.5, 63.5), rng.uniform(0.5, 63.5),
+                capacity=rng.choice([1, 10, 100]),
+            )
+            grid.join(node)
+            nodes.append(node)
+        service = GeoPubSub(grid)
+        query = LocationQuery(query_rect=Rect(5, 50, 6, 6), focal=nodes[9])
+        covered = grid.submit_query(query).covered
+        service.subscribe(query, duration=120.0)
+        service.check_consistency()
+        hosts = [r for r in covered if service.subscriptions_at(r)]
+        skipped = [r for r in covered if not service.subscriptions_at(r)]
+        assert skipped and all(r.rect.y == 56.0 for r in skipped)
+        for region in hosts:
+            assert region.rect.intersects(query.query_rect) or (
+                region.rect.y2 == 50.0 or region.rect.x2 == 5.0
+            )
+
+
 class TestExpiry:
     def test_expire_removes_dead_subscriptions(self):
         service, grid, nodes = build_service()

@@ -55,6 +55,21 @@ class TestNode:
         node = Node(node_id=1, coord=Point(0, 0), capacity=1.0, address=addr)
         assert node.address == addr
 
+    def test_default_address_is_synthetic(self):
+        node = Node(node_id=70_000, coord=Point(0, 0), capacity=1.0)
+        assert node.address == synthetic_address(70_000)
+        assert node.address is node.address  # made once, then kept
+        assert Node(node_id=3, coord=Point(0, 0), capacity=1.0, address=None).address == (
+            synthetic_address(3)
+        )
+
+    def test_explicit_address_is_not_replaced(self):
+        addr = NodeAddress("10.0.0.9", 7000)
+        node = Node(node_id=1, coord=Point(0, 0), capacity=1.0, address=addr)
+        assert node.address is addr
+        node.address = NodeAddress("10.0.0.8", 7001)
+        assert node.address == ("10.0.0.8", 7001)
+
     def test_usable_in_sets(self):
         nodes = {
             Node(node_id=i % 3, coord=Point(i, i), capacity=1.0)

@@ -169,6 +169,33 @@ class TestOwnershipRegistry:
         assert grid.available_capacity(node) == 6.0
 
 
+    def test_registries_hold_no_empty_set(self):
+        """Nodes that own nothing in a role have no registry entry."""
+        network = build_network(
+            SystemVariant.DUAL_PEER_ADAPTATION,
+            256,
+            ExperimentConfig(trials=1),
+            RngStreams(20070625),
+        )
+        overlay = network.overlay
+        network.field.migrate(random.Random(2), steps=1)
+        network.engine.run_until_stable(max_rounds=3)
+        rng = random.Random(4)
+        for _ in range(20):
+            members = sorted(overlay.nodes.values(), key=lambda n: n.node_id)
+            victim = rng.choice(members)
+            (overlay.leave if rng.random() < 0.5 else overlay.fail)(victim)
+        assert network.engine.total_adaptations > 0
+        for registry in (overlay._primary_of, overlay._secondary_of):
+            assert all(registry.values())
+        owners = {r.primary for r in overlay.space.regions}
+        assert set(overlay._primary_of) == owners
+        assert set(overlay._secondary_of) == {
+            r.secondary for r in overlay.space.regions
+        } - {None}
+        overlay.check_invariants()
+
+
 class _SplitRecorder:
     def __init__(self):
         self.calls = []

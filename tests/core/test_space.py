@@ -615,3 +615,82 @@ class TestCheckInvariantsMatchesAllPairs:
             reference_check(space)
         with pytest.raises(PartitionError):
             space.check_invariants()
+
+
+def _entry_with_rows(space, rng, count):
+    """A region id whose link-table entry has at least ``count`` rows."""
+    ids = sorted(rid for rid, rows in space.links.items() if len(rows) >= count)
+    return rng.choice(ids)
+
+
+def inject_stale_link(space, rng):
+    """One row keeps a neighbor's edges from before it was resized."""
+    rid = _entry_with_rows(space, rng, 1)
+    rows = list(space.links[rid])
+    x, x2, y, y2, neighbor_id = rows[0]
+    rows[0] = (x, x2 + 1e-9, y, y2, neighbor_id)
+    space.links[rid] = tuple(rows)
+
+
+def inject_missing_link(space, rng):
+    rid = _entry_with_rows(space, rng, 1)
+    space.links[rid] = space.links[rid][1:]
+
+
+def inject_extra_link(space, rng):
+    """A far-away region's row appended to an entry."""
+    rid = _entry_with_rows(space, rng, 1)
+    region = space.by_id[rid]
+    far = [
+        r for r in by_id(space.regions)
+        if r is not region and not r.rect.touches(region.rect)
+    ]
+    space.links[rid] += (rng.choice(far).link,)
+
+
+def inject_reordered_link(space, rng):
+    rid = _entry_with_rows(space, rng, 2)
+    space.links[rid] = space.links[rid][::-1]
+
+
+LINK_FAULTS = [
+    inject_stale_link,
+    inject_missing_link,
+    inject_extra_link,
+    inject_reordered_link,
+]
+
+
+class TestLinkTable:
+    def test_split_and_merge_keep_entries_in_adjacency_order(self):
+        space, _ = random_partition(3)
+        for region in space.regions:
+            assert space.by_id[region.region_id] is region
+            assert space.links[region.region_id] == tuple(
+                (*n.edges, n.region_id) for n in space.neighbors(region)
+            )
+        assert space.links.keys() == space.by_id.keys()
+
+    @pytest.mark.parametrize(
+        "fault", LINK_FAULTS, ids=lambda f: f.__name__[len("inject_"):]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_table_fault_is_a_violation(self, fault, seed):
+        space, rng = random_partition(seed)
+        space.check_invariants()
+        fault(space, rng)
+        with pytest.raises(PartitionError, match="link-table entry"):
+            space.check_invariants()
+
+    def test_entry_of_a_removed_region_is_a_violation(self):
+        space, rng = random_partition(1)
+        space.links[max(space.links) + 1] = ()
+        with pytest.raises(PartitionError, match="link-table keys"):
+            space.check_invariants()
+
+    def test_stale_link_row_is_a_violation(self):
+        space, root = make_space()
+        east = space.split_region(root, axis=SplitAxis.VERTICAL)
+        east.link = root.link
+        with pytest.raises(PartitionError, match="stale link row"):
+            space.check_invariants()

@@ -1,12 +1,14 @@
 """Differential tests for the model layer's hot loops.
 
 The greedy walk (``Space.locate``), the region-load lookup
-(``CellGrid.load_in_rect``), the TTL search (``ttl_search``) and the
-memo of TTL rings (``RingMemo``) are written for speed.  Each is checked
-here against a plain reference copy of the straightforward algorithm, on
-a seeded 512-node dual-peer overlay: the fast versions must return
-exactly what the references do.  The walk and the ring memo are also
-checked while joins, departures and adaptations restructure it.
+(``CellGrid.load_in_rect``), the TTL search (``ttl_search``), the memo
+of TTL rings (``RingMemo``), the query fan-out (``routing._fanout``) and
+the round order of ``AdaptationEngine.run_round`` are written for speed.
+Each is checked here against a plain reference copy of the
+straightforward algorithm, on a seeded 512-node dual-peer overlay: the
+fast versions must return exactly what the references do.  The walk, the
+ring memo and the space's link table are also checked while joins,
+departures and adaptations restructure it.
 """
 
 import math
@@ -19,6 +21,7 @@ from repro.experiments.build import build_network
 from repro.experiments.config import ExperimentConfig, SystemVariant
 from repro.geometry import CellGrid, Circle, Point, Rect
 from repro.core.node import Node
+from repro.core.routing import _fanout
 from repro.loadbalance import AdaptationEngine, AdaptationPlan, ttl_search
 from repro.loadbalance.mechanisms import MergeWithNeighbor
 from repro.loadbalance.search import RingMemo
@@ -484,3 +487,115 @@ class TestRingMemo:
         assert remote_hits(rebuilt) == fresh.candidates
         assert rebuilt.messages == fresh.messages
         serve_and_compare(memo, space, served)
+
+
+# ----------------------------------------------------------------------
+# (e) link table and query fan-out
+# ----------------------------------------------------------------------
+def expected_links(space, region):
+    return tuple((*n.edges, n.region_id) for n in space.neighbors(region))
+
+
+def check_link_table(space):
+    """Every entry lists the neighbors' rows in adjacency-set order."""
+    assert space.links.keys() == {r.region_id for r in space.regions}
+    for region in space.regions:
+        assert space.by_id[region.region_id] is region
+        assert space.links[region.region_id] == expected_links(space, region)
+
+
+def reference_fanout(space, executor, query_rect):
+    """FIFO BFS over ``Space.neighbors`` with ``Rect.touches``."""
+    if not executor.rect.touches(query_rect):
+        return [executor]
+    covered = []
+    seen = {executor}
+    frontier = deque([executor])
+    while frontier:
+        region = frontier.popleft()
+        covered.append(region)
+        for neighbor in space.neighbors(region):
+            if neighbor not in seen and neighbor.rect.touches(query_rect):
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return covered
+
+
+class TestLinkTable:
+    def test_table_mirrors_adjacency_under_churn(self, network):
+        """Joins, departures and adaptation rounds (splits and merges):
+        after each, every entry equals the rows built from the sets."""
+        overlay = network.overlay
+        space = overlay.space
+        check_link_table(space)
+        rng = random.Random(31)
+        changes = []
+        engine = AdaptationEngine(
+            overlay, network.calc, config=network.engine.config,
+            on_adaptation=lambda _count, _record: changes.append(space.stamp),
+        )
+        motion = RngStreams(9).stream("motion")
+        joined = iter(range(300_000, 300_100))
+        for _ in range(4):
+            for _ in range(3):
+                coord = Point(rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0))
+                overlay.join(Node(next(joined), coord, capacity=rng.choice([1, 10, 100])))
+                check_link_table(space)
+            for _ in range(3):
+                members = sorted(overlay.nodes.values(), key=lambda n: n.node_id)
+                overlay.leave(rng.choice(members))
+                check_link_table(space)
+            network.field.migrate(motion, steps=1)
+            engine.run_until_stable(max_rounds=3)
+            check_link_table(space)
+        assert "c" in engine.mechanism_usage()
+        overlay.check_invariants()
+
+
+class TestFanout:
+    def test_matches_reference_bfs(self, network):
+        space = network.overlay.space
+        regions = sorted_regions(space)
+        rng = random.Random(17)
+        rects = [region.rect for region in regions[::7]]
+        for _ in range(300):
+            w, h = rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)
+            rects.append(Rect(rng.uniform(0.0, 64.0 - w), rng.uniform(0.0, 64.0 - h), w, h))
+        for rect in rects:
+            executor = space.locate(rect.center)
+            expected = reference_fanout(space, executor, rect)
+            assert _fanout(space, executor, rect) == expected
+            assert [r.region_id for r in _fanout(space, executor, rect)] == [
+                r.region_id for r in expected
+            ]
+        # An executor the rect does not touch answers alone.
+        far = max(regions, key=lambda r: r.rect.x)
+        assert _fanout(space, far, Rect(0.0, 0.0, 1.0, 1.0)) == [far]
+
+
+# ----------------------------------------------------------------------
+# (f) adaptation round order
+# ----------------------------------------------------------------------
+class _OrderRecorder:
+    """A trigger that records the order it is asked in and never fires."""
+
+    def __init__(self):
+        self.asked = []
+
+    def should_adapt(self, node, table):
+        self.asked.append(node)
+        return False
+
+
+class TestRoundOrder:
+    def test_visits_nodes_by_descending_index_then_id(self, network):
+        engine = network.engine
+        network.field.migrate(random.Random(3), steps=1)
+        recorder = engine.trigger = _OrderRecorder()
+        engine.run_round()
+        indices = engine.table.indices
+        expected = sorted(indices, key=lambda node: (-indices[node], node.node_id))
+        assert recorder.asked == expected
+        # Equal indices are common (idle secondaries sit at 0): the ties
+        # are ordered by node id.
+        assert len(set(indices.values())) < len(indices) // 2
